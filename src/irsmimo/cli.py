@@ -29,7 +29,7 @@ from . import channel as channel_mod
 from . import irs_opt, metrics
 from . import scenario as scenario_mod
 from .numerics import NumericalError
-from .scenario import NAMESPACE_EVAL, NAMESPACE_INIT, ConfigError, ScenarioConfig
+from .scenario import NAMESPACE_EVAL, ConfigError, ScenarioConfig
 from .wmmse import online_wmmse
 
 EXIT_OK = 0
@@ -112,33 +112,11 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int, starte
     )
 
 
-def _constraint_from_config(cfg: ScenarioConfig) -> irs_opt.BeamConstraint:
-    return irs_opt.BeamConstraint(
-        mode=cfg.constraint.mode, n_bits=cfg.constraint.n_bits, rho_sq=cfg.rho_sq()
-    )
-
-
-def _random_beam_set(cfg: ScenarioConfig, cfg_hash: str) -> irs_opt.IrsBeamSet:
-    """NON-OPT baseline: the unoptimized random-phase initialization."""
-    constraint = _constraint_from_config(cfg)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(NAMESPACE_INIT, 0, 0))
-    )
-    beams = irs_opt.initial_beams(cfg.k_total, cfg.p_per_tile, constraint, rng)
-    return irs_opt.IrsBeamSet(
-        beams=beams,
-        mode=constraint.mode,
-        n_bits=constraint.n_bits,
-        rho_sq=constraint.resolved_rho_sq(cfg.p_per_tile),
-        config_hash=cfg_hash,
-    )
-
-
 def _resolve_beam_set(
     beams_arg: str, cfg: ScenarioConfig, cfg_hash: str, force: bool
 ) -> tuple[irs_opt.IrsBeamSet, str]:
     if beams_arg == "random":
-        beam_set = _random_beam_set(cfg, cfg_hash)
+        beam_set = irs_opt.random_beam_set(cfg)
         return beam_set, irs_opt.beam_set_digest(beam_set)
     if not Path(beams_arg).exists():
         raise IOError(f"beam-set file not found: {beams_arg}")
@@ -179,8 +157,7 @@ def cmd_optimize(args) -> int:
         cfg_hash,
         cfg.seed,
         started,
-        {"config": str(args.config), "override": list(args.override or []),
-         "fast": bool(getattr(args, "fast", False))},
+        {"config": str(args.config), "override": list(args.override or [])},
         beams_hash=beams_hash,
     )
     print(f"optimize: {report.iterations} iterations, converged={report.converged}")
@@ -214,7 +191,6 @@ def cmd_evaluate(args) -> int:
             "realizations": args.realizations,
             "force": bool(args.force),
             "override": list(args.override or []),
-            "fast": bool(getattr(args, "fast", False)),
         },
         beams_hash=beams_hash,
     )
@@ -293,7 +269,6 @@ def cmd_array_factor(args) -> int:
             "beams": str(args.beams),
             "realization": args.realization,
             "override": list(args.override or []),
-            "fast": bool(getattr(args, "fast", False)),
         },
         beams_hash=beams_hash,
     )
@@ -422,7 +397,7 @@ def cmd_sweep(args) -> int:
                 }
             )
             if include_baseline:
-                base_set = _random_beam_set(cfg, cfg_hash)
+                base_set = irs_opt.random_beam_set(cfg)
                 base_result = metrics.evaluate_average_sum_rate(
                     cfg,
                     base_set.beams,
@@ -467,8 +442,7 @@ def cmd_sweep(args) -> int:
         sweep_hash,
         -1,
         started,
-        {"spec": str(args.spec), "points": len(rows), "failures": failures,
-         "fast": bool(getattr(args, "fast", False))},
+        {"spec": str(args.spec), "points": len(rows), "failures": failures},
     )
     print(f"sweep: {len(rows) - failures}/{len(rows)} points succeeded; wrote {outdir}")
     return EXIT_OK
@@ -484,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="IRS-assisted MU-MIMO downlink simulation and beam optimization",
     )
     parser.add_argument("--output-root", help=f"artifact root (default ${OUTPUT_ROOT_ENV} or ./runs)")
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="waive the byte-identical determinism guarantee (reductions and "
-        "scheduling may change between releases); numerics are unchanged today",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)

@@ -3,7 +3,8 @@
 The offline problem minimizes the Monte-Carlo average of the weighted MSE
 objective over frozen random network draws, by block coordinate descent over
 the per-sample digital variables (G, W, V) and the shared per-tile analog
-beam vectors b_m. Viewed as a function of one tile's beam with everything
+beam vectors b_m. The digital step runs the WMMSE block updates of `wmmse`
+on the whole sample stack at once. Viewed as a function of one tile's beam with everything
 else fixed, the per-sample weighted MSE is an exact quadratic
 
     f(b_m) = b_m^H M_m b_m - 2 Re(u_m^H b_m) + const,
@@ -17,7 +18,9 @@ Tile updates run sequentially by default (the cross-tile coupling inside u_m
 is refreshed after each tile), which makes every block update an exact
 minimizer and the frozen-sample objective monotonically non-increasing.
 The simultaneous variant (all tiles from the previous iterate) is available
-through the solver.tile_order configuration key.
+through the solver.tile_order configuration key. Both orders, and the
+gradient check `verify_theorem1`, take the per-tile statistics from
+`_tile_statistics`.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channel as channel_mod
 from . import scenario as scenario_mod
+from . import wmmse
 from .numerics import NumericalError, check_finite, herm, pairwise_mean, power_constrained_solve
 from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, ScenarioConfig
 
@@ -43,6 +47,7 @@ __all__ = [
     "lc_grid_point",
     "quantize_lc",
     "initial_beams",
+    "random_beam_set",
     "build_linear_factors",
     "q_map",
     "gamma_expand",
@@ -180,6 +185,25 @@ def initial_beams(
         scale = np.minimum(1.0, np.sqrt(rho_sq / norms_sq))
         b = b * scale
     return b
+
+
+def random_beam_set(cfg: ScenarioConfig) -> IrsBeamSet:
+    """The NON-OPT baseline of a config, which is also the starting point of
+    the offline optimizer: `initial_beams` drawn from the initialization
+    stream of cfg.seed under the config's beam constraint."""
+    constraint = BeamConstraint(
+        mode=cfg.constraint.mode, n_bits=cfg.constraint.n_bits, rho_sq=cfg.rho_sq()
+    )
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.seed, spawn_key=(NAMESPACE_INIT, 0, 0))
+    )
+    return IrsBeamSet(
+        beams=initial_beams(cfg.k_total, cfg.p_per_tile, constraint, rng),
+        mode=constraint.mode,
+        n_bits=constraint.n_bits,
+        rho_sq=constraint.resolved_rho_sq(cfg.p_per_tile),
+        config_hash=scenario_mod.config_hash(cfg),
+    )
 
 
 def update_b(
@@ -335,7 +359,7 @@ def mc_expectation(m_samples: np.ndarray, u_samples: np.ndarray) -> QuadraticSta
 
 
 # ---------------------------------------------------------------------------
-# Batched sample-stack helpers
+# Sample-stack evaluators and tile statistics
 
 
 def composite_batch(
@@ -343,81 +367,6 @@ def composite_batch(
 ) -> np.ndarray:
     """H (N_s, N_u, L, M) = Hbar + sum_k T_ik diag(b_k) S_k over the sample stack."""
     return hbar + np.einsum("niklp,kp,kpm->nilm", t, beams, s)
-
-
-def _receivers_batch(h: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
-    n_s, n_u, l_ant, _ = h.shape
-    hv = np.einsum("nilm,njmc->nijlc", h, v)
-    j_mat = sigma2 * np.eye(l_ant, dtype=complex)[None, None] + np.einsum(
-        "nijlc,nijkc->nilk", hv, hv.conj()
-    )
-    idx = np.arange(n_u)
-    return np.linalg.solve(j_mat, hv[:, idx, idx])
-
-
-def _mse_batch(h: np.ndarray, v: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
-    n_s, n_u, l_ant, _ = h.shape
-    l_str = v.shape[-1]
-    hv = np.einsum("nilm,njmc->nijlc", h, v)
-    gh = np.swapaxes(g.conj(), -1, -2)
-    cross = np.einsum("nilk,nijkc->nijlc", gh, hv)
-    idx = np.arange(n_u)
-    total = np.einsum("nijlc,nijkc->nilk", cross, cross.conj())
-    own = cross[:, idx, idx]
-    eye = np.eye(l_str, dtype=complex)
-    e = total + eye[None, None] - own - np.swapaxes(own.conj(), -1, -2)
-    e = e + sigma2 * np.einsum("nilk,nikc->nilc", gh, g)
-    return 0.5 * (e + np.swapaxes(e.conj(), -1, -2))
-
-
-def _weights_batch(e: np.ndarray) -> np.ndarray:
-    eye = np.eye(e.shape[-1], dtype=complex)
-    try:
-        w = np.linalg.solve(e, np.broadcast_to(eye, e.shape).copy())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"offline weights: singular MSE matrix ({exc})") from exc
-    return 0.5 * (w + np.swapaxes(w.conj(), -1, -2))
-
-
-def _precoders_batch(
-    h: np.ndarray, g: np.ndarray, w: np.ndarray, alpha: np.ndarray, p_budget: np.ndarray
-) -> np.ndarray:
-    n_s, n_u, _, m_ant = h.shape
-    gwg = np.einsum("nilk,nikc,nidc->nild", g, w, g.conj())
-    k_mat = np.einsum("j,njlm,njlk,njkr->nmr", alpha, h.conj(), gwg, h)
-    v = np.zeros((n_s, n_u, m_ant, w.shape[-1]), dtype=complex)
-    for n in range(n_s):
-        k_n = herm(k_mat[n])
-        for i in range(n_u):
-            rhs = alpha[i] * (h[n, i].conj().T @ (g[n, i] @ w[n, i]))
-            v[n, i], _ = power_constrained_solve(k_n, rhs, p_budget[i])
-    return v
-
-
-def _logdet_batch(mats: np.ndarray) -> np.ndarray:
-    """log det of a stack of Hermitian positive-definite matrices (nats)."""
-    try:
-        chol = np.linalg.cholesky(0.5 * (mats + np.swapaxes(mats.conj(), -1, -2)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"batched log det: matrix not positive definite ({exc})") from exc
-    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-    return 2.0 * np.sum(np.log(diag), axis=-1)
-
-
-def _objective_batch(
-    h: np.ndarray,
-    v: np.ndarray,
-    g: np.ndarray,
-    w: np.ndarray,
-    alpha: np.ndarray,
-    sigma2: float,
-) -> float:
-    """Frozen-sample objective: mean_n sum_i alpha_i (tr(W E) - log det W)."""
-    e = _mse_batch(h, v, g, sigma2)
-    tr_we = np.real(np.einsum("nilk,nikl->ni", w, e))
-    ld = _logdet_batch(w)
-    per_sample = np.einsum("i,ni->n", alpha, tr_we - ld)
-    return float(pairwise_mean(per_sample))
 
 
 def frozen_weighted_mse(
@@ -434,7 +383,7 @@ def frozen_weighted_mse(
     """mean_n sum_i alpha_i tr(W_i E_i) as a function of the beams, with the
     digital variables frozen. Reference evaluator for the gradient oracles."""
     h = composite_batch(hbar, s, t, beams)
-    e = _mse_batch(h, v, g, sigma2)
+    e = wmmse.mse_matrices(h, v, g, sigma2)
     tr_we = np.real(np.einsum("nilk,nikl->ni", w, e))
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, tr_we)))
 
@@ -452,17 +401,7 @@ def frozen_sum_rate(
     """mean_n sum_i alpha_i R_i (nats) with the precoders frozen."""
     if h is None:
         h = composite_batch(hbar, s, t, beams)
-    n_s, n_u, l_ant, _ = h.shape
-    hv = np.einsum("nilm,njmc->nijlc", h, v)
-    idx = np.arange(n_u)
-    total = np.einsum("nijlc,nijkc->nilk", hv, hv.conj())
-    own = hv[:, idx, idx]
-    jbar = sigma2 * np.eye(l_ant, dtype=complex)[None, None] + total - np.einsum(
-        "nilc,nikc->nilk", own, own.conj()
-    )
-    inner = np.einsum("nilc,nilk->nick", own.conj(), np.linalg.solve(jbar, own))
-    eye = np.eye(v.shape[-1], dtype=complex)
-    rates = _logdet_batch(eye[None, None] + inner)
+    rates = wmmse.user_rates(h, v, sigma2)
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, rates)))
 
 
@@ -476,33 +415,47 @@ def receivers_and_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """MMSE receivers and W = E^-1 for the sample stack at the given beams."""
     h = composite_batch(hbar, s, t, beams)
-    g = _receivers_batch(h, v, sigma2)
-    w = _weights_batch(_mse_batch(h, v, g, sigma2))
-    return g, w
+    g = wmmse.update_receivers(h, v, sigma2)
+    return g, wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
 
 
-def _tile_stats_batch(
-    a_m: np.ndarray,
-    c_m: np.ndarray,
-    ghv: np.ndarray,
-    z_m: np.ndarray,
+def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G_i^H H_i V_j (N_s, N_u, N_u, L, L) over the sample stack."""
+    gh_h = np.einsum("nilq,nilm->niqm", g.conj(), h)
+    return np.einsum("niqm,njmc->nijqc", gh_h, v)
+
+
+def _tile_statistics(
+    g: np.ndarray,
     w: np.ndarray,
+    v: np.ndarray,
+    s: np.ndarray,
+    t: np.ndarray,
+    ghv: np.ndarray,
+    b_m: np.ndarray,
+    m: int,
     alpha: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (M_m, u_m) stacks from cached tile factors.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
+    with ghv = G_i^H H_i V_j at the current beams (see `_coupling`).
 
-    a_m: (N_s, N_u, L, P) = G_i^H T_im;  c_m: (N_s, N_u, P, L) = S_m V_j;
-    ghv: (N_s, N_u, N_u, L, L) = G_i^H H_i V_j at the current beams;
-    z_m: (N_s, N_u, N_u, L, L) = A_im diag(b_m) C_mj (tile m's own term).
+    Also returns the tile factors (A_m, C_m, Z_m): A_im = G_i^H T_im
+    (N_s, N_u, L, P), C_mj = S_m V_j (N_s, N_u, P, L) and
+    Z_mij = A_im diag(b_m) C_mj, tile m's own term of ghv. Replacing b_m by
+    b changes ghv by A_m diag(b) C_m - Z_m.
     """
+    a_m = np.einsum("nilq,nilp->niqp", g.conj(), t[:, :, m])
+    c_m = np.einsum("pm,njml->njpl", s[m], v)
+    z_m = np.einsum("niqp,p,njpc->nijqc", a_m, b_m, c_m)
     phi = np.einsum("i,niqp,niql,nilt->npt", alpha, a_m.conj(), w, a_m)
     psi = np.einsum("njpl,njtl->npt", c_m, c_m.conj())
     m_stack = phi * np.swapaxes(psi, -1, -2)
-    r = ghv - z_m
-    sc = np.einsum("nijqc,njpc->niqp", r, c_m.conj())
+    sc = np.einsum("nijqc,njpc->niqp", ghv - z_m, c_m.conj())
     inner = np.swapaxes(c_m.conj(), -1, -2) - sc  # C_mi^H - sum_j R_ij C_mj^H
     u_stack = np.einsum("i,niqp,niql,nilp->np", alpha, a_m.conj(), w, inner)
-    return m_stack, u_stack
+    m_bar = herm(pairwise_mean(m_stack, axis=0))
+    u_bar = pairwise_mean(u_stack, axis=0)
+    return m_bar, u_bar, (a_m, c_m, z_m)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +490,7 @@ def offline_optimize_channels(
     check_finite(hbar, "hbar")
     check_finite(s, "s")
     check_finite(t, "t")
-    n_s, n_u, l_ant, m_ant = hbar.shape
+    n_u = hbar.shape[1]
     k_tiles, p_elem, _ = s.shape
     if tile_order not in ("sequential", "simultaneous"):
         raise ValueError(f"tile_order must be 'sequential' or 'simultaneous', got {tile_order!r}")
@@ -551,11 +504,7 @@ def offline_optimize_channels(
         raise ValueError(f"beams0 shape {beams.shape} does not match (K, P) = {(k_tiles, p_elem)}")
 
     if v0 is None:
-        h0 = composite_batch(hbar, s, t, beams)
-        _, _, vh = np.linalg.svd(h0)
-        v = np.swapaxes(vh.conj(), -1, -2)[:, :, :, :l_ant] * np.sqrt(
-            p_budget[None, :, None, None] / l_ant
-        )
+        v = wmmse.initial_precoders(composite_batch(hbar, s, t, beams), p_budget)
     else:
         v = np.array(v0, dtype=complex)
 
@@ -563,50 +512,34 @@ def offline_optimize_channels(
     g = w = None
     for _ in range(max_iters):
         t_start = time.perf_counter()
-        beams_prev = beams.copy()
 
         # One BCD step of the digital variables at the current beams.
         h = composite_batch(hbar, s, t, beams)
-        g = _receivers_batch(h, v, sigma2)
-        w = _weights_batch(_mse_batch(h, v, g, sigma2))
-        v = _precoders_batch(h, g, w, alpha, p_budget)
+        g = wmmse.update_receivers(h, v, sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
+        v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
 
-        # Cached cross coupling at the current beams.
-        gh_h = np.einsum("nilq,nilm->niqm", g.conj(), h)
-        ghv = np.einsum("niqm,njmc->nijqc", gh_h, v)
-
-        if tile_order == "sequential":
-            for m in range(k_tiles):
-                a_m = np.einsum("nilq,nilp->niqp", g.conj(), t[:, :, m])
-                c_m = np.einsum("pm,njml->njpl", s[m], v)
-                z_m = np.einsum("niqp,p,njpc->nijqc", a_m, beams[m], c_m)
-                m_stack, u_stack = _tile_stats_batch(a_m, c_m, ghv, z_m, w, alpha)
-                m_bar = herm(pairwise_mean(m_stack, axis=0))
-                u_bar = pairwise_mean(u_stack, axis=0)
-                b_new = update_b(m_bar, u_bar, constraint, b_current=beams[m])
-                z_new = np.einsum("niqp,p,njpc->nijqc", a_m, b_new, c_m)
-                ghv += z_new - z_m
-                beams[m] = b_new
-        else:
-            updates = np.empty_like(beams)
-            for m in range(k_tiles):
-                a_m = np.einsum("nilq,nilp->niqp", g.conj(), t[:, :, m])
-                c_m = np.einsum("pm,njml->njpl", s[m], v)
-                z_m = np.einsum("niqp,p,njpc->nijqc", a_m, beams[m], c_m)
-                m_stack, u_stack = _tile_stats_batch(a_m, c_m, ghv, z_m, w, alpha)
-                m_bar = herm(pairwise_mean(m_stack, axis=0))
-                u_bar = pairwise_mean(u_stack, axis=0)
-                updates[m] = update_b(m_bar, u_bar, constraint, b_current=beams[m])
-            beams = updates
+        # Tile updates: the sequential order refreshes the cached cross
+        # coupling after each tile, the simultaneous order keeps the
+        # coupling of the previous iterate.
+        ghv = _coupling(g, h, v)
+        new_beams = np.empty_like(beams)
+        for m in range(k_tiles):
+            m_bar, u_bar, (a_m, c_m, z_m) = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha)
+            new_beams[m] = update_b(m_bar, u_bar, constraint, b_current=beams[m])
+            if tile_order == "sequential":
+                ghv += np.einsum("niqp,p,njpc->nijqc", a_m, new_beams[m], c_m) - z_m
+        beams, beams_prev = new_beams, beams
 
         if constraint.mode == "GC":
-            report.max_gc_violation = max(report.max_gc_violation, gc_violation(beams, rho_sq))
-            if gc_violation(beams, rho_sq) > 1e-9:
+            violation = gc_violation(beams, rho_sq)
+            report.max_gc_violation = max(report.max_gc_violation, violation)
+            if violation > 1e-9:
                 raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
         h_end = composite_batch(hbar, s, t, beams)
-        obj = _objective_batch(h_end, v, g, w, alpha, sigma2)
+        obj = float(pairwise_mean(wmmse.weighted_mse_objective(h_end, v, g, w, alpha, sigma2)))
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
@@ -629,47 +562,31 @@ def offline_optimize_channels(
 def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
     """Full offline run from a scenario config: draw the frozen training
     samples, synthesize their channels, optimize the beams."""
+    init = random_beam_set(cfg)
     geometry = scenario_mod.build_antenna_positions(cfg)
-    cfg_hash = scenario_mod.config_hash(cfg)
     s = channel_mod.bs_irs_channels(geometry, cfg)
     hbar_list = []
     t_list = []
     for n in range(cfg.solver.n_samples):
         sample = scenario_mod.draw_sample(cfg, n, namespace=NAMESPACE_TRAIN)
-        cs = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=cfg_hash)
+        cs = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=init.config_hash)
         hbar_list.append(cs.hbar)
         t_list.append(cs.t)
-    hbar = np.array(hbar_list)
-    t = np.array(t_list)
 
-    constraint = BeamConstraint(
-        mode=cfg.constraint.mode, n_bits=cfg.constraint.n_bits, rho_sq=cfg.rho_sq()
-    )
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(NAMESPACE_INIT, 0, 0))
-    )
-    beams0 = initial_beams(cfg.k_total, cfg.p_per_tile, constraint, rng)
     beams, report, _ = offline_optimize_channels(
-        hbar,
+        np.array(hbar_list),
         s,
-        t,
+        np.array(t_list),
         sigma2=cfg.noise_power_w(),
         p_budget=cfg.power_budgets_w(),
         alpha=cfg.alpha(),
-        constraint=constraint,
-        beams0=beams0,
+        constraint=BeamConstraint(mode=init.mode, n_bits=init.n_bits, rho_sq=init.rho_sq),
+        beams0=init.beams,
         eps=cfg.eps_offline(),
         max_iters=cfg.solver.max_offline_iters,
         tile_order=cfg.solver.tile_order,
     )
-    beam_set = IrsBeamSet(
-        beams=beams,
-        mode=constraint.mode,
-        n_bits=constraint.n_bits,
-        rho_sq=constraint.resolved_rho_sq(cfg.p_per_tile),
-        config_hash=cfg_hash,
-    )
-    return beam_set, report
+    return replace(init, beams=beams), report
 
 
 # ---------------------------------------------------------------------------
@@ -701,25 +618,18 @@ def verify_theorem1(
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
     beams = np.asarray(beams, dtype=complex)
-    n_s, n_u, l_ant, m_ant = hbar.shape
+    n_u = hbar.shape[1]
     k_tiles, p_elem, _ = s.shape
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
 
     h = composite_batch(hbar, s, t, beams)
-    g = _receivers_batch(h, v, sigma2)
-    w = _weights_batch(_mse_batch(h, v, g, sigma2)) if stale_w is None else stale_w
+    g = wmmse.update_receivers(h, v, sigma2)
+    w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2)) if stale_w is None else stale_w
 
-    gh_h = np.einsum("nilq,nilm->niqm", g.conj(), h)
-    ghv = np.einsum("niqm,njmc->nijqc", gh_h, v)
-
+    ghv = _coupling(g, h, v)
     grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):
-        a_m = np.einsum("nilq,nilp->niqp", g.conj(), t[:, :, m])
-        c_m = np.einsum("pm,njml->njpl", s[m], v)
-        z_m = np.einsum("niqp,p,njpc->nijqc", a_m, beams[m], c_m)
-        m_stack, u_stack = _tile_stats_batch(a_m, c_m, ghv, z_m, w, alpha)
-        m_bar = herm(pairwise_mean(m_stack, axis=0))
-        u_bar = pairwise_mean(u_stack, axis=0)
+        m_bar, u_bar, _ = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha)
         grad_closed[m] = 2.0 * (m_bar @ beams[m] - u_bar)
 
     def theta2(b: np.ndarray) -> float:

@@ -57,10 +57,18 @@ class EvalResult:
     seed: int
     n_realizations: int
     failure_messages: list[str] = field(default_factory=list)
+    # online solver telemetry per ok realization: iterations run, and whether
+    # the stop rule was met (False means the solve hit max_online_iters)
+    iterations: list[int] = field(default_factory=list)
+    converged: list[bool] = field(default_factory=list)
 
     @property
     def n_excluded(self) -> int:
         return len(self.excluded_ids)
+
+    @property
+    def n_capped(self) -> int:
+        return self.converged.count(False)
 
 
 def effective_rank(h: np.ndarray) -> float:
@@ -186,6 +194,8 @@ def evaluate_average_sum_rate(
     rate_rows: list[np.ndarray] = []
     rank_rows: list[np.ndarray] = []
     ok_ids: list[int] = []
+    iterations: list[int] = []
+    converged: list[bool] = []
     excluded: list[int] = []
     messages: list[str] = []
     for idx in range(n_real):
@@ -216,6 +226,8 @@ def evaluate_average_sum_rate(
         rate_rows.append(link.rates)
         rank_rows.append(ranks)
         ok_ids.append(idx)
+        iterations.append(int(link.iterations))
+        converged.append(bool(link.converged))
 
     if len(excluded) > MAX_EXCLUDED_FRACTION * n_real:
         raise NumericalError(
@@ -254,6 +266,8 @@ def evaluate_average_sum_rate(
         seed=cfg.seed,
         n_realizations=n_real,
         failure_messages=messages,
+        iterations=iterations,
+        converged=converged,
     )
 
 
@@ -317,6 +331,8 @@ def summary_dict(result: EvalResult) -> dict:
         "n_realizations": result.n_realizations,
         "n_ok": len(result.realization_ids),
         "n_excluded": result.n_excluded,
+        "n_capped": result.n_capped,
+        "max_online_iterations": max(result.iterations, default=0),
         "config_hash": result.config_hash,
         "beams_hash": result.beams_hash,
         "seed": result.seed,

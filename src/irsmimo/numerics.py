@@ -8,7 +8,6 @@ Monte-Carlo accumulation order upstream breaks exact symmetry at the last ulp).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "check_hermitian",
     "logdet_psd",
     "singular_values",
-    "regularized_solve",
     "power_constrained_solve",
     "pairwise_mean",
 ]
@@ -84,38 +82,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     check_finite(a, "singular_values input")
     return np.linalg.svd(a, compute_uv=False)
-
-
-def regularized_solve(a: np.ndarray, mu: float, b: np.ndarray) -> np.ndarray:
-    """Solve (A + mu I) X = B for Hermitian PSD A and mu >= 0.
-
-    Uses a Cholesky factorization of the symmetrized, shifted matrix.
-
-    Raises
-    ------
-    ValueError
-        If A is not Hermitian or mu < 0.
-    NumericalError
-        If A + mu I is not positive definite (singular A with mu = 0).
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_finite(a, "regularized_solve A")
-    check_finite(b, "regularized_solve B")
-    check_hermitian(a, "regularized_solve A")
-    if mu < 0:
-        raise ValueError(f"regularized_solve: mu must be non-negative, got {mu}")
-    shifted = herm(a) + mu * np.eye(a.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(shifted, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"regularized_solve: A + mu I not positive definite (mu={mu:g}); "
-            "a singular A requires mu > 0"
-        ) from exc
-    vector_rhs = b.ndim == 1
-    x = scipy.linalg.cho_solve(factor, b.reshape(b.shape[0], -1), check_finite=False)
-    return x[:, 0] if vector_rhs else x
 
 
 def power_constrained_solve(

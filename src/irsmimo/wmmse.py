@@ -1,16 +1,23 @@
-"""Online digital beamforming: weighted-MMSE block coordinate descent.
+"""Weighted-MMSE block updates for the digital beamformers, and the online solver.
 
-For fixed per-user channels H_i (analog beams already embedded), alternates
-closed-form updates of the receive filters G, MSE weights W, and precoders V
-until the weighted-MSE objective
+For fixed per-user channels H_i (analog beams already embedded), the
+weighted-MSE objective
 
     sum_i alpha_i { tr(W_i E_i) - log det(W_i) }
 
-stalls. Each block update is the exact minimizer of that objective over its
-block, so the objective trace is non-increasing; a measured increase beyond
-1e-9 raises.
+is minimized by alternating closed-form updates of the receive filters G,
+the MSE weights W and the precoders V. Each block update is the exact
+minimizer of the objective over its block.
 
-Rates are computed in nats internally and reported in bits.
+Every kernel here takes channels shaped (..., N_u, L, M): with no leading
+axis it serves one channel realization (the online solver), with a leading
+N_s axis the frozen sample stack of the offline optimizer in `irs_opt`.
+Each slice of a stack gets the same floating-point operations as that
+channel set alone, so batching never changes a result.
+
+`online_wmmse` runs the updates to convergence on one realization; its
+objective trace is non-increasing, and a measured increase beyond 1e-9
+raises. Rates are computed in nats internally and reported in bits.
 """
 
 from __future__ import annotations
@@ -19,24 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    NumericalError,
-    check_finite,
-    herm,
-    logdet_psd,
-    power_constrained_solve,
-)
+from .numerics import NumericalError, check_finite, herm, power_constrained_solve
 
 __all__ = [
     "LinkVariables",
-    "user_rate",
-    "mse_matrix",
+    "logdet_hpd",
     "update_receivers",
+    "mse_matrices",
     "update_weights",
     "update_precoders",
     "weighted_mse_objective",
-    "online_wmmse",
+    "user_rates",
     "initial_precoders",
+    "online_wmmse",
 ]
 
 MONOTONE_TOL = 1e-9
@@ -57,70 +59,48 @@ class LinkVariables:
     converged: bool = False
 
 
-def _as_user_stack(h) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 3:
-        raise ValueError(f"expected channels stacked as (N_u, L, M), got shape {h.shape}")
-    return h
+def _diag_pairs(x: np.ndarray) -> np.ndarray:
+    """The i == j entries of a (..., N_u, N_u, a, b) user-pair stack."""
+    idx = np.arange(x.shape[-3])
+    return x[..., idx, idx, :, :]
 
 
-def user_rate(h_i: np.ndarray, v: np.ndarray, sigma2: float, i: int) -> float:
-    """Achievable rate of user i in nats:
-    log det(I_L + V_i^H H_i^H Jbar_i^-1 H_i V_i), with Jbar_i the
-    interference-plus-noise covariance sum_{j != i} H_i V_j V_j^H H_i^H + sigma2 I.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    h_i = np.asarray(h_i, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    l_ant = h_i.shape[0]
-    jbar = sigma2 * np.eye(l_ant, dtype=complex)
-    for j in range(v.shape[0]):
-        if j == i:
-            continue
-        hv = h_i @ v[j]
-        jbar += hv @ hv.conj().T
-    hv_i = h_i @ v[i]
-    inner = hv_i.conj().T @ np.linalg.solve(jbar, hv_i)
-    return logdet_psd(herm(np.eye(v.shape[2], dtype=complex) + inner))
-
-
-def mse_matrix(
-    h_i: np.ndarray, v: np.ndarray, g_i: np.ndarray, sigma2: float, i: int
-) -> np.ndarray:
-    """Symbol MSE matrix E_i of user i for receive filter G_i (L x L, Hermitian PSD)."""
-    h_i = np.asarray(h_i, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    g_i = np.asarray(g_i, dtype=complex)
-    l_streams = v.shape[2]
-    gh = g_i.conj().T
-    resid = np.eye(l_streams, dtype=complex) - gh @ (h_i @ v[i])
-    e = resid @ resid.conj().T
-    for j in range(v.shape[0]):
-        if j == i:
-            continue
-        cross = gh @ (h_i @ v[j])
-        e += cross @ cross.conj().T
-    e += sigma2 * (gh @ g_i)
-    return herm(e)
+def logdet_hpd(mats: np.ndarray) -> np.ndarray:
+    """log det of a stack of Hermitian positive-definite matrices (nats)."""
+    try:
+        chol = np.linalg.cholesky(herm(mats))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"batched log det: matrix not positive definite ({exc})") from exc
+    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
+    return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
 def update_receivers(h: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
     """MMSE receive filters G_i = J_i^-1 H_i V_i with
     J_i = sum_j H_i V_j V_j^H H_i^H + sigma2 I (the sum includes j = i)."""
-    h = _as_user_stack(h)
-    v = np.asarray(v, dtype=complex)
-    n_u, l_ant, _ = h.shape
-    hv = np.einsum("ilm,jmc->ijlc", h, v)  # H_i V_j
-    j_mat = sigma2 * np.eye(l_ant, dtype=complex)[None] + np.einsum(
-        "ijlc,ijkc->ilk", hv, hv.conj()
+    hv = np.einsum("...ilm,...jmc->...ijlc", h, v)  # H_i V_j
+    j_mat = sigma2 * np.eye(h.shape[-2], dtype=complex) + np.einsum(
+        "...ijlc,...ijkc->...ilk", hv, hv.conj()
     )
-    return np.linalg.solve(j_mat, hv[np.arange(n_u), np.arange(n_u)])
+    return np.linalg.solve(j_mat, _diag_pairs(hv))
+
+
+def mse_matrices(h: np.ndarray, v: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
+    """Symbol MSE matrices E_i = (I - G_i^H H_i V_i)(.)^H
+    + sum_{j != i} G_i^H H_i V_j (.)^H + sigma2 G_i^H G_i (Hermitian PSD)."""
+    hv = np.einsum("...ilm,...jmc->...ijlc", h, v)
+    gh = np.swapaxes(g.conj(), -1, -2)
+    cross = np.einsum("...ilk,...ijkc->...ijlc", gh, hv)  # G_i^H H_i V_j
+    total = np.einsum("...ijlc,...ijkc->...ilk", cross, cross.conj())
+    own = _diag_pairs(cross)
+    eye = np.eye(v.shape[-1], dtype=complex)
+    e = total + eye - own - np.swapaxes(own.conj(), -1, -2)
+    e = e + sigma2 * np.einsum("...ilk,...ikc->...ilc", gh, g)
+    return herm(e)
 
 
 def update_weights(e: np.ndarray) -> np.ndarray:
-    """MSE weights W_i = E_i^-1 (batched over users)."""
-    e = np.asarray(e, dtype=complex)
+    """MSE weights W_i = E_i^-1."""
     eye = np.eye(e.shape[-1], dtype=complex)
     try:
         w = np.linalg.solve(e, np.broadcast_to(eye, e.shape).copy())
@@ -139,23 +119,20 @@ def update_precoders(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precoders V_i = alpha_i (K + mu_i I)^-1 H_i^H G_i W_i, with
     K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
-    multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible)."""
-    h = _as_user_stack(h)
-    g = np.asarray(g, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    alpha = np.asarray(alpha, dtype=float)
-    p_budget = np.asarray(p_budget, dtype=float)
-    n_u, _, m_ant = h.shape
-    k_mat = np.zeros((m_ant, m_ant), dtype=complex)
-    for j in range(n_u):
-        gw = g[j] @ w[j] @ g[j].conj().T
-        k_mat += alpha[j] * (h[j].conj().T @ gw @ h[j])
-    k_mat = herm(k_mat)
-    v = np.zeros((n_u, m_ant, w.shape[-1]), dtype=complex)
-    mu = np.zeros(n_u)
-    for i in range(n_u):
-        rhs = alpha[i] * (h[i].conj().T @ (g[i] @ w[i]))
-        v[i], mu[i] = power_constrained_solve(k_mat, rhs, p_budget[i])
+    multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible).
+
+    Returns V (..., N_u, M, L) and mu (..., N_u); one mu search per
+    (channel set, user)."""
+    n_u, _, m_ant = h.shape[-3:]
+    gwg = np.einsum("...ilk,...ikc,...idc->...ild", g, w, g.conj())
+    k_mat = herm(np.einsum("j,...jlm,...jlk,...jkr->...mr", alpha, h.conj(), gwg, h))
+    v = np.zeros(h.shape[:-2] + (m_ant, w.shape[-1]), dtype=complex)
+    mu = np.zeros(h.shape[:-2])
+    for n in np.ndindex(h.shape[:-3]):
+        for i in range(n_u):
+            ni = n + (i,)
+            rhs = alpha[i] * (h[ni].conj().T @ (g[ni] @ w[ni]))
+            v[ni], mu[ni] = power_constrained_solve(k_mat[n], rhs, p_budget[i])
     return v, mu
 
 
@@ -166,28 +143,39 @@ def weighted_mse_objective(
     w: np.ndarray,
     alpha: np.ndarray,
     sigma2: float,
-) -> float:
-    """Objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }."""
-    h = _as_user_stack(h)
-    total = 0.0
-    for i in range(h.shape[0]):
-        e_i = mse_matrix(h[i], v, g[i], sigma2, i)
-        total += alpha[i] * (
-            float(np.real(np.trace(w[i] @ e_i))) - logdet_psd(herm(w[i]))
-        )
-    return total
+) -> np.ndarray:
+    """Objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, one value per
+    channel set (shape (...))."""
+    e = mse_matrices(h, v, g, sigma2)
+    tr_we = np.real(np.einsum("...ilk,...ikl->...i", w, e))
+    return np.einsum("i,...i->...", alpha, tr_we - logdet_hpd(w))
+
+
+def user_rates(h: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
+    """Achievable per-user rates in nats, shape (..., N_u):
+    log det(I_L + V_i^H H_i^H Jbar_i^-1 H_i V_i), with Jbar_i the
+    interference-plus-noise covariance sum_{j != i} H_i V_j V_j^H H_i^H + sigma2 I.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    hv = np.einsum("...ilm,...jmc->...ijlc", h, v)
+    total = np.einsum("...ijlc,...ijkc->...ilk", hv, hv.conj())
+    own = _diag_pairs(hv)
+    jbar = sigma2 * np.eye(h.shape[-2], dtype=complex) + total - np.einsum(
+        "...ilc,...ikc->...ilk", own, own.conj()
+    )
+    inner = np.einsum("...ilc,...ilk->...ick", own.conj(), np.linalg.solve(jbar, own))
+    return logdet_hpd(np.eye(v.shape[-1], dtype=complex) + inner)
 
 
 def initial_precoders(h: np.ndarray, p_budget: np.ndarray) -> np.ndarray:
     """Full-power SVD initialization: V_i spans the L leading right singular
     vectors of H_i with equal per-stream power P_i / L."""
-    h = _as_user_stack(h)
-    n_u, l_ant, m_ant = h.shape
-    v = np.zeros((n_u, m_ant, l_ant), dtype=complex)
-    for i in range(n_u):
-        _, _, vh = np.linalg.svd(h[i])
-        v[i] = vh.conj().T[:, :l_ant] * np.sqrt(p_budget[i] / l_ant)
-    return v
+    l_ant = h.shape[-2]
+    _, _, vh = np.linalg.svd(h)
+    return np.swapaxes(vh.conj(), -1, -2)[..., :l_ant] * np.sqrt(
+        np.asarray(p_budget, dtype=float)[:, None, None] / l_ant
+    )
 
 
 def online_wmmse(
@@ -209,7 +197,9 @@ def online_wmmse(
     Raises NumericalError if the objective increases by more than 1e-9
     between iterations.
     """
-    h = _as_user_stack(h)
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 3:
+        raise ValueError(f"expected channels stacked as (N_u, L, M), got shape {h.shape}")
     check_finite(h, "channels")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -227,10 +217,9 @@ def online_wmmse(
     iterations = 0
     for iterations in range(1, max_iters + 1):
         g = update_receivers(h, v, sigma2)
-        e = np.array([mse_matrix(h[i], v, g[i], sigma2, i) for i in range(n_u)])
-        w = update_weights(e)
+        w = update_weights(mse_matrices(h, v, g, sigma2))
         v, mu = update_precoders(h, g, w, alpha, p_budget)
-        obj = weighted_mse_objective(h, v, g, w, alpha, sigma2)
+        obj = float(weighted_mse_objective(h, v, g, w, alpha, sigma2))
         if not np.isfinite(obj):
             raise NumericalError("online_wmmse: non-finite objective")
         if obj > prev + MONOTONE_TOL:
@@ -245,14 +234,12 @@ def online_wmmse(
 
     # Final refresh so rates and weights satisfy the duality identity.
     g = update_receivers(h, v, sigma2)
-    e = np.array([mse_matrix(h[i], v, g[i], sigma2, i) for i in range(n_u)])
-    w = update_weights(e)
-    rates_nats = np.array([user_rate(h[i], v, sigma2, i) for i in range(n_u)])
+    w = update_weights(mse_matrices(h, v, g, sigma2))
     return LinkVariables(
         v=v,
         g=g,
         w=w,
-        rates=rates_nats / np.log(2.0),
+        rates=user_rates(h, v, sigma2) / np.log(2.0),
         rate_unit="bits",
         mu=mu,
         objective_trace=trace,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn, synthetic_instance
-from irsmimo import cli, irs_opt, metrics, scenario, wmmse
+from irsmimo import irs_opt, metrics, scenario, wmmse
 from irsmimo.numerics import herm, logdet_psd
 from irsmimo.irs_opt import (
     BeamConstraint,
@@ -91,7 +91,7 @@ def desk_opt_run():
     cfg = desk_config()
     t0 = time.monotonic()
     beam_set, report, result = optimize_and_evaluate(cfg)
-    baseline = cli._random_beam_set(cfg, scenario.config_hash(cfg))
+    baseline = irs_opt.random_beam_set(cfg)
     base_result = metrics.evaluate_average_sum_rate(cfg, baseline.beams)
     elapsed = time.monotonic() - t0
     return {

@@ -330,5 +330,5 @@ class TestBeamResolution:
         import irsmimo.scenario as scenario_mod
 
         cfg = scenario_mod.load_config(smoke_config)
-        expect = cli._random_beam_set(cfg, scenario_mod.config_hash(cfg))
+        expect = irs_opt.random_beam_set(cfg)
         assert np.allclose(saved.beams, expect.beams, atol=1e-15)

@@ -207,6 +207,18 @@ class TestEvaluate:
         )
         assert np.allclose(out.per_ue_rates[1], link.rates, rtol=1e-12)
 
+    def test_capped_solves_reported(self, tmp_path):
+        cfg = config_from_dict(tiny_scenario_dict(**{"solver.max_online_iters": 1}))
+        rng = np.random.default_rng(11)
+        beams = np.exp(2j * np.pi * rng.random((4, 8)))
+        out = metrics.evaluate_average_sum_rate(cfg, beams)
+        path = tmp_path / "summary.json"
+        metrics.write_summary_json(path, out)
+        doc = json.loads(path.read_text())
+        assert doc["n_ok"] == cfg.eval.n_realizations
+        assert doc["n_capped"] == doc["n_ok"]
+        assert doc["max_online_iterations"] == 1
+
     def test_beam_shape_validated(self, tiny_config):
         with pytest.raises(ValueError, match="beam"):
             metrics.evaluate_average_sum_rate(tiny_config, np.ones((2, 8)))

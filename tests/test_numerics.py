@@ -11,7 +11,6 @@ from irsmimo.numerics import (
     logdet_psd,
     pairwise_mean,
     power_constrained_solve,
-    regularized_solve,
     singular_values,
 )
 
@@ -59,22 +58,6 @@ def test_singular_values_sorted():
     rng = np.random.default_rng(1)
     sv = singular_values(crandn(rng, 3, 5))
     assert np.all(np.diff(sv) <= 0)
-
-
-def test_regularized_solve_matches_direct():
-    rng = np.random.default_rng(2)
-    a = random_psd(rng, 4)
-    b = crandn(rng, 4, 2)
-    mu = 0.3
-    x = regularized_solve(a, mu, b)
-    assert np.allclose((a + mu * np.eye(4)) @ x, b, atol=1e-12)
-    # vector right-hand side keeps its shape
-    assert regularized_solve(a, mu, b[:, 0]).shape == (4,)
-
-
-def test_regularized_solve_rejects_negative_mu():
-    with pytest.raises(ValueError):
-        regularized_solve(np.eye(2), -1.0, np.ones(2))
 
 
 class TestPowerConstrainedSolve:

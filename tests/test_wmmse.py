@@ -5,11 +5,48 @@ from conftest import crandn
 from irsmimo.numerics import NumericalError, logdet_psd, herm
 from irsmimo import wmmse
 
+# Kernels are checked against the per-user loop forms below to this relative
+# tolerance.
+LOOP_RTOL = 1e-12
+
 
 def random_links(seed, n_u=3, l_ant=2, m_ant=6):
     rng = np.random.default_rng(seed)
     h = crandn(rng, n_u, l_ant, m_ant)
     return h, rng
+
+
+# ---------------------------------------------------------------------------
+# Per-user loop reference forms
+
+
+def user_rate(h_i, v, sigma2, i):
+    """Rate of user i in nats: log det(I_L + V_i^H H_i^H Jbar_i^-1 H_i V_i),
+    with Jbar_i = sum_{j != i} H_i V_j V_j^H H_i^H + sigma2 I."""
+    l_ant = h_i.shape[0]
+    jbar = sigma2 * np.eye(l_ant, dtype=complex)
+    for j in range(v.shape[0]):
+        if j == i:
+            continue
+        hv = h_i @ v[j]
+        jbar += hv @ hv.conj().T
+    hv_i = h_i @ v[i]
+    inner = hv_i.conj().T @ np.linalg.solve(jbar, hv_i)
+    return logdet_psd(herm(np.eye(v.shape[2], dtype=complex) + inner))
+
+
+def mse_matrix(h_i, v, g_i, sigma2, i):
+    """Symbol MSE matrix E_i of user i for receive filter G_i."""
+    gh = g_i.conj().T
+    resid = np.eye(v.shape[2], dtype=complex) - gh @ (h_i @ v[i])
+    e = resid @ resid.conj().T
+    for j in range(v.shape[0]):
+        if j == i:
+            continue
+        cross = gh @ (h_i @ v[j])
+        e += cross @ cross.conj().T
+    e += sigma2 * (gh @ g_i)
+    return herm(e)
 
 
 class TestUserRate:
@@ -21,25 +58,31 @@ class TestUserRate:
         direct = logdet_psd(
             herm(np.eye(2, dtype=complex) + hv.conj().T @ hv / sigma2)
         )
-        assert wmmse.user_rate(h[0], v, sigma2, 0) == pytest.approx(direct, rel=1e-12)
+        assert wmmse.user_rates(h, v, sigma2)[0] == pytest.approx(direct, rel=1e-12)
+
+    def test_matches_loop_reference(self):
+        h, rng = random_links(18)
+        v = crandn(rng, 3, 6, 2)
+        expect = [user_rate(h[i], v, 0.3, i) for i in range(3)]
+        assert np.allclose(wmmse.user_rates(h, v, 0.3), expect, rtol=LOOP_RTOL, atol=0.0)
 
     def test_interference_lowers_rate(self):
         h, rng = random_links(1)
         v = crandn(rng, 3, 6, 2)
-        alone = wmmse.user_rate(h[0], v[:1], 1.0, 0)
-        crowded = wmmse.user_rate(h[0], v, 1.0, 0)
+        alone = wmmse.user_rates(h[:1], v[:1], 1.0)[0]
+        crowded = wmmse.user_rates(h, v, 1.0)[0]
         assert crowded < alone
 
     def test_zero_precoder_zero_rate(self):
         h, _ = random_links(2, n_u=1)
         v = np.zeros((1, 6, 2), dtype=complex)
-        assert wmmse.user_rate(h[0], v, 1.0, 0) == pytest.approx(0.0, abs=1e-15)
+        assert wmmse.user_rates(h, v, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_nonpositive_noise(self):
         h, rng = random_links(3, n_u=1)
         v = crandn(rng, 1, 6, 2)
         with pytest.raises(ValueError):
-            wmmse.user_rate(h[0], v, 0.0, 0)
+            wmmse.user_rates(h, v, 0.0)
 
 
 class TestBlocks:
@@ -60,17 +103,25 @@ class TestBlocks:
         h, rng = random_links(5)
         v = crandn(rng, 3, 6, 2)
         g = wmmse.update_receivers(h, v, 0.7)
-        base = float(np.real(np.trace(wmmse.mse_matrix(h[0], v, g[0], 0.7, 0))))
+        base = float(np.real(np.trace(wmmse.mse_matrices(h, v, g, 0.7)[0])))
         for _ in range(20):
-            probe = g[0] + 0.1 * crandn(rng, 2, 2)
-            other = float(np.real(np.trace(wmmse.mse_matrix(h[0], v, probe, 0.7, 0))))
+            probe = g.copy()
+            probe[0] = g[0] + 0.1 * crandn(rng, 2, 2)
+            other = float(np.real(np.trace(wmmse.mse_matrices(h, v, probe, 0.7)[0])))
             assert other >= base - 1e-12
+
+    def test_mse_matrices_match_loop_reference(self):
+        h, rng = random_links(19)
+        v = crandn(rng, 3, 6, 2)
+        g = crandn(rng, 3, 2, 2)
+        expect = np.array([mse_matrix(h[i], v, g[i], 0.6, i) for i in range(3)])
+        assert np.allclose(wmmse.mse_matrices(h, v, g, 0.6), expect, rtol=LOOP_RTOL, atol=0.0)
 
     def test_weights_invert_mse(self):
         h, rng = random_links(6)
         v = crandn(rng, 3, 6, 2)
         g = wmmse.update_receivers(h, v, 0.4)
-        e = np.array([wmmse.mse_matrix(h[i], v, g[i], 0.4, i) for i in range(3)])
+        e = wmmse.mse_matrices(h, v, g, 0.4)
         w = wmmse.update_weights(e)
         for i in range(3):
             assert np.allclose(w[i] @ e[i], np.eye(2), atol=1e-10)
@@ -79,7 +130,7 @@ class TestBlocks:
         h, rng = random_links(7)
         v = crandn(rng, 3, 6, 2)
         g = wmmse.update_receivers(h, v, 0.2)
-        e = np.array([wmmse.mse_matrix(h[i], v, g[i], 0.2, i) for i in range(3)])
+        e = wmmse.mse_matrices(h, v, g, 0.2)
         w = wmmse.update_weights(e)
         budgets = np.array([1.0, 2.0, 0.5])
         v_new, mu = wmmse.update_precoders(h, g, w, np.ones(3), budgets)
@@ -95,7 +146,7 @@ class TestBlocks:
         sigma2 = 0.5
         alpha = np.ones(3)
         g = wmmse.update_receivers(h, v, sigma2)
-        e = np.array([wmmse.mse_matrix(h[i], v, g[i], sigma2, i) for i in range(3)])
+        e = wmmse.mse_matrices(h, v, g, sigma2)
         w = wmmse.update_weights(e)
         before = wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)
         v_new, _ = wmmse.update_precoders(h, g, w, alpha, np.full(3, 2.0))
@@ -139,7 +190,7 @@ class TestOnlineWmmse:
         h, _ = random_links(12)
         out = wmmse.online_wmmse(h, 0.2, 1.0)
         for i in range(3):
-            direct = wmmse.user_rate(h[i], out.v, 0.2, i) / np.log(2.0)
+            direct = user_rate(h[i], out.v, 0.2, i) / np.log(2.0)
             assert out.rates[i] == pytest.approx(direct, rel=1e-12)
 
     def test_converges_flag_and_tolerance(self):
@@ -155,7 +206,7 @@ class TestOnlineWmmse:
         sigma2 = 0.1
         out = wmmse.online_wmmse(h, sigma2, 2.0)
         v_iso = wmmse.initial_precoders(h, np.full(3, 2.0))
-        base = sum(wmmse.user_rate(h[i], v_iso, sigma2, i) for i in range(3))
+        base = wmmse.user_rates(h, v_iso, sigma2).sum()
         assert out.rates.sum() * np.log(2.0) >= base - 1e-9
 
     def test_zero_channels_give_zero_rates(self):
@@ -180,3 +231,31 @@ class TestOnlineWmmse:
         even = wmmse.online_wmmse(h, 0.1, 1.0, alpha=np.array([1.0, 1.0]))
         tilted = wmmse.online_wmmse(h, 0.1, 1.0, alpha=np.array([5.0, 1.0]))
         assert tilted.rates[0] >= even.rates[0] - 1e-9
+
+
+class TestBatching:
+    def test_stack_slices_equal_single_solves(self):
+        """A stack of B channel sets gives, slice by slice, exactly the
+        numbers of each set run through the same block updates alone."""
+        rng = np.random.default_rng(20)
+        stack = crandn(rng, 4, 3, 2, 6)
+        sigma2 = 0.3
+        alpha = np.array([1.0, 1.5, 0.5])
+        budgets = np.array([1.0, 2.0, 0.5])
+
+        def run(h):
+            v = wmmse.initial_precoders(h, budgets)
+            out = []
+            for _ in range(3):
+                g = wmmse.update_receivers(h, v, sigma2)
+                w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
+                v, mu = wmmse.update_precoders(h, g, w, alpha, budgets)
+                obj = wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)
+                out.append((g, w, v, mu, wmmse.user_rates(h, v, sigma2), obj))
+            return out
+
+        batched = run(stack)
+        for b in range(stack.shape[0]):
+            for step_batched, step_alone in zip(batched, run(stack[b])):
+                for got, expect in zip(step_batched, step_alone):
+                    assert np.array_equal(got[b], expect)
