@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as _dt
 import hashlib
 import itertools
@@ -135,6 +136,23 @@ def _resolve_beam_set(
     return beam_set, _file_digest(beams_arg)
 
 
+def _write_optimize_artifacts(
+    outdir: Path,
+    cfg: ScenarioConfig,
+    cfg_hash: str,
+    beam_set: irs_opt.IrsBeamSet,
+    report: irs_opt.OptReport,
+) -> str:
+    """Write beams.json and report.json for one optimize run; returns the
+    SHA-256 of beams.json, which report.json also records."""
+    irs_opt.save_beams(outdir / "beams.json", beam_set)
+    beams_hash = _file_digest(outdir / "beams.json")
+    payload = report.to_dict()
+    payload.update({"config_hash": cfg_hash, "seed": cfg.seed, "beams_hash": beams_hash})
+    _write_json(outdir / "report.json", payload)
+    return beams_hash
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -146,11 +164,7 @@ def cmd_optimize(args) -> int:
     outdir = _resolve_outdir(args, f"optimize-{cfg_hash[:12]}")
 
     beam_set, report = irs_opt.offline_optimize(cfg)
-    irs_opt.save_beams(outdir / "beams.json", beam_set)
-    beams_hash = _file_digest(outdir / "beams.json")
-    payload = report.to_dict()
-    payload.update({"config_hash": cfg_hash, "seed": cfg.seed, "beams_hash": beams_hash})
-    _write_json(outdir / "report.json", payload)
+    beams_hash = _write_optimize_artifacts(outdir, cfg, cfg_hash, beam_set, report)
     _write_manifest(
         outdir,
         "optimize",
@@ -374,15 +388,9 @@ def cmd_sweep(args) -> int:
         row["config_hash"] = cfg_hash[:12]
         try:
             beam_set, report = irs_opt.offline_optimize(cfg)
-            irs_opt.save_beams(point_dir / "beams.json", beam_set)
-            payload = report.to_dict()
-            payload.update({"config_hash": cfg_hash, "seed": cfg.seed})
-            _write_json(point_dir / "report.json", payload)
+            beams_hash = _write_optimize_artifacts(point_dir, cfg, cfg_hash, beam_set, report)
             result = metrics.evaluate_average_sum_rate(
-                cfg,
-                beam_set.beams,
-                n_realizations=n_real,
-                beams_hash=_file_digest(point_dir / "beams.json"),
+                cfg, beam_set.beams, n_realizations=n_real, beams_hash=beams_hash
             )
             metrics.write_eval_csv(point_dir / "eval.csv", result)
             metrics.write_summary_json(point_dir / "summary.json", result)
@@ -428,11 +436,9 @@ def cmd_sweep(args) -> int:
     if include_baseline:
         columns += ["baseline_mean_sum_rate", "baseline_stderr_sum_rate"]
     columns.append("error")
-    import csv as _csv
-
     with open(outdir / "sweep_summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# sweep_hash={sweep_hash}\n")
-        writer = _csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow({col: row.get(col, "") for col in columns})

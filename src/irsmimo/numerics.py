@@ -8,7 +8,6 @@ Monte-Carlo accumulation order upstream breaks exact symmetry at the last ulp).
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 __all__ = [
     "NumericalError",
@@ -22,13 +21,14 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-10
+POWER_RTOL = 1e-8
 
 
 class NumericalError(RuntimeError):
     """Explicit failure signal for numerical contract violations.
 
     Raised for non-positive-definite factorizations, singular systems,
-    bracket failures in the mu searches, and non-finite intermediates.
+    mu searches that miss their power budget, and non-finite intermediates.
     """
 
 
@@ -44,14 +44,18 @@ def check_finite(a: np.ndarray, name: str = "array") -> None:
 
 
 def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN_RTOL) -> None:
-    """Raise ValueError if A deviates from A^H by more than rtol (relative)."""
+    """Raise ValueError if A, or any matrix of a stack (..., n, n), deviates
+    from its conjugate transpose by more than rtol (relative)."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    dev = np.linalg.norm(a - a.conj().T)
-    if dev > rtol * max(scale, 1e-300):
-        raise ValueError(f"{name} is not Hermitian: ||A - A^H|| = {dev:.3e}, ||A|| = {scale:.3e}")
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-300)
+    dev = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
+    if np.any(dev > rtol * scale):
+        i = np.argmax(dev / scale)
+        raise ValueError(
+            f"{name} is not Hermitian: ||A - A^H|| = {dev.flat[i]:.3e}, ||A|| = {scale.flat[i]:.3e}"
+        )
 
 
 def logdet_psd(a: np.ndarray) -> float:
@@ -84,83 +88,77 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def power_constrained_solve(
-    a: np.ndarray,
-    b: np.ndarray,
-    budget: float,
-    tol_rel: float = 1e-8,
-    max_doublings: int = 200,
-) -> tuple[np.ndarray, float]:
-    """Smallest mu >= 0 with ||(A + mu I)^-1 B||_F^2 <= budget.
+def power_constrained_solve(a: np.ndarray, b: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest mu >= 0 with ||(A + mu I)^-1 B||_F^2 <= budget, on stacks.
 
-    Returns (X, mu) with X = (A + mu I)^-1 B. This is the shared mu search
-    behind the per-user precoder power constraint and the per-tile beam norm
-    constraint: p(mu) = ||X(mu)||_F^2 is strictly decreasing in mu, so the
-    boundary multiplier is the unique root of p(mu) = budget.
+    A is a Hermitian PSD stack (..., n, n); B is (..., n, c), or (..., n) for
+    a vector right-hand side (one axis fewer than A). The leading axes of A,
+    B and budget broadcast, so one eigendecomposition of A can serve several
+    right-hand sides. Returns X = (A + mu I)^-1 B and mu, shaped like the
+    broadcast leading axes. This is the shared mu search behind the per-user
+    precoder power constraint and the per-tile beam norm constraint.
 
-    The solve runs in the eigenbasis of the symmetrized A, which makes p(mu)
-    a closed-form rational function; the root is bracketed by doubling from
-    mu = 1 and polished with Brent's method to a power residual far below
-    tol_rel * budget.
+    In the eigenbasis A = U diag(lam) U^H the power is the rational function
+    p(mu) = sum_k r_k / (lam_k + mu)^2, with r_k the row powers of U^H B;
+    rows with r_k = 0 contribute nothing, also on the null space of a
+    singular A. mu = 0 when p(0) <= budget P. Otherwise the root of
+    p(mu) = P lies in max_k (sqrt(r_k / P) - lam_k)_+ <= mu <= ||B||_F / sqrt(P),
+    and Newton steps on the concave, increasing 1/sqrt(p(mu)) - 1/sqrt(P)
+    (More & Sorensen, "Computing a Trust Region Step", 1983) rise from the
+    lower end to the root without passing it. An entry stops at its first
+    step that does not move it up, so no entry depends on the others.
 
     Raises
     ------
     NumericalError
-        If the bracket does not close within max_doublings doublings.
+        If a boundary power misses the budget by more than 1e-8 * budget.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     check_finite(a, "power_constrained_solve A")
     check_finite(b, "power_constrained_solve B")
     check_hermitian(a, "power_constrained_solve A")
-    if budget <= 0:
+    budget = np.asarray(budget, dtype=float)
+    if np.any(budget <= 0):
         raise ValueError(f"power budget must be positive, got {budget}")
 
-    vector_rhs = b.ndim == 1
-    b2 = b.reshape(b.shape[0], -1)
-    if np.linalg.norm(b2) == 0.0:
-        x = np.zeros_like(b2)
-        return (x[:, 0] if vector_rhs else x), 0.0
-
+    vector_rhs = b.ndim == a.ndim - 1
+    if vector_rhs:
+        b = b[..., None]
     eigvals, eigvecs = np.linalg.eigh(herm(a))
     # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
     eigvals = np.maximum(eigvals, 0.0)
-    bt = eigvecs.conj().T @ b2
-    row_power = np.sum(np.abs(bt) ** 2, axis=1)
+    bt = np.swapaxes(eigvecs.conj(), -1, -2) @ b
+    row_power = np.sum(np.abs(bt) ** 2, axis=-1)
 
-    def power(mu: float) -> float:
-        denom = eigvals + mu
-        with np.errstate(divide="ignore"):
-            terms = np.where(
-                denom > 0.0,
-                row_power / np.where(denom > 0.0, denom, 1.0) ** 2,
-                np.where(row_power > 0.0, np.inf, 0.0),
-            )
-        return float(np.sum(terms))
+    def power(mu):
+        # p(mu) and -p'(mu) / 2
+        denom = eigvals + mu[..., None]
+        terms = np.where(row_power > 0.0, row_power / denom**2, 0.0)
+        slope = np.where(row_power > 0.0, terms / denom, 0.0)
+        return np.sum(terms, axis=-1), np.sum(slope, axis=-1)
 
-    def solution(mu: float) -> np.ndarray:
-        x = eigvecs @ (bt / (eigvals + mu)[:, None])
-        return x[:, 0] if vector_rhs else x
-
-    if power(0.0) <= budget:
-        return solution(0.0), 0.0
-
-    hi = 1.0
-    doublings = 0
-    while power(hi) > budget:
-        hi *= 2.0
-        doublings += 1
-        if doublings > max_doublings:
-            raise NumericalError(
-                f"power_constrained_solve: no feasible mu within {max_doublings} doublings"
-            )
-    mu = float(scipy.optimize.brentq(lambda m: power(m) - budget, 0.0, hi, xtol=1e-300, rtol=1e-15))
-    if abs(power(mu) - budget) > tol_rel * budget:
+    # 0/0 arises only on zero-power rows and interior entries, which the masks discard.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moving = power(np.zeros(()))[0] > budget
+        lo = np.max(np.sqrt(row_power / budget[..., None]) - eigvals, axis=-1)
+        hi = np.sqrt(np.sum(row_power, axis=-1) / budget)
+        mu = np.where(moving, np.maximum(lo, 0.0), 0.0)
+        boundary = moving.copy()
+        while np.any(moving):
+            p, slope = power(mu)
+            step = np.minimum(mu + p * (np.sqrt(p / budget) - 1.0) / slope, hi)
+            moving &= step > mu
+            mu = np.where(moving, step, mu)
+        residual = np.where(boundary, np.abs(power(mu)[0] - budget), 0.0)
+    if np.any(residual > POWER_RTOL * budget):
         raise NumericalError(
-            f"power_constrained_solve: residual {abs(power(mu) - budget):.3e} exceeds "
-            f"{tol_rel:g} * budget"
+            f"power_constrained_solve: residual {np.max(residual / budget):.3e} exceeds "
+            f"{POWER_RTOL:g} * budget"
         )
-    return solution(mu), mu
+    denom = eigvals + mu[..., None]
+    x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
+    return (x[..., 0] if vector_rhs else x), mu
 
 
 def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:

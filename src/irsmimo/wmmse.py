@@ -121,19 +121,13 @@ def update_precoders(
     K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
     multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible).
 
-    Returns V (..., N_u, M, L) and mu (..., N_u); one mu search per
-    (channel set, user)."""
-    n_u, _, m_ant = h.shape[-3:]
+    Returns V (..., N_u, M, L) and mu (..., N_u). One batched mu search
+    covers the whole stack, with one eigendecomposition of K per channel set
+    shared by its users."""
     gwg = np.einsum("...ilk,...ikc,...idc->...ild", g, w, g.conj())
     k_mat = herm(np.einsum("j,...jlm,...jlk,...jkr->...mr", alpha, h.conj(), gwg, h))
-    v = np.zeros(h.shape[:-2] + (m_ant, w.shape[-1]), dtype=complex)
-    mu = np.zeros(h.shape[:-2])
-    for n in np.ndindex(h.shape[:-3]):
-        for i in range(n_u):
-            ni = n + (i,)
-            rhs = alpha[i] * (h[ni].conj().T @ (g[ni] @ w[ni]))
-            v[ni], mu[ni] = power_constrained_solve(k_mat[n], rhs, p_budget[i])
-    return v, mu
+    rhs = alpha[:, None, None] * (np.swapaxes(h.conj(), -1, -2) @ (g @ w))
+    return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget)
 
 
 def weighted_mse_objective(

@@ -1,6 +1,11 @@
 import copy
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +256,18 @@ class TestSweepCommand:
         )
         assert (point / "eval.csv").read_bytes() == (ev / "eval.csv").read_bytes()
 
+    def test_point_report_names_beams_hash(self, smoke_config, tmp_path):
+        spec = self._write_sweep(
+            tmp_path, smoke_config,
+            {"axes": [{"name": "case", "points": [{"label": "base"}]}], "realizations": 2},
+        )
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "-s", str(spec), "-o", str(out)]) == cli.EXIT_OK
+        point = out / "point-base"
+        report = json.loads((point / "report.json").read_text())
+        digest = hashlib.sha256((point / "beams.json").read_bytes()).hexdigest()
+        assert report["beams_hash"] == digest
+
     def test_constant_area_bookkeeping(self, smoke_config, tmp_path):
         # one 2x2 panel vs two 1x2 panels keeps 4 elements total
         split = [
@@ -332,3 +349,13 @@ class TestBeamResolution:
         cfg = scenario_mod.load_config(smoke_config)
         expect = irs_opt.random_beam_set(cfg)
         assert np.allclose(saved.beams, expect.beams, atol=1e-15)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run(
+        [sys.executable, "-c", "import irsmimo.cli, sys; assert 'scipy' not in sys.modules"],
+        check=True,
+        env=env,
+    )

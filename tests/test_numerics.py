@@ -119,6 +119,42 @@ class TestPowerConstrainedSolve:
         assert x.shape == (4,)
         assert np.sum(np.abs(x) ** 2) <= 0.3 + 1e-9
 
+    def test_singular_matrix_zero_power_rows_give_zero(self):
+        x, mu = power_constrained_solve(np.diag([1.0, 0.0]), np.array([1.0, 0.0]), 10.0)
+        assert mu == 0.0
+        assert np.allclose(x, [1.0, 0.0], rtol=0.0, atol=1e-15)
+
+    def test_stack_slices_equal_single_solves(self):
+        rng = np.random.default_rng(8)
+        n = 4
+        a = np.stack(
+            [
+                random_psd(rng, n, jitter=1.0),  # interior
+                random_psd(rng, n),  # boundary
+                random_psd(rng, n),  # zero right-hand side
+                np.zeros((n, n)),  # zero matrix
+                np.diag([2.0, 1.0, 0.5, 0.0]).astype(complex),  # singular, interior
+            ]
+        )
+        b = crandn(rng, 5, n, 2)
+        b[0] *= 1e-3
+        b[2] = 0.0
+        b[4, 3] = 0.0
+        budget = np.array([10.0, 0.5, 1.0, 2.0, 50.0])
+        x, mu = power_constrained_solve(a, b, budget)
+        assert x.shape == b.shape and mu.shape == (5,)
+        for s in range(5):
+            x_s, mu_s = power_constrained_solve(a[s], b[s], budget[s])
+            assert np.array_equal(x[s], x_s)
+            assert np.array_equal(mu[s], mu_s)
+        assert mu[0] == 0.0 and mu[1] > 0.0 and mu[2] == 0.0 and mu[3] > 0.0 and mu[4] == 0.0
+        assert np.all(np.isfinite(x))
+
+        skew = a.copy()
+        skew[1, 0, 1] += 1.0
+        with pytest.raises(ValueError):
+            power_constrained_solve(skew, b, budget)
+
 
 class TestPairwiseMean:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
