@@ -94,6 +94,18 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _platform_facts() -> dict:
+    """The interpreter, numpy and BLAS build and core count a run used."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "blas_name": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int, started: str,
                     args_record: dict, beams_hash: str = "") -> None:
     _write_json(
@@ -109,6 +121,7 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int, starte
             "finished_utc": _utc_now(),
             "beams_hash": beams_hash,
             "args": args_record,
+            "platform": _platform_facts(),
         },
     )
 

@@ -20,7 +20,16 @@ minimizer and the frozen-sample objective monotonically non-increasing.
 The simultaneous variant (all tiles from the previous iterate) is available
 through the solver.tile_order configuration key. Both orders, and the
 gradient check `verify_theorem1`, take the per-tile statistics from
-`_tile_statistics`.
+`_tile_statistics`, which forms them as batched matrix products with the
+users folded into the inner axes.
+
+The discrete-phase (LC) constraint is met through its GC relaxation: the
+loop runs on the ball ||b_k||^2 <= P, which holds the unit-modulus set, and
+the final beams are projected to the phase grid once, the continuous
+solution quantized once as in Wu & Zhang, "Beamforming Optimization for
+Wireless Network Aided by Intelligent Reflecting Surface with Discrete Phase
+Shifts" (IEEE TCOM 2020). A projection inside the loop is not a descent
+step, and it made the LC results depend on last-bit rounding.
 """
 
 from __future__ import annotations
@@ -122,6 +131,9 @@ class OptReport:
     converged: bool = False
     eps: float = 0.0
     max_gc_violation: float = 0.0
+    # LC only: the training rate (bits/s/Hz) at the returned grid beams; the
+    # histories above belong to the GC relaxation the loop runs on.
+    projected_sum_rate: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -133,6 +145,7 @@ class OptReport:
             "converged": self.converged,
             "eps": self.eps,
             "max_gc_violation": self.max_gc_violation,
+            "projected_sum_rate": self.projected_sum_rate,
         }
 
 
@@ -187,18 +200,20 @@ def initial_beams(
     return b
 
 
+def _init_rng(cfg: ScenarioConfig) -> np.random.Generator:
+    """The initialization stream of cfg.seed."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(NAMESPACE_INIT, 0, 0)))
+
+
 def random_beam_set(cfg: ScenarioConfig) -> IrsBeamSet:
-    """The NON-OPT baseline of a config, which is also the starting point of
-    the offline optimizer: `initial_beams` drawn from the initialization
-    stream of cfg.seed under the config's beam constraint."""
+    """The NON-OPT baseline of a config: `initial_beams` drawn from the
+    initialization stream of cfg.seed under the config's beam constraint.
+    In GC mode it is also the starting point of the offline optimizer."""
     constraint = BeamConstraint(
         mode=cfg.constraint.mode, n_bits=cfg.constraint.n_bits, rho_sq=cfg.rho_sq()
     )
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed, spawn_key=(NAMESPACE_INIT, 0, 0))
-    )
     return IrsBeamSet(
-        beams=initial_beams(cfg.k_total, cfg.p_per_tile, constraint, rng),
+        beams=initial_beams(cfg.k_total, cfg.p_per_tile, constraint, _init_rng(cfg)),
         mode=constraint.mode,
         n_bits=constraint.n_bits,
         rho_sq=constraint.resolved_rho_sq(cfg.p_per_tile),
@@ -365,8 +380,11 @@ def mc_expectation(m_samples: np.ndarray, u_samples: np.ndarray) -> QuadraticSta
 def composite_batch(
     hbar: np.ndarray, s: np.ndarray, t: np.ndarray, beams: np.ndarray
 ) -> np.ndarray:
-    """H (N_s, N_u, L, M) = Hbar + sum_k T_ik diag(b_k) S_k over the sample stack."""
-    return hbar + np.einsum("niklp,kp,kpm->nilm", t, beams, s)
+    """H (N_s, N_u, L, M) = Hbar + sum_k T_ik diag(b_k) S_k over the sample stack,
+    as one matmul over the folded (K*P) axis."""
+    *lead, k_tiles, l_ant, p_elem = t.shape
+    t_folded = np.swapaxes(t, -3, -2).reshape(*lead, l_ant, k_tiles * p_elem)
+    return hbar + t_folded @ (beams[:, :, None] * s).reshape(k_tiles * p_elem, -1)
 
 
 def frozen_weighted_mse(
@@ -401,6 +419,11 @@ def frozen_sum_rate(
     """mean_n sum_i alpha_i R_i (nats) with the precoders frozen."""
     if h is None:
         h = composite_batch(hbar, s, t, beams)
+    return _mean_sum_rate(h, v, sigma2, alpha)
+
+
+def _mean_sum_rate(h: np.ndarray, v: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
+    """mean_n sum_i alpha_i R_i (nats) on the channel stack h."""
     rates = wmmse.user_rates(h, v, sigma2)
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, rates)))
 
@@ -420,9 +443,20 @@ def receivers_and_weights(
 
 
 def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G_i^H H_i V_j (N_s, N_u, N_u, L, L) over the sample stack."""
-    gh_h = np.einsum("nilq,nilm->niqm", g.conj(), h)
-    return np.einsum("niqm,njmc->nijqc", gh_h, v)
+    """G_i^H H_i V_j over the sample stack, with the users j folded into the
+    columns: (N_s, N_u, L, N_u*L), column block j holding G_i^H H_i V_j."""
+    return (np.swapaxes(g.conj(), -1, -2) @ h) @ _fold_users(v)[:, None]
+
+
+def _fold_users(v: np.ndarray) -> np.ndarray:
+    """[V_1 ... V_Nu] (N_s, M, N_u*L) from the precoders (N_s, N_u, M, L)."""
+    n_s, n_u, m_ant, l_ant = v.shape
+    return np.swapaxes(v, 1, 2).reshape(n_s, m_ant, n_u * l_ant)
+
+
+def _tile_term(a_m: np.ndarray, cc: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tile m's own term A_im diag(b) C_mj of `_coupling`, (N_s, N_u, L, N_u*L)."""
+    return (a_m * b) @ cc[:, None]
 
 
 def _tile_statistics(
@@ -439,23 +473,28 @@ def _tile_statistics(
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
     with ghv = G_i^H H_i V_j at the current beams (see `_coupling`).
 
-    Also returns the tile factors (A_m, C_m, Z_m): A_im = G_i^H T_im
-    (N_s, N_u, L, P), C_mj = S_m V_j (N_s, N_u, P, L) and
-    Z_mij = A_im diag(b_m) C_mj, tile m's own term of ghv. Replacing b_m by
-    b changes ghv by A_m diag(b) C_m - Z_m.
+    Also returns the tile factors (A_m, CC_m, Z_m): A_im = G_i^H T_im
+    (N_s, N_u, L, P), CC_m = [C_m1 ... C_mNu] (N_s, P, N_u*L) with
+    C_mj = S_m V_j, and Z_m = `_tile_term`(A_m, CC_m, b_m), tile m's own
+    term of ghv. Replacing b_m by b changes ghv by
+    `_tile_term`(A_m, CC_m, b) - Z_m.
     """
-    a_m = np.einsum("nilq,nilp->niqp", g.conj(), t[:, :, m])
-    c_m = np.einsum("pm,njml->njpl", s[m], v)
-    z_m = np.einsum("niqp,p,njpc->nijqc", a_m, b_m, c_m)
-    phi = np.einsum("i,niqp,niql,nilt->npt", alpha, a_m.conj(), w, a_m)
-    psi = np.einsum("njpl,njtl->npt", c_m, c_m.conj())
-    m_stack = phi * np.swapaxes(psi, -1, -2)
-    sc = np.einsum("nijqc,njpc->niqp", ghv - z_m, c_m.conj())
-    inner = np.swapaxes(c_m.conj(), -1, -2) - sc  # C_mi^H - sum_j R_ij C_mj^H
-    u_stack = np.einsum("i,niqp,niql,nilp->np", alpha, a_m.conj(), w, inner)
+    n_s, n_u, _, l_ant, p_elem = t.shape
+    a_m = np.swapaxes(g.conj(), -1, -2) @ t[:, :, m]
+    cc = s[m] @ _fold_users(v)
+    cc_h = np.swapaxes(cc.conj(), -1, -2)
+    z_m = _tile_term(a_m, cc, b_m)
+    w_alpha = alpha[:, None, None] * w
+    # The users i fold into the rows: a_f[n] = [A_1m; ...; A_Nu m] (N_u*L, P).
+    a_f = a_m.reshape(n_s, n_u * l_ant, p_elem)
+    phi = np.swapaxes(a_f.conj(), -1, -2) @ (w_alpha @ a_m).reshape(a_f.shape)
+    m_stack = phi * np.swapaxes(cc @ cc_h, -1, -2)
+    # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m.
+    inner = cc_h.reshape(n_s, n_u, l_ant, p_elem) - (ghv - z_m) @ cc_h[:, None]
+    u_stack = np.sum(a_f.conj() * (w_alpha @ inner).reshape(a_f.shape), axis=1)
     m_bar = herm(pairwise_mean(m_stack, axis=0))
     u_bar = pairwise_mean(u_stack, axis=0)
-    return m_bar, u_bar, (a_m, c_m, z_m)
+    return m_bar, u_bar, (a_m, cc, z_m)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +522,12 @@ def offline_optimize_channels(
     t (N_s, N_u, K, L, P). One BCD pass per outer iteration: a single
     (G, W, V) step per sample, then one constrained update of every tile's
     beam; stops when the concatenated beam change Delta falls below eps.
+
+    An LC constraint runs the loop on its GC relaxation, the ball
+    ||b_k||^2 <= P that holds the unit-modulus set, and projects the final
+    beams to the phase grid once (`quantize_lc`), so the LC beams are the
+    projection of the GC beams from the same start, and every LC iterate
+    is a descent step of the relaxed objective.
     """
     hbar = np.asarray(hbar, dtype=complex)
     s = np.asarray(s, dtype=complex)
@@ -495,7 +540,8 @@ def offline_optimize_channels(
     if tile_order not in ("sequential", "simultaneous"):
         raise ValueError(f"tile_order must be 'sequential' or 'simultaneous', got {tile_order!r}")
     constraint = constraint or BeamConstraint()
-    rho_sq = constraint.resolved_rho_sq(p_elem)
+    ball = constraint if constraint.mode == "GC" else BeamConstraint()
+    rho_sq = ball.resolved_rho_sq(p_elem)
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
     p_budget = np.broadcast_to(np.asarray(p_budget, dtype=float), (n_u,)).copy()
 
@@ -503,10 +549,8 @@ def offline_optimize_channels(
     if beams.shape != (k_tiles, p_elem):
         raise ValueError(f"beams0 shape {beams.shape} does not match (K, P) = {(k_tiles, p_elem)}")
 
-    if v0 is None:
-        v = wmmse.initial_precoders(composite_batch(hbar, s, t, beams), p_budget)
-    else:
-        v = np.array(v0, dtype=complex)
+    h = composite_batch(hbar, s, t, beams)
+    v = wmmse.initial_precoders(h, p_budget) if v0 is None else np.array(v0, dtype=complex)
 
     report = OptReport(eps=float(eps))
     g = w = None
@@ -514,7 +558,6 @@ def offline_optimize_channels(
         t_start = time.perf_counter()
 
         # One BCD step of the digital variables at the current beams.
-        h = composite_batch(hbar, s, t, beams)
         g = wmmse.update_receivers(h, v, sigma2)
         w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
         v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
@@ -525,26 +568,25 @@ def offline_optimize_channels(
         ghv = _coupling(g, h, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
-            m_bar, u_bar, (a_m, c_m, z_m) = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha)
-            new_beams[m] = update_b(m_bar, u_bar, constraint, b_current=beams[m])
+            m_bar, u_bar, (a_m, cc, z_m) = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha)
+            new_beams[m] = update_b(m_bar, u_bar, ball, b_current=beams[m])
             if tile_order == "sequential":
-                ghv += np.einsum("niqp,p,njpc->nijqc", a_m, new_beams[m], c_m) - z_m
+                ghv += _tile_term(a_m, cc, new_beams[m]) - z_m
         beams, beams_prev = new_beams, beams
 
-        if constraint.mode == "GC":
-            violation = gc_violation(beams, rho_sq)
-            report.max_gc_violation = max(report.max_gc_violation, violation)
-            if violation > 1e-9:
-                raise NumericalError("offline beam update violated the GC norm constraint")
+        violation = gc_violation(beams, rho_sq)
+        report.max_gc_violation = max(report.max_gc_violation, violation)
+        if violation > 1e-9:
+            raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
-        h_end = composite_batch(hbar, s, t, beams)
-        obj = float(pairwise_mean(wmmse.weighted_mse_objective(h_end, v, g, w, alpha, sigma2)))
+        h = composite_batch(hbar, s, t, beams)  # also the next iteration's channels
+        obj = float(pairwise_mean(wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)))
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
-        rate = frozen_sum_rate(hbar, s, t, beams, v, sigma2, alpha, h=h_end)
+        rate = frozen_sum_rate(hbar, s, t, beams, v, sigma2, alpha, h=h)
 
         report.iterations += 1
         report.delta_history.append(delta)
@@ -555,14 +597,27 @@ def offline_optimize_channels(
             report.converged = True
             break
 
+    if constraint.mode == "LC":
+        beams, _ = quantize_lc(beams, constraint.n_bits)
+        h = composite_batch(hbar, s, t, beams)
+        report.projected_sum_rate = _mean_sum_rate(h, v, sigma2, alpha) / np.log(2.0)
+
     state = OfflineState(g=g, w=w, v=v)
     return beams, report, state
 
 
 def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
     """Full offline run from a scenario config: draw the frozen training
-    samples, synthesize their channels, optimize the beams."""
+    samples, synthesize their channels, optimize the beams.
+
+    GC starts from `random_beam_set`; LC starts its relaxation from the
+    unit-modulus draw that `random_beam_set` quantizes, so an LC run returns
+    the grid projection of the GC run with the same seed and the default
+    rho_sq = P."""
     init = random_beam_set(cfg)
+    beams0 = init.beams
+    if init.mode == "LC":
+        beams0 = initial_beams(cfg.k_total, cfg.p_per_tile, BeamConstraint(), _init_rng(cfg))
     geometry = scenario_mod.build_antenna_positions(cfg)
     s = channel_mod.bs_irs_channels(geometry, cfg)
     hbar_list = []
@@ -581,7 +636,7 @@ def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
         p_budget=cfg.power_budgets_w(),
         alpha=cfg.alpha(),
         constraint=BeamConstraint(mode=init.mode, n_bits=init.n_bits, rho_sq=init.rho_sq),
-        beams0=init.beams,
+        beams0=beams0,
         eps=cfg.eps_offline(),
         max_iters=cfg.solver.max_offline_iters,
         tile_order=cfg.solver.tile_order,

@@ -318,6 +318,11 @@ def write_array_factor_csv(path, angles_deg: np.ndarray, gain_db: np.ndarray, me
             writer.writerow([f"{a:.6g}", f"{g:.9g}"])
 
 
+def _percentile(values: list[int], q: float) -> float:
+    """Linear-interpolation percentile of a possibly empty list (0 when empty)."""
+    return float(np.percentile(values, q)) if values else 0.0
+
+
 def summary_dict(result: EvalResult) -> dict:
     """JSON-able aggregate view of an EvalResult."""
     return {
@@ -333,6 +338,8 @@ def summary_dict(result: EvalResult) -> dict:
         "n_excluded": result.n_excluded,
         "n_capped": result.n_capped,
         "max_online_iterations": max(result.iterations, default=0),
+        "online_iterations_p50": _percentile(result.iterations, 50),
+        "online_iterations_p95": _percentile(result.iterations, 95),
         "config_hash": result.config_hash,
         "beams_hash": result.beams_hash,
         "seed": result.seed,

@@ -7,6 +7,8 @@ Monte-Carlo accumulation order upstream breaks exact symmetry at the last ulp).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -161,26 +163,82 @@ def power_constrained_solve(a: np.ndarray, b: np.ndarray, budget) -> tuple[np.nd
     return (x[..., 0] if vector_rhs else x), mu
 
 
+@functools.lru_cache(maxsize=64)
+def _halving_plan(n: int) -> tuple[tuple, int]:
+    """Bottom-up schedule of the recursive-halving tree over n >= 2 items.
+
+    A segment (start, size) with size > 1 splits into its first h = size // 2
+    items and the rest, so its height in the tree is ceil(log2(size)). Node
+    ids 0 .. n-1 are the items; the split segments follow, ordered by height
+    and, within a height, even sizes (equal halves) first, so the root comes
+    last and each height fills one contiguous id range. Returns one step per
+    height, (first, n_equal, left, right, h, size): the range start, its
+    number of equal splits, the child ids of its segments and the (h, size)
+    of its unequal ones; and the node count. The arrays are read-only,
+    because every caller with this n shares them.
+    """
+    segments, stack = [], [(0, n)]
+    while stack:
+        start, size = stack.pop()
+        if size > 1:
+            segments.append((start, size))
+            stack += [(start, size // 2), (start + size // 2, size - size // 2)]
+    segments.sort(key=lambda seg: ((seg[1] - 1).bit_length(), seg[1] % 2))
+    ids = {(k, 1): k for k in range(n)}
+    ids.update({seg: n + rank for rank, seg in enumerate(segments)})
+
+    def frozen(values, dtype) -> np.ndarray:
+        arr = np.array(values, dtype=dtype)
+        arr.setflags(write=False)
+        return arr
+
+    steps, first = [], n
+    for height in range(1, (n - 1).bit_length() + 1):
+        level = [seg for seg in segments if (seg[1] - 1).bit_length() == height]
+        odd = [size for _, size in level if size % 2]
+        steps.append((
+            first,
+            len(level) - len(odd),
+            frozen([ids[(start, size // 2)] for start, size in level], np.intp),
+            frozen([ids[(start + size // 2, size - size // 2)] for start, size in level], np.intp),
+            frozen([size // 2 for size in odd], float),
+            frozen(odd, float),
+        ))
+        first += len(level)
+    return tuple(steps), first
+
+
 def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Mean along an axis by recursive halving.
 
     Equal halves combine as (left + right) / 2, so the mean over 2n items is
     bit-identical to the average of the two half means and the reduction is
     order-independent by construction. Unequal splits combine with exact
-    sample-count weights.
+    sample-count weights, (left * h + right * (n - h)) / n.
+
+    The tree is evaluated one height at a time (`_halving_plan`): every node
+    gets the same operations as in the recursion, in one vectorized step for
+    all nodes of a height.
     """
     x = np.asarray(x)
     x = np.moveaxis(x, axis, 0)
-
-    def reduce(block: np.ndarray) -> np.ndarray:
-        n = block.shape[0]
-        if n == 1:
-            return block[0]
-        h = n // 2
-        left = reduce(block[:h])
-        right = reduce(block[h:])
-        if 2 * h == n:
-            return 0.5 * (left + right)
-        return (left * h + right * (n - h)) / n
-
-    return reduce(x)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("pairwise_mean of an empty axis")
+    if n == 1:
+        return x[0]
+    steps, n_nodes = _halving_plan(n)
+    buf = np.empty((n_nodes,) + x.shape[1:], dtype=np.result_type(x, 0.5))
+    buf[:n] = x
+    tail = (1,) * (x.ndim - 1)
+    for first, n_equal, left, right, h, size in steps:
+        lhs = buf.take(left, axis=0)
+        rhs = buf.take(right, axis=0)
+        mid = first + n_equal
+        buf[first:mid] = 0.5 * (lhs[:n_equal] + rhs[:n_equal])
+        if h.size:
+            # Weights in the buffer's dtype, as the recursion's Python ints are cast.
+            h_w = h.reshape(-1, *tail).astype(buf.dtype, copy=False)
+            size_w = size.reshape(-1, *tail).astype(buf.dtype, copy=False)
+            buf[mid:mid + h.size] = (lhs[n_equal:] * h_w + rhs[n_equal:] * (size_w - h_w)) / size_w
+    return buf[-1]

@@ -124,8 +124,8 @@ def update_precoders(
     Returns V (..., N_u, M, L) and mu (..., N_u). One batched mu search
     covers the whole stack, with one eigendecomposition of K per channel set
     shared by its users."""
-    gwg = np.einsum("...ilk,...ikc,...idc->...ild", g, w, g.conj())
-    k_mat = herm(np.einsum("j,...jlm,...jlk,...jkr->...mr", alpha, h.conj(), gwg, h))
+    gwg = g @ w @ np.swapaxes(g.conj(), -1, -2)
+    k_mat = herm(np.einsum("j,...jmr->...mr", alpha, np.swapaxes(h.conj(), -1, -2) @ gwg @ h))
     rhs = alpha[:, None, None] * (np.swapaxes(h.conj(), -1, -2) @ (g @ w))
     return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget)
 

@@ -1,8 +1,8 @@
 """End-to-end acceptance gate.
 
-Thirteen checks: eight exact property gates on the solver stack and five
-scaled statistical reproductions of the qualitative experiment trends
-(optimized vs. random beams, placement-knowledge ordering, effective-rank
+Fourteen checks: nine exact property gates on the solver stack (the
+offline descent gate runs in GC and in LC) and five scaled statistical
+reproductions of the qualitative experiment trends (optimized vs. random beams, placement-knowledge ordering, effective-rank
 growth with panel count, phase-quantization loss, beam pointing). The
 statistical checks run desk-scale scenarios with pinned seeds, so every
 number below is deterministic.
@@ -327,6 +327,20 @@ def test_07_offline_frozen_sample_descent():
             sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=inst["alpha"],
             constraint=BeamConstraint(mode="GC", rho_sq=4.0),
             beams0=beams0, eps=1e-12, max_iters=15,
+        )
+        obj = np.array(report.objective_history)
+        assert np.all(np.diff(obj) <= 1e-8), f"ascent on instance {seed}: {np.diff(obj).max()}"
+
+
+def test_07_lc_offline_frozen_sample_descent():
+    for seed in range(10):
+        inst = synthetic_instance(5000 + seed, n_s=3, k=2, p=4)
+        constraint = BeamConstraint(mode="LC", n_bits=1 + seed % 3)
+        beams0 = initial_beams(2, 4, constraint, np.random.default_rng(seed))
+        _, report, _ = offline_optimize_channels(
+            inst["hbar"], inst["s"], inst["t"],
+            sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=inst["alpha"],
+            constraint=constraint, beams0=beams0, eps=1e-12, max_iters=15,
         )
         obj = np.array(report.objective_history)
         assert np.all(np.diff(obj) <= 1e-8), f"ascent on instance {seed}: {np.diff(obj).max()}"

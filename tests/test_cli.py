@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -108,6 +109,15 @@ class TestOptimizeCommand:
         assert beams["config_hash"] == manifest["config_hash"]
         assert report["seed"] == SMOKE["seed"]
         assert report["beams_hash"] == manifest["beams_hash"]
+
+    def test_manifest_records_platform(self, smoke_config, tmp_path):
+        out = tmp_path / "opt"
+        assert cli.main(["optimize", "-c", str(smoke_config), "-o", str(out)]) == 0
+        facts = json.loads((out / "manifest.json").read_text())["platform"]
+        assert facts["python"] == platform.python_version()
+        assert facts["numpy"] == np.__version__
+        assert facts["cpu_count"] == os.cpu_count()
+        assert facts["blas_name"] and facts["blas_version"]
 
 
 class TestEvaluateCommand:

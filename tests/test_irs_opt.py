@@ -223,6 +223,50 @@ class TestQuadraticModel:
         assert np.allclose(fd, grad, rtol=1e-5, atol=1e-8)
 
 
+class TestBatchedKernels:
+    """The sample-stack kernels of the offline loop against per-sample forms."""
+
+    def test_tile_statistics_match_per_sample_reference(self):
+        inst = synthetic_instance(12, n_s=4, n_u=3, l=2, m=4, k=3, p=5)
+        hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
+        g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
+        ghv = irs_opt._coupling(g, irs_opt.composite_batch(hbar, s, t, beams), v)
+        for m in range(beams.shape[0]):
+            m_bar, u_bar, _ = irs_opt._tile_statistics(g, w, v, s, t, ghv, beams[m], m, inst["alpha"])
+            pairs = [
+                accumulate_quadratic(g[n], w[n], v[n], hbar[n], s, t[n], beams, m, inst["alpha"])
+                for n in range(hbar.shape[0])
+            ]
+            ref = mc_expectation(np.array([q[0] for q in pairs]), np.array([q[1] for q in pairs]))
+            np.testing.assert_allclose(m_bar, ref.m_bar[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(u_bar, ref.u_bar[0], rtol=1e-12, atol=0)
+
+    def test_sequential_refresh_matches_recomputed_coupling(self):
+        inst = synthetic_instance(13, n_s=3, n_u=3, l=2, m=4, k=3, p=5)
+        hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
+        g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
+        ghv = irs_opt._coupling(g, irs_opt.composite_batch(hbar, s, t, beams), v)
+        for m in range(beams.shape[0]):
+            _, _, (a_m, cc, z_m) = irs_opt._tile_statistics(
+                g, w, v, s, t, ghv, beams[m], m, inst["alpha"]
+            )
+            beams[m] = crandn(inst["rng"], beams.shape[1])
+            ghv += irs_opt._tile_term(a_m, cc, beams[m]) - z_m
+            fresh = irs_opt._coupling(g, irs_opt.composite_batch(hbar, s, t, beams), v)
+            np.testing.assert_allclose(ghv, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
+
+    def test_composite_matches_per_sample_loop(self):
+        inst = synthetic_instance(14, n_s=3, n_u=2, l=3, m=4, k=3, p=5)
+        hbar, s, t, beams = inst["hbar"], inst["s"], inst["t"], inst["beams"]
+        want = np.array(hbar)
+        for n in range(hbar.shape[0]):
+            for i in range(hbar.shape[1]):
+                for k in range(beams.shape[0]):
+                    want[n, i] += t[n, i, k] @ np.diag(beams[k]) @ s[k]
+        got = irs_opt.composite_batch(hbar, s, t, beams)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 class TestOfflineOptimizer:
     def test_objective_descends_gc(self):
         inst = synthetic_instance(7, n_s=4, m=3, k=3, p=5)
@@ -300,6 +344,19 @@ class TestOfflineOptimizer:
         # rerun is bit-identical
         again, _ = offline_optimize(cfg)
         assert np.array_equal(again.beams, beam_set.beams)
+
+    def test_lc_run_is_grid_projection_of_gc_run(self):
+        gc_set, gc_report = offline_optimize(config_from_dict(tiny_scenario_dict()))
+        assert gc_report.to_dict()["projected_sum_rate"] is None
+        for n_bits in (1, 2, 3):
+            cfg = config_from_dict(
+                tiny_scenario_dict(**{"constraint.mode": "LC", "constraint.n_bits": n_bits})
+            )
+            lc_set, lc_report = offline_optimize(cfg)
+            assert lc_set.mode == "LC"
+            assert np.array_equal(lc_set.beams, quantize_lc(gc_set.beams, n_bits)[0])
+            assert lc_report.objective_history == gc_report.objective_history
+            assert lc_report.to_dict()["projected_sum_rate"] > 0.0
 
 
 class TestStationarityCheck:

@@ -219,6 +219,19 @@ class TestEvaluate:
         assert doc["n_capped"] == doc["n_ok"]
         assert doc["max_online_iterations"] == 1
 
+    def test_online_iteration_percentiles_reported(self, tiny_config, tmp_path):
+        rng = np.random.default_rng(12)
+        beams = np.exp(2j * np.pi * rng.random((4, 8)))
+        out = metrics.evaluate_average_sum_rate(tiny_config, beams)
+        path = tmp_path / "summary.json"
+        metrics.write_summary_json(path, out)
+        doc = json.loads(path.read_text())
+        assert doc["online_iterations_p50"] == float(np.median(out.iterations))
+        assert doc["online_iterations_p95"] == float(np.percentile(out.iterations, 95))
+        assert min(out.iterations) <= doc["online_iterations_p50"]
+        assert doc["online_iterations_p50"] <= doc["online_iterations_p95"]
+        assert doc["online_iterations_p95"] <= doc["max_online_iterations"]
+
     def test_beam_shape_validated(self, tiny_config):
         with pytest.raises(ValueError, match="beam"):
             metrics.evaluate_average_sum_rate(tiny_config, np.ones((2, 8)))

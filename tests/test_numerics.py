@@ -178,3 +178,36 @@ class TestPairwiseMean:
         got = pairwise_mean(x, axis=0)
         assert got.shape == (3, 3)
         assert np.allclose(got, x.mean(axis=0), atol=1e-14)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_level_wise_tree_equals_recursive_oracle(self, axis, dtype):
+        rng = np.random.default_rng(11)
+        for n in range(1, 131):
+            shape = (n, 3) if axis == 0 else (2, n)
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal(shape)
+            got = pairwise_mean(x, axis=axis)
+            want = recursive_pairwise_mean(x, axis=axis)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), f"n = {n}"
+
+
+def recursive_pairwise_mean(x, axis=0):
+    """Reference recursive-halving mean: equal halves as (left + right) / 2,
+    unequal splits with exact sample-count weights."""
+    x = np.moveaxis(np.asarray(x), axis, 0)
+
+    def reduce(block):
+        n = block.shape[0]
+        if n == 1:
+            return block[0]
+        h = n // 2
+        left = reduce(block[:h])
+        right = reduce(block[h:])
+        if 2 * h == n:
+            return 0.5 * (left + right)
+        return (left * h + right * (n - h)) / n
+
+    return reduce(x)
