@@ -227,13 +227,16 @@ def update_b(
     constraint: BeamConstraint,
     b_current: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact minimizer of b^H M b - 2 Re(u^H b) over the GC norm ball,
-    optionally followed by the LC grid projection.
+    """Exact minimizer of b^H M b - 2 Re(u^H b) over the GC norm ball.
 
     Interior solutions take mu = 0; otherwise the smallest boundary
     multiplier is found on the monotone power curve. With both statistics
     zero the objective is constant in b and the current beam is kept.
+    An LC beam comes from `quantize_lc` of the solution on its GC
+    relaxation, so an LC constraint is rejected here.
     """
+    if constraint.mode != "GC":
+        raise ValueError(f"update_b takes a GC constraint, got mode {constraint.mode!r}")
     p = m_bar.shape[0]
     rho_sq = constraint.resolved_rho_sq(p)
     if np.linalg.norm(u_bar) == 0.0:
@@ -242,8 +245,6 @@ def update_b(
         b = np.zeros(p, dtype=complex)
     else:
         b, _ = power_constrained_solve(m_bar, u_bar, rho_sq)
-    if constraint.mode == "LC":
-        b, _ = quantize_lc(b, constraint.n_bits)
     return b
 
 

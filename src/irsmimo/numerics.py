@@ -90,7 +90,9 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def power_constrained_solve(a: np.ndarray, b: np.ndarray, budget) -> tuple[np.ndarray, np.ndarray]:
+def power_constrained_solve(
+    a: np.ndarray, b: np.ndarray, budget, mu0=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Smallest mu >= 0 with ||(A + mu I)^-1 B||_F^2 <= budget, on stacks.
 
     A is a Hermitian PSD stack (..., n, n); B is (..., n, c), or (..., n) for
@@ -110,8 +112,21 @@ def power_constrained_solve(a: np.ndarray, b: np.ndarray, budget) -> tuple[np.nd
     lower end to the root without passing it. An entry stops at its first
     step that does not move it up, so no entry depends on the others.
 
+    mu0 (optional, broadcasting to the leading axes) warm-starts the search
+    from previous multipliers, for callers whose root moves little between
+    calls. Each boundary entry starts from mu0 clipped into the bracket. A
+    start above the root (p < P there) takes one Newton step on the same
+    concave function, floored at the bracket's lower end: concavity puts
+    the tangent above the function, so that step lands at or below the
+    root. The monotone rise then runs unchanged, so the result is again
+    the smallest mu meeting the budget. mu0 = 0 starts where no mu0 does,
+    bit for bit; interior entries return 0 whatever their mu0.
+
     Raises
     ------
+    ValueError
+        If mu0 is negative, NaN or infinite, or does not broadcast to the
+        leading axes.
     NumericalError
         If a boundary power misses the budget by more than 1e-8 * budget.
     """
@@ -140,16 +155,35 @@ def power_constrained_solve(a: np.ndarray, b: np.ndarray, budget) -> tuple[np.nd
         slope = np.where(row_power > 0.0, terms / denom, 0.0)
         return np.sum(terms, axis=-1), np.sum(slope, axis=-1)
 
+    def newton(mu):
+        # p(mu) and the Newton iterate from mu on 1/sqrt(p) - 1/sqrt(P)
+        p, slope = power(mu)
+        return p, mu + p * (np.sqrt(p / budget) - 1.0) / slope
+
     # 0/0 arises only on zero-power rows and interior entries, which the masks discard.
     with np.errstate(divide="ignore", invalid="ignore"):
         moving = power(np.zeros(()))[0] > budget
         lo = np.max(np.sqrt(row_power / budget[..., None]) - eigvals, axis=-1)
         hi = np.sqrt(np.sum(row_power, axis=-1) / budget)
-        mu = np.where(moving, np.maximum(lo, 0.0), 0.0)
+        floor = np.maximum(lo, 0.0)
+        mu = floor
+        if mu0 is not None:
+            mu0 = np.asarray(mu0, dtype=float)
+            try:
+                mu0 = np.broadcast_to(mu0, moving.shape)
+            except ValueError as exc:
+                raise ValueError(
+                    f"mu0 shape {mu0.shape} does not broadcast to {moving.shape}"
+                ) from exc
+            if not np.all(np.isfinite(mu0) & (mu0 >= 0.0)):
+                raise ValueError("mu0 must be finite and non-negative")
+            mu = np.minimum(np.maximum(mu0, floor), hi)
+            p, step = newton(mu)
+            mu = np.where(p < budget, np.maximum(step, floor), mu)
+        mu = np.where(moving, mu, 0.0)
         boundary = moving.copy()
         while np.any(moving):
-            p, slope = power(mu)
-            step = np.minimum(mu + p * (np.sqrt(p / budget) - 1.0) / slope, hi)
+            step = np.minimum(newton(mu)[1], hi)
             moving &= step > mu
             mu = np.where(moving, step, mu)
         residual = np.where(boundary, np.abs(power(mu)[0] - budget), 0.0)

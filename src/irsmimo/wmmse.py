@@ -53,7 +53,11 @@ class LinkVariables:
     w: np.ndarray  # (N_u, L, L) Hermitian PSD weights
     rates: np.ndarray  # (N_u,) per-user rates
     rate_unit: str = "bits"
-    mu: np.ndarray | None = None  # (N_u,) power multipliers from the last V update
+    # (N_u,) power multipliers from the last V update. Each is the smallest
+    # one meeting its budget, even though every update's search starts from
+    # the previous mu: a start above the root is first brought down to or
+    # below it (see `numerics.power_constrained_solve`).
+    mu: np.ndarray | None = None
     objective_trace: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -116,6 +120,7 @@ def update_precoders(
     w: np.ndarray,
     alpha: np.ndarray,
     p_budget: np.ndarray,
+    mu0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precoders V_i = alpha_i (K + mu_i I)^-1 H_i^H G_i W_i, with
     K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
@@ -123,11 +128,14 @@ def update_precoders(
 
     Returns V (..., N_u, M, L) and mu (..., N_u). One batched mu search
     covers the whole stack, with one eigendecomposition of K per channel set
-    shared by its users."""
+    shared by its users. mu0 (..., N_u), typically the previous iterate's
+    mu, warm-starts that search; the search first brings a start above
+    the root down to or below it, so the multipliers are the same smallest
+    ones to rounding."""
     gwg = g @ w @ np.swapaxes(g.conj(), -1, -2)
     k_mat = herm(np.einsum("j,...jmr->...mr", alpha, np.swapaxes(h.conj(), -1, -2) @ gwg @ h))
     rhs = alpha[:, None, None] * (np.swapaxes(h.conj(), -1, -2) @ (g @ w))
-    return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget)
+    return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget, mu0=mu0)
 
 
 def weighted_mse_objective(
@@ -188,6 +196,12 @@ def online_wmmse(
     precedes the rate computation, so the reported rates coincide with
     sum_i alpha_i log det(W_i) (rate-MMSE duality).
 
+    Each precoder update warm-starts its mu search from the previous
+    iteration's multipliers (zeros at the first, which is the cold start),
+    because mu moves little between iterates. The warm start changes the
+    Newton path only: the search still returns the smallest multiplier
+    meeting each budget, so V agrees with a cold-started loop to rounding.
+
     Raises NumericalError if the objective increases by more than 1e-9
     between iterations.
     """
@@ -212,7 +226,7 @@ def online_wmmse(
     for iterations in range(1, max_iters + 1):
         g = update_receivers(h, v, sigma2)
         w = update_weights(mse_matrices(h, v, g, sigma2))
-        v, mu = update_precoders(h, g, w, alpha, p_budget)
+        v, mu = update_precoders(h, g, w, alpha, p_budget, mu0=mu)
         obj = float(weighted_mse_objective(h, v, g, w, alpha, sigma2))
         if not np.isfinite(obj):
             raise NumericalError("online_wmmse: non-finite objective")

@@ -300,7 +300,7 @@ def test_06_constraint_feasibility_every_update():
         b_gc = update_b(m_bar, u_bar, BeamConstraint(mode="GC", rho_sq=float(p)))
         assert float(np.real(b_gc.conj() @ b_gc)) <= p + 1e-9
         n_bits = 1 + trial % 3
-        b_lc = update_b(m_bar, u_bar, BeamConstraint(mode="LC", n_bits=n_bits))
+        b_lc, _ = quantize_lc(update_b(m_bar, u_bar, BeamConstraint()), n_bits)
         assert np.allclose(np.abs(b_lc), 1.0, atol=1e-15)
         _, idx = quantize_lc(b_lc, n_bits)
         assert np.array_equal(b_lc, lc_grid_point(idx, n_bits))

@@ -112,9 +112,13 @@ class TestUpdateB:
         a = crandn(rng, p, p)
         m = a.conj().T @ a
         u = crandn(rng, p)
-        b = update_b(m, u, BeamConstraint(mode="LC", n_bits=3))
+        b, _ = quantize_lc(update_b(m, u, BeamConstraint()), 3)
         _, idx = quantize_lc(b, 3)
         assert np.array_equal(b, lc_grid_point(idx, 3))
+
+    def test_lc_constraint_rejected(self):
+        with pytest.raises(ValueError, match="GC"):
+            update_b(np.eye(4), np.ones(4), BeamConstraint(mode="LC", n_bits=2))
 
     def test_zero_stats_keep_current(self):
         p = 4

@@ -207,6 +207,18 @@ class TestEvaluate:
         )
         assert np.allclose(out.per_ue_rates[1], link.rates, rtol=1e-12)
 
+    def test_realization_row_independent_of_realization_count(self, tiny_config):
+        rng = np.random.default_rng(13)
+        beams = np.exp(2j * np.pi * rng.random((4, 8)))
+        few = metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=3)
+        many = metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=5)
+        assert few.realization_ids == many.realization_ids[:3]
+        for r in range(3):
+            assert np.array_equal(few.per_ue_rates[r], many.per_ue_rates[r])
+            assert np.array_equal(few.eff_ranks[r], many.eff_ranks[r])
+            assert few.iterations[r] == many.iterations[r]
+            assert few.converged[r] == many.converged[r]
+
     def test_capped_solves_reported(self, tmp_path):
         cfg = config_from_dict(tiny_scenario_dict(**{"solver.max_online_iters": 1}))
         rng = np.random.default_rng(11)

@@ -155,6 +155,79 @@ class TestPowerConstrainedSolve:
         with pytest.raises(ValueError):
             power_constrained_solve(skew, b, budget)
 
+    @staticmethod
+    def warm_cases():
+        """A stack with interior, boundary, zero-matrix and singular slices."""
+        rng = np.random.default_rng(9)
+        n = 4
+        a = np.stack(
+            [
+                random_psd(rng, n, jitter=1.0),  # interior
+                random_psd(rng, n),  # boundary
+                random_psd(rng, n, jitter=0.01),  # boundary
+                np.zeros((n, n)),  # zero matrix, boundary
+                np.diag([2.0, 1.0, 0.5, 0.0]).astype(complex),  # singular, interior
+            ]
+        )
+        b = crandn(rng, 5, n, 2)
+        b[0] *= 1e-3
+        b[4, 3] = 0.0
+        budget = np.array([10.0, 0.5, 1.0, 2.0, 50.0])
+        return a, b, budget
+
+    def test_warm_start_at_zero_is_the_cold_start(self):
+        a, b, budget = self.warm_cases()
+        x_cold, mu_cold = power_constrained_solve(a, b, budget)
+        x_warm, mu_warm = power_constrained_solve(a, b, budget, mu0=np.zeros(5))
+        assert np.array_equal(x_warm, x_cold)
+        assert np.array_equal(mu_warm, mu_cold)
+        x_scalar, mu_scalar = power_constrained_solve(a, b, budget, mu0=0.0)
+        assert np.array_equal(x_scalar, x_cold)
+        assert np.array_equal(mu_scalar, mu_cold)
+
+    @pytest.mark.parametrize("where", ["below", "above", "hi", "ten_hi"])
+    def test_warm_start_reaches_the_cold_root(self, where):
+        a, b, budget = self.warm_cases()
+        _, mu_cold = power_constrained_solve(a, b, budget)
+        boundary = mu_cold > 0.0
+        assert boundary.tolist() == [False, True, True, True, False]
+        hi = np.linalg.norm(b, axis=(-2, -1)) / np.sqrt(budget)
+        mu0 = {
+            "below": 0.5 * mu_cold,
+            "above": 1.5 * mu_cold,
+            "hi": hi,
+            "ten_hi": 10.0 * hi,
+        }[where]
+        x, mu = power_constrained_solve(a, b, budget, mu0=mu0)
+        assert np.all(np.abs(mu - mu_cold) <= 1e-12 * mu_cold)
+        power = np.sum(np.abs(x) ** 2, axis=(-2, -1))
+        assert np.all(np.abs(power[boundary] - budget[boundary]) <= 1e-8 * budget[boundary])
+        assert np.all(mu[~boundary] == 0.0)
+
+    def test_warm_stack_slices_equal_single_solves(self):
+        a, b, budget = self.warm_cases()
+        _, mu_cold = power_constrained_solve(a, b, budget)
+        mu0 = np.array([3.0, 0.5, 2.0, 0.0, 1.0]) * (mu_cold + 0.1)
+        x, mu = power_constrained_solve(a, b, budget, mu0=mu0)
+        for s in range(5):
+            x_s, mu_s = power_constrained_solve(a[s], b[s], budget[s], mu0=mu0[s])
+            assert np.array_equal(x[s], x_s)
+            assert np.array_equal(mu[s], mu_s)
+
+    @pytest.mark.parametrize(
+        "mu0",
+        [
+            np.array([0.0, -1e-3, 0.0, 0.0, 0.0]),  # negative
+            np.array([0.0, np.nan, 0.0, 0.0, 0.0]),  # NaN
+            np.zeros(4),  # mis-shaped
+            np.zeros((2, 5)),  # mis-shaped
+        ],
+    )
+    def test_warm_start_rejects_bad_mu0(self, mu0):
+        a, b, budget = self.warm_cases()
+        with pytest.raises(ValueError, match="mu0"):
+            power_constrained_solve(a, b, budget, mu0=mu0)
+
 
 class TestPairwiseMean:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import crandn
 from irsmimo.numerics import NumericalError, logdet_psd, herm
+from irsmimo import channel as ch
 from irsmimo import wmmse
+from irsmimo.scenario import build_antenna_positions, draw_sample
 
 # Kernels are checked against the per-user loop forms below to this relative
 # tolerance.
@@ -47,6 +49,24 @@ def mse_matrix(h_i, v, g_i, sigma2, i):
         e += cross @ cross.conj().T
     e += sigma2 * (gh @ g_i)
     return herm(e)
+
+
+def cold_start_online_wmmse(h, sigma2, p_budget, alpha, tol, max_iters):
+    """The online loop with every mu search started cold (no mu0).
+    Returns (rates in bits, iterations, converged)."""
+    v = wmmse.initial_precoders(h, p_budget)
+    prev = np.inf
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        g = wmmse.update_receivers(h, v, sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
+        v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
+        obj = float(wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2))
+        if np.isfinite(prev) and prev - obj <= tol * abs(prev):
+            converged = True
+            break
+        prev = obj
+    return wmmse.user_rates(h, v, sigma2) / np.log(2.0), iterations, converged
 
 
 class TestUserRate:
@@ -225,6 +245,24 @@ class TestOnlineWmmse:
         first = wmmse.online_wmmse(h, 0.1, 1.0, max_iters=3)
         second = wmmse.online_wmmse(h, 0.1, 1.0, v0=first.v, max_iters=50)
         assert second.objective_trace[0] <= first.objective_trace[-1] + 1e-9
+
+    def test_warm_mu_search_matches_cold_start_loop(self, tiny_config):
+        cfg = tiny_config
+        geo = build_antenna_positions(cfg)
+        rng = np.random.default_rng(21)
+        beams = np.exp(2j * np.pi * rng.random((cfg.k_total, cfg.p_per_tile)))
+        sigma2, p_budget, alpha = cfg.noise_power_w(), cfg.power_budgets_w(), cfg.alpha()
+        tol, max_iters = cfg.solver.tol_online, cfg.solver.max_online_iters
+        for idx in range(4):
+            cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg)
+            h = ch.composite_channel(cset, beams)
+            out = wmmse.online_wmmse(h, sigma2, p_budget, alpha=alpha, tol=tol, max_iters=max_iters)
+            rates, iterations, converged = cold_start_online_wmmse(
+                h, sigma2, p_budget, alpha, tol, max_iters
+            )
+            assert out.iterations == iterations
+            assert out.converged == converged
+            assert np.allclose(out.rates, rates, rtol=1e-8, atol=0.0)
 
     def test_alpha_weights_shift_rates(self):
         h, _ = random_links(17, n_u=2, l_ant=2, m_ant=6)
