@@ -4,6 +4,11 @@ Direct BS-UE links follow a clustered NLOS model (optionally with an LOS
 component gated by the blockage indicator), IRS links are near-field LOS with
 a per-element cosine-power cell pattern, and the composite downlink channel
 embeds the analog beams as H_i(B) = Hbar_i + sum_k T_ik diag(b_k) S_k.
+
+One LOS kernel, `_los_link`, broadcasts over leading axes, so the BS-IRS
+stack S (K, P, M) and the IRS-UE stack T (N_u, K, L, P) are one call each.
+One composite kernel, `composite_channel`, serves one realization
+(evaluation) and the frozen sample stack (offline optimization) alike.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ __all__ = [
     "pathloss_nlos_db",
     "cell_pattern",
     "direct_channel",
-    "bs_irs_channel",
-    "irs_ue_channel",
     "composite_channel",
     "build_channel_set",
     "bs_irs_channels",
@@ -135,43 +138,31 @@ def direct_channel(
 def _los_link(
     elems: np.ndarray, normal: np.ndarray, other: np.ndarray, gain: float, cfg: ScenarioConfig
 ) -> np.ndarray:
-    """Near-field LOS block between IRS elements (rows) and an array (cols).
+    """Near-field LOS blocks between IRS elements (rows) and an array (cols).
 
-    Per element pair: sqrt(gain * Gc * F(theta)) * lambda / (4 pi d) * e^{-j2pi d/lambda},
+    elems (..., P, 3), normal (..., 3) and other (..., Q, 3) broadcast over
+    their leading axes; the result is (..., P, Q). Per element pair:
+    sqrt(gain * Gc * F(theta)) * lambda / (4 pi d) * e^{-j2pi d/lambda},
     with theta the angle at the IRS element between the outgoing direction and
     the wall normal (pattern null past grazing).
     """
     lam = cfg.wavelength
     gc = cfg.cell_gain()
-    d = _pairwise_dist(elems, other)
+    diff = other[..., None, :, :] - elems[..., :, None, :]
+    d = np.linalg.norm(diff, axis=-1)
     if np.any(d == 0.0):
         raise NumericalError("IRS link: coincident elements")
-    cos_t = ((other[None, :, :] - elems[:, None, :]) @ normal) / d
+    cos_t = (diff @ normal[..., None, :, None])[..., 0] / d
     theta = np.arccos(np.clip(cos_t, -1.0, 1.0))
     f = cell_pattern(theta, cfg.channel.cell_q)
     return np.sqrt(gain * gc * f) * lam / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
 
 
-def bs_irs_channel(geometry: ArrayGeometry, cfg: ScenarioConfig, k: int) -> np.ndarray:
-    """BS to IRS-tile-k channel S_k, shape (P, M). Deterministic given geometry."""
-    gt = 10.0 ** (cfg.channel.tx_gain_db / 10.0)
-    return _los_link(geometry.tiles[k], geometry.tile_normals[k], geometry.bs, gt, cfg)
-
-
 def bs_irs_channels(geometry: ArrayGeometry, cfg: ScenarioConfig) -> np.ndarray:
-    """All S_k stacked, shape (K, P, M); sample-independent, compute once."""
-    return np.array([bs_irs_channel(geometry, cfg, k) for k in range(len(geometry.tiles))])
-
-
-def irs_ue_channel(
-    sample: ScenarioSample, geometry: ArrayGeometry, cfg: ScenarioConfig, i: int, k: int
-) -> np.ndarray:
-    """IRS-tile-k to UE-i channel T_ik, shape (L, P)."""
-    gr = 10.0 ** (cfg.channel.rx_gain_db / 10.0)
-    block = _los_link(
-        geometry.tiles[k], geometry.tile_normals[k], sample.ue_elements[i], gr, cfg
-    )
-    return block.T  # (P, L) -> (L, P)
+    """BS to IRS-tile channels S_k stacked, shape (K, P, M); sample-independent,
+    compute once."""
+    gt = 10.0 ** (cfg.channel.tx_gain_db / 10.0)
+    return _los_link(geometry.tiles, geometry.tile_normals, geometry.bs, gt, cfg)
 
 
 @dataclass(frozen=True)
@@ -199,13 +190,12 @@ def build_channel_set(
     """
     if s is None:
         s = bs_irs_channels(geometry, cfg)
-    k_total = len(geometry.tiles)
-    t = np.array(
-        [
-            [irs_ue_channel(sample, geometry, cfg, i, k) for k in range(k_total)]
-            for i in range(cfg.ue.count)
-        ]
+    # T_ik (N_u, K, L, P): the tile-to-UE blocks (N_u, K, P, L), transposed.
+    gr = 10.0 ** (cfg.channel.rx_gain_db / 10.0)
+    blocks = _los_link(
+        geometry.tiles, geometry.tile_normals, sample.ue_elements[:, None], gr, cfg
     )
+    t = np.swapaxes(blocks, -1, -2)
     hbar = direct_channel(sample, geometry, cfg)
     return ChannelSet(
         hbar=hbar,
@@ -216,18 +206,25 @@ def build_channel_set(
     )
 
 
-def composite_channel(channel_set: ChannelSet, beams: np.ndarray) -> np.ndarray:
-    """Composite channels H_i(B) = Hbar_i + sum_k T_ik diag(b_k) S_k, (N_u, L, M)."""
+def composite_channel(
+    hbar: np.ndarray, s: np.ndarray, t: np.ndarray, beams: np.ndarray
+) -> np.ndarray:
+    """Composite channels H_i(B) = Hbar_i + sum_k T_ik diag(b_k) S_k.
+
+    hbar (..., N_u, L, M), s (K, P, M) and t (..., N_u, K, L, P) share any
+    leading axes (one realization, or a stack of samples); the result has
+    the shape of hbar. The tile sum is one matmul over the folded (K*P) axis.
+    """
     beams = np.asarray(beams, dtype=complex)
-    k = channel_set.s.shape[0]
-    if beams.shape != (k, channel_set.s.shape[1]):
+    k_tiles, p_elem, _ = s.shape
+    if beams.shape != (k_tiles, p_elem):
         raise ValueError(
             f"beam set shape {beams.shape} does not match channel tiling "
-            f"(K={k}, P={channel_set.s.shape[1]})"
+            f"(K={k_tiles}, P={p_elem})"
         )
-    return channel_set.hbar + np.einsum(
-        "iklp,kp,kpm->ilm", channel_set.t, beams, channel_set.s
-    )
+    *lead, _, l_ant, _ = t.shape
+    t_folded = np.swapaxes(t, -3, -2).reshape(*lead, l_ant, k_tiles * p_elem)
+    return hbar + t_folded @ (beams[:, :, None] * s).reshape(k_tiles * p_elem, -1)
 
 
 def save_channel_set(path, cs: ChannelSet) -> None:

@@ -241,7 +241,7 @@ def cmd_array_factor(args) -> int:
     s = channel_mod.bs_irs_channels(geometry, cfg)
     sample = scenario_mod.draw_sample(cfg, args.realization, namespace=NAMESPACE_EVAL)
     cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=cfg_hash)
-    h = channel_mod.composite_channel(cset, beam_set.beams)
+    h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beam_set.beams)
     link = online_wmmse(
         h,
         cfg.noise_power_w(),

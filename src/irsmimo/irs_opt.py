@@ -23,6 +23,9 @@ gradient check `verify_theorem1`, take the per-tile statistics from
 `_tile_statistics`, which forms them as batched matrix products with the
 users folded into the inner axes.
 
+Every composite channel, on the sample stack or at perturbed beams, comes
+from `channel.composite_channel`, the kernel evaluation uses too.
+
 The discrete-phase (LC) constraint is met through its GC relaxation: the
 loop runs on the ball ||b_k||^2 <= P, which holds the unit-modulus set, and
 the final beams are projected to the phase grid once, the continuous
@@ -105,9 +108,7 @@ class IrsBeamSet:
         """Integer grid indices for LC beams (None in GC mode)."""
         if self.mode != "LC":
             return None
-        n = 2**self.n_bits
-        idx = np.mod(np.round(np.angle(self.beams) * n / (2.0 * np.pi)).astype(int), n)
-        return idx
+        return quantize_lc(self.beams, self.n_bits)[1]
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,6 @@ def accumulate_quadratic(
     beams: np.ndarray,
     m: int,
     alpha: np.ndarray,
-    validate: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-sample quadratic statistics (M_m, u_m) of tile m.
 
@@ -338,13 +338,10 @@ def accumulate_quadratic(
             inner = inner - (d + f).conj().T
         u += alpha[i] * np.einsum("pl,lq,qp->p", a_im.conj().T, w[i], inner)
     m_mat = herm(phi * psi.T)
-    if validate:
-        eigs = np.linalg.eigvalsh(m_mat)
-        scale = max(float(eigs[-1]), 0.0)
-        if eigs[0] < -1e-9 * max(scale, 1e-300):
-            raise NumericalError(
-                f"accumulate_quadratic: M not PSD (lambda_min = {eigs[0]:.3e})"
-            )
+    eigs = np.linalg.eigvalsh(m_mat)
+    scale = max(float(eigs[-1]), 0.0)
+    if eigs[0] < -1e-9 * max(scale, 1e-300):
+        raise NumericalError(f"accumulate_quadratic: M not PSD (lambda_min = {eigs[0]:.3e})")
     return m_mat, u
 
 
@@ -378,16 +375,6 @@ def mc_expectation(m_samples: np.ndarray, u_samples: np.ndarray) -> QuadraticSta
 # Sample-stack evaluators and tile statistics
 
 
-def composite_batch(
-    hbar: np.ndarray, s: np.ndarray, t: np.ndarray, beams: np.ndarray
-) -> np.ndarray:
-    """H (N_s, N_u, L, M) = Hbar + sum_k T_ik diag(b_k) S_k over the sample stack,
-    as one matmul over the folded (K*P) axis."""
-    *lead, k_tiles, l_ant, p_elem = t.shape
-    t_folded = np.swapaxes(t, -3, -2).reshape(*lead, l_ant, k_tiles * p_elem)
-    return hbar + t_folded @ (beams[:, :, None] * s).reshape(k_tiles * p_elem, -1)
-
-
 def frozen_weighted_mse(
     hbar: np.ndarray,
     s: np.ndarray,
@@ -401,7 +388,7 @@ def frozen_weighted_mse(
 ) -> float:
     """mean_n sum_i alpha_i tr(W_i E_i) as a function of the beams, with the
     digital variables frozen. Reference evaluator for the gradient oracles."""
-    h = composite_batch(hbar, s, t, beams)
+    h = channel_mod.composite_channel(hbar, s, t, beams)
     e = wmmse.mse_matrices(h, v, g, sigma2)
     tr_we = np.real(np.einsum("nilk,nikl->ni", w, e))
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, tr_we)))
@@ -419,7 +406,7 @@ def frozen_sum_rate(
 ) -> float:
     """mean_n sum_i alpha_i R_i (nats) with the precoders frozen."""
     if h is None:
-        h = composite_batch(hbar, s, t, beams)
+        h = channel_mod.composite_channel(hbar, s, t, beams)
     return _mean_sum_rate(h, v, sigma2, alpha)
 
 
@@ -438,7 +425,7 @@ def receivers_and_weights(
     sigma2: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MMSE receivers and W = E^-1 for the sample stack at the given beams."""
-    h = composite_batch(hbar, s, t, beams)
+    h = channel_mod.composite_channel(hbar, s, t, beams)
     g = wmmse.update_receivers(h, v, sigma2)
     return g, wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
 
@@ -515,7 +502,6 @@ def offline_optimize_channels(
     eps: float,
     max_iters: int = 200,
     tile_order: str = "sequential",
-    v0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OptReport, OfflineState]:
     """Run the offline beam optimization on a frozen stack of channel sets.
 
@@ -550,8 +536,8 @@ def offline_optimize_channels(
     if beams.shape != (k_tiles, p_elem):
         raise ValueError(f"beams0 shape {beams.shape} does not match (K, P) = {(k_tiles, p_elem)}")
 
-    h = composite_batch(hbar, s, t, beams)
-    v = wmmse.initial_precoders(h, p_budget) if v0 is None else np.array(v0, dtype=complex)
+    h = channel_mod.composite_channel(hbar, s, t, beams)
+    v = wmmse.initial_precoders(h, p_budget)
 
     report = OptReport(eps=float(eps))
     g = w = None
@@ -581,7 +567,7 @@ def offline_optimize_channels(
             raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
-        h = composite_batch(hbar, s, t, beams)  # also the next iteration's channels
+        h = channel_mod.composite_channel(hbar, s, t, beams)  # also the next iteration's channels
         obj = float(pairwise_mean(wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)))
         if not np.isfinite(obj):
             raise NumericalError(
@@ -600,7 +586,7 @@ def offline_optimize_channels(
 
     if constraint.mode == "LC":
         beams, _ = quantize_lc(beams, constraint.n_bits)
-        h = composite_batch(hbar, s, t, beams)
+        h = channel_mod.composite_channel(hbar, s, t, beams)
         report.projected_sum_rate = _mean_sum_rate(h, v, sigma2, alpha) / np.log(2.0)
 
     state = OfflineState(g=g, w=w, v=v)
@@ -678,7 +664,7 @@ def verify_theorem1(
     k_tiles, p_elem, _ = s.shape
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
 
-    h = composite_batch(hbar, s, t, beams)
+    h = channel_mod.composite_channel(hbar, s, t, beams)
     g = wmmse.update_receivers(h, v, sigma2)
     w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2)) if stale_w is None else stale_w
 

@@ -140,7 +140,7 @@ def equivalent_array_factor(
     angles = default_direction_grid() if angles_deg is None else np.asarray(angles_deg, float)
     if angles.size == 0:
         raise ValueError("equivalent_array_factor: empty direction grid")
-    s_k = channel_mod.bs_irs_channel(geometry, cfg, tile) if s is None else np.asarray(s[tile])
+    s_k = np.asarray(channel_mod.bs_irs_channels(geometry, cfg) if s is None else s)[tile]
     e = np.asarray(beams)[tile] * (s_k @ np.asarray(v_col, dtype=complex))
     pattern = array_factor(
         geometry.tiles[tile],
@@ -201,7 +201,7 @@ def evaluate_average_sum_rate(
     for idx in range(n_real):
         sample = scenario_mod.draw_sample(cfg, idx, namespace=namespace)
         cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=cfg_hash)
-        h = channel_mod.composite_channel(cset, beams)
+        h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beams)
         try:
             link = online_wmmse(
                 h,

@@ -244,7 +244,6 @@ class ArrayGeometry:
     tiles: np.ndarray  # (K, P, 3)
     tile_normals: np.ndarray  # (K, 3)
     tile_panel: np.ndarray  # (K,) panel index per tile
-    panel_centers: np.ndarray  # (N_irs, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,6 @@ def build_antenna_positions(cfg: ScenarioConfig) -> ArrayGeometry:
     tiles = []
     normals = []
     panel_ids = []
-    centers = []
     spacing = lam / 2.0
     for p_idx, panel in enumerate(cfg.irs.panels):
         normal, h_axis = WALLS[panel.wall]
@@ -490,7 +488,6 @@ def build_antenna_positions(cfg: ScenarioConfig) -> ArrayGeometry:
             origin = np.array([panel.center_along, 0.0, panel.center_height])
         else:  # north
             origin = np.array([panel.center_along, cfg.room.y, panel.center_height])
-        centers.append(origin)
         h_vec = np.zeros(3)
         h_vec[h_axis] = 1.0
         v_vec = np.array([0.0, 0.0, 1.0])
@@ -513,7 +510,6 @@ def build_antenna_positions(cfg: ScenarioConfig) -> ArrayGeometry:
         tiles=np.array(tiles),
         tile_normals=np.array(normals),
         tile_panel=np.array(panel_ids, dtype=int),
-        panel_centers=np.array(centers),
     )
 
 

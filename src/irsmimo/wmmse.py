@@ -51,8 +51,7 @@ class LinkVariables:
     v: np.ndarray  # (N_u, M, L) precoders
     g: np.ndarray  # (N_u, L, L) receive filters
     w: np.ndarray  # (N_u, L, L) Hermitian PSD weights
-    rates: np.ndarray  # (N_u,) per-user rates
-    rate_unit: str = "bits"
+    rates: np.ndarray  # (N_u,) per-user rates, bits/s/Hz
     # (N_u,) power multipliers from the last V update. Each is the smallest
     # one meeting its budget, even though every update's search starts from
     # the previous mu: a start above the root is first brought down to or
@@ -248,7 +247,6 @@ def online_wmmse(
         g=g,
         w=w,
         rates=user_rates(h, v, sigma2) / np.log(2.0),
-        rate_unit="bits",
         mu=mu,
         objective_trace=trace,
         iterations=iterations,

@@ -456,7 +456,7 @@ def test_13_array_factor_points_at_user():
     s = channel_mod.bs_irs_channels(geometry, cfg)
     sample = scenario.draw_sample(cfg, 0, namespace=scenario.NAMESPACE_EVAL)
     cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
-    h = channel_mod.composite_channel(cset, beam_set.beams)
+    h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beam_set.beams)
     link = wmmse.online_wmmse(h, cfg.noise_power_w(), cfg.power_budgets_w())
     angles, gain = metrics.equivalent_array_factor(
         geometry, cfg, beam_set.beams, link.v[0][:, 0], 0, s=s

@@ -110,16 +110,68 @@ class TestDirectChannel:
         assert h[i, n, m] == pytest.approx(beta / (n_p * n_c) * acc, rel=1e-10)
 
 
+def loop_irs_links(sample, geo, cfg):
+    """S and T from one `_los_link` call per tile and per (user, tile): the
+    reference for the broadcast stacks."""
+    gt = 10.0 ** (cfg.channel.tx_gain_db / 10.0)
+    gr = 10.0 ** (cfg.channel.rx_gain_db / 10.0)
+    k_tiles = len(geo.tiles)
+    s = np.array(
+        [ch._los_link(geo.tiles[k], geo.tile_normals[k], geo.bs, gt, cfg) for k in range(k_tiles)]
+    )
+    t = np.array(
+        [
+            [
+                ch._los_link(geo.tiles[k], geo.tile_normals[k], sample.ue_elements[i], gr, cfg).T
+                for k in range(k_tiles)
+            ]
+            for i in range(cfg.ue.count)
+        ]
+    )
+    return s, t
+
+
 class TestIrsLinks:
     def test_shapes(self, tiny_config, geo):
         s = ch.bs_irs_channels(geo, tiny_config)
         assert s.shape == (4, 8, 8)
         sample = draw_sample(tiny_config, 0)
-        t = ch.irs_ue_channel(sample, geo, tiny_config, 1, 2)
+        t = ch.build_channel_set(sample, geo, tiny_config, s=s).t[1, 2]
         assert t.shape == (2, 8)
 
+    @pytest.mark.parametrize("index", [0, 3, 9])
+    def test_stacks_equal_per_tile_loop(self, index):
+        # Panels on two walls, so the tiles do not share one normal.
+        data = tiny_scenario_dict()
+        data["irs"]["panels"][1] = {
+            "wall": "south", "center_along": 6.0, "center_height": 1.5, "n_h": 4, "n_v": 4
+        }
+        cfg = config_from_dict(data)
+        geo = build_antenna_positions(cfg)
+        assert len({tuple(n) for n in geo.tile_normals}) == 2
+        sample = draw_sample(cfg, index)
+        cs = ch.build_channel_set(sample, geo, cfg)
+        s_ref, t_ref = loop_irs_links(sample, geo, cfg)
+        assert np.array_equal(cs.s, s_ref)
+        assert np.array_equal(cs.t, t_ref)
+
+    def test_irs_ue_entry_hand_computed(self, tiny_config, geo):
+        sample = draw_sample(tiny_config, 0)
+        t = ch.build_channel_set(sample, geo, tiny_config).t
+        lam = tiny_config.wavelength
+        gr = 10.0 ** (tiny_config.channel.rx_gain_db / 10.0)
+        gc = tiny_config.cell_gain()
+        i, k, n, p = 1, 2, 1, 5
+        vec = sample.ue_elements[i][n] - geo.tiles[k, p]
+        d = np.linalg.norm(vec)
+        theta = math.acos(vec @ geo.tile_normals[k] / d)
+        f = math.cos(theta) ** tiny_config.channel.cell_q
+        expect = math.sqrt(gr * gc * f) * lam / (4 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
+        assert expect != 0.0
+        assert t[i, k, n, p] == pytest.approx(expect, rel=1e-12)
+
     def test_bs_irs_entry_hand_computed(self, tiny_config, geo):
-        s = ch.bs_irs_channel(geo, tiny_config, 0)
+        s = ch.bs_irs_channels(geo, tiny_config)[0]
         lam = tiny_config.wavelength
         gt = 10.0 ** (tiny_config.channel.tx_gain_db / 10.0)
         gc = tiny_config.cell_gain()
@@ -149,7 +201,7 @@ class TestChannelSet:
         cs = ch.build_channel_set(sample, geo, tiny_config)
         rng = np.random.default_rng(0)
         beams = np.exp(2j * np.pi * rng.random(cs.s.shape[:2]))
-        h = ch.composite_channel(cs, beams)
+        h = ch.composite_channel(cs.hbar, cs.s, cs.t, beams)
         for i in range(tiny_config.ue.count):
             acc = cs.hbar[i].copy()
             for k in range(cs.s.shape[0]):
@@ -159,7 +211,7 @@ class TestChannelSet:
     def test_composite_rejects_wrong_beam_shape(self, tiny_config, geo):
         cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config)
         with pytest.raises(ValueError, match="beam"):
-            ch.composite_channel(cs, np.ones((3, 8)))
+            ch.composite_channel(cs.hbar, cs.s, cs.t, np.ones((3, 8)))
 
     def test_precomputed_s_reused(self, tiny_config, geo):
         s = ch.bs_irs_channels(geo, tiny_config)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import crandn, synthetic_instance, tiny_scenario_dict
-from irsmimo import irs_opt
+from irsmimo import channel, irs_opt
 from irsmimo.irs_opt import (
     BeamConstraint,
     IrsBeamSet,
@@ -234,7 +234,7 @@ class TestBatchedKernels:
         inst = synthetic_instance(12, n_s=4, n_u=3, l=2, m=4, k=3, p=5)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
-        ghv = irs_opt._coupling(g, irs_opt.composite_batch(hbar, s, t, beams), v)
+        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
         for m in range(beams.shape[0]):
             m_bar, u_bar, _ = irs_opt._tile_statistics(g, w, v, s, t, ghv, beams[m], m, inst["alpha"])
             pairs = [
@@ -249,14 +249,14 @@ class TestBatchedKernels:
         inst = synthetic_instance(13, n_s=3, n_u=3, l=2, m=4, k=3, p=5)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
-        ghv = irs_opt._coupling(g, irs_opt.composite_batch(hbar, s, t, beams), v)
+        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
         for m in range(beams.shape[0]):
             _, _, (a_m, cc, z_m) = irs_opt._tile_statistics(
                 g, w, v, s, t, ghv, beams[m], m, inst["alpha"]
             )
             beams[m] = crandn(inst["rng"], beams.shape[1])
             ghv += irs_opt._tile_term(a_m, cc, beams[m]) - z_m
-            fresh = irs_opt._coupling(g, irs_opt.composite_batch(hbar, s, t, beams), v)
+            fresh = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
             np.testing.assert_allclose(ghv, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
 
     def test_composite_matches_per_sample_loop(self):
@@ -267,7 +267,7 @@ class TestBatchedKernels:
             for i in range(hbar.shape[1]):
                 for k in range(beams.shape[0]):
                     want[n, i] += t[n, i, k] @ np.diag(beams[k]) @ s[k]
-        got = irs_opt.composite_batch(hbar, s, t, beams)
+        got = channel.composite_channel(hbar, s, t, beams)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 

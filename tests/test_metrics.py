@@ -196,7 +196,7 @@ class TestEvaluate:
         geo = build_antenna_positions(tiny_config)
         sample = draw_sample(tiny_config, 1, namespace=1)
         cset = ch.build_channel_set(sample, geo, tiny_config)
-        h = ch.composite_channel(cset, beams)
+        h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
         link = wmmse.online_wmmse(
             h,
             tiny_config.noise_power_w(),

@@ -255,7 +255,7 @@ class TestOnlineWmmse:
         tol, max_iters = cfg.solver.tol_online, cfg.solver.max_online_iters
         for idx in range(4):
             cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg)
-            h = ch.composite_channel(cset, beams)
+            h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
             out = wmmse.online_wmmse(h, sigma2, p_budget, alpha=alpha, tol=tol, max_iters=max_iters)
             rates, iterations, converged = cold_start_online_wmmse(
                 h, sigma2, p_budget, alpha, tol, max_iters
