@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from . import channel as channel_mod
@@ -56,7 +55,7 @@ def _parse_overrides(pairs: list[str] | None) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"override {pair!r} has an empty key path")
-        overrides[key] = yaml.safe_load(raw)
+        overrides[key] = scenario_mod.load_yaml(raw)
     return overrides
 
 
@@ -307,7 +306,7 @@ def _load_sweep_spec(path: str) -> dict:
     if not Path(path).exists():
         raise IOError(f"sweep spec not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        spec = yaml.safe_load(fh)
+        spec = scenario_mod.load_yaml(fh)
     if not isinstance(spec, dict):
         raise ConfigError("sweep spec must be a mapping")
     unknown = set(spec) - {

@@ -389,7 +389,7 @@ def frozen_weighted_mse(
     """mean_n sum_i alpha_i tr(W_i E_i) as a function of the beams, with the
     digital variables frozen. Reference evaluator for the gradient oracles."""
     h = channel_mod.composite_channel(hbar, s, t, beams)
-    e = wmmse.mse_matrices(h, v, g, sigma2)
+    e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
     tr_we = np.real(np.einsum("nilk,nikl->ni", w, e))
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, tr_we)))
 
@@ -412,7 +412,7 @@ def frozen_sum_rate(
 
 def _mean_sum_rate(h: np.ndarray, v: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
     """mean_n sum_i alpha_i R_i (nats) on the channel stack h."""
-    rates = wmmse.user_rates(h, v, sigma2)
+    rates = wmmse.user_rates(wmmse.pair_products(h, v), sigma2)
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, rates)))
 
 
@@ -425,9 +425,9 @@ def receivers_and_weights(
     sigma2: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MMSE receivers and W = E^-1 for the sample stack at the given beams."""
-    h = channel_mod.composite_channel(hbar, s, t, beams)
-    g = wmmse.update_receivers(h, v, sigma2)
-    return g, wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
+    hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
+    g = wmmse.update_receivers(hv, sigma2)
+    return g, wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
 
 
 def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -538,6 +538,7 @@ def offline_optimize_channels(
 
     h = channel_mod.composite_channel(hbar, s, t, beams)
     v = wmmse.initial_precoders(h, p_budget)
+    hv = wmmse.pair_products(h, v)
 
     report = OptReport(eps=float(eps))
     g = w = None
@@ -545,8 +546,8 @@ def offline_optimize_channels(
         t_start = time.perf_counter()
 
         # One BCD step of the digital variables at the current beams.
-        g = wmmse.update_receivers(h, v, sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
+        g = wmmse.update_receivers(hv, sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
         v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
 
         # Tile updates: the sequential order refreshes the cached cross
@@ -567,8 +568,11 @@ def offline_optimize_channels(
             raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
-        h = channel_mod.composite_channel(hbar, s, t, beams)  # also the next iteration's channels
-        obj = float(pairwise_mean(wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)))
+        # The channels and pair products at the new beams also serve the
+        # next iteration's digital step.
+        h = channel_mod.composite_channel(hbar, s, t, beams)
+        hv = wmmse.pair_products(h, v)
+        obj = float(pairwise_mean(wmmse.weighted_mse_objective(hv, g, w, alpha, sigma2)))
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
@@ -665,8 +669,9 @@ def verify_theorem1(
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
 
     h = channel_mod.composite_channel(hbar, s, t, beams)
-    g = wmmse.update_receivers(h, v, sigma2)
-    w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2)) if stale_w is None else stale_w
+    hv = wmmse.pair_products(h, v)
+    g = wmmse.update_receivers(hv, sigma2)
+    w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2)) if stale_w is None else stale_w
 
     ghv = _coupling(g, h, v)
     grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)

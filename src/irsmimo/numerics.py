@@ -36,13 +36,19 @@ class NumericalError(RuntimeError):
 
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian symmetrization (A + A^H) / 2."""
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def check_finite(a: np.ndarray, name: str = "array") -> None:
     """Raise NumericalError if any entry is NaN or Inf."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"{name} contains non-finite entries")
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., m, n), by the formula
+    of np.linalg.norm(a, axis=(-2, -1)) without its per-call dispatch."""
+    return np.sqrt((a.conj() * a).real.sum(axis=(-2, -1)))
 
 
 def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN_RTOL) -> None:
@@ -51,9 +57,9 @@ def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-300)
-    dev = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
-    if np.any(dev > rtol * scale):
+    scale = np.maximum(_frobenius(a), 1e-300)
+    dev = _frobenius(a - a.conj().swapaxes(-1, -2))
+    if (dev > rtol * scale).any():
         i = np.argmax(dev / scale)
         raise ValueError(
             f"{name} is not Hermitian: ||A - A^H|| = {dev.flat[i]:.3e}, ||A|| = {scale.flat[i]:.3e}"
@@ -122,6 +128,12 @@ def power_constrained_solve(
     the smallest mu meeting the budget. mu0 = 0 starts where no mu0 does,
     bit for bit; interior entries return 0 whatever their mu0.
 
+    p is evaluated once per Newton point. p(0) and p at the warm start come
+    from one evaluation on the two stacked multiplier arrays, and the budget
+    residual is read from the last pass of the rise, which moves no entry
+    and so has evaluated p at the returned mu. A search costs one
+    evaluation plus one per pass.
+
     Raises
     ------
     ValueError
@@ -136,7 +148,7 @@ def power_constrained_solve(
     check_finite(b, "power_constrained_solve B")
     check_hermitian(a, "power_constrained_solve A")
     budget = np.asarray(budget, dtype=float)
-    if np.any(budget <= 0):
+    if (budget <= 0).any():
         raise ValueError(f"power budget must be positive, got {budget}")
 
     vector_rhs = b.ndim == a.ndim - 1
@@ -145,15 +157,16 @@ def power_constrained_solve(
     eigvals, eigvecs = np.linalg.eigh(herm(a))
     # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
     eigvals = np.maximum(eigvals, 0.0)
-    bt = np.swapaxes(eigvecs.conj(), -1, -2) @ b
-    row_power = np.sum(np.abs(bt) ** 2, axis=-1)
+    bt = eigvecs.conj().swapaxes(-1, -2) @ b
+    row_power = (np.abs(bt) ** 2).sum(axis=-1)
+    active = row_power > 0.0
 
     def power(mu):
         # p(mu) and -p'(mu) / 2
         denom = eigvals + mu[..., None]
-        terms = np.where(row_power > 0.0, row_power / denom**2, 0.0)
-        slope = np.where(row_power > 0.0, terms / denom, 0.0)
-        return np.sum(terms, axis=-1), np.sum(slope, axis=-1)
+        terms = np.where(active, row_power / denom**2, 0.0)
+        slope = np.where(active, terms / denom, 0.0)
+        return terms.sum(axis=-1), slope.sum(axis=-1)
 
     def newton(mu):
         # p(mu) and the Newton iterate from mu on 1/sqrt(p) - 1/sqrt(P)
@@ -162,32 +175,37 @@ def power_constrained_solve(
 
     # 0/0 arises only on zero-power rows and interior entries, which the masks discard.
     with np.errstate(divide="ignore", invalid="ignore"):
-        moving = power(np.zeros(()))[0] > budget
-        lo = np.max(np.sqrt(row_power / budget[..., None]) - eigvals, axis=-1)
-        hi = np.sqrt(np.sum(row_power, axis=-1) / budget)
+        lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
+        hi = np.sqrt(row_power.sum(axis=-1) / budget)
         floor = np.maximum(lo, 0.0)
-        mu = floor
-        if mu0 is not None:
+        if mu0 is None:
+            p0 = power(np.zeros(()))[0]
+            mu = floor
+        else:
             mu0 = np.asarray(mu0, dtype=float)
             try:
-                mu0 = np.broadcast_to(mu0, moving.shape)
+                mu0 = np.broadcast_to(mu0, floor.shape)
             except ValueError as exc:
                 raise ValueError(
-                    f"mu0 shape {mu0.shape} does not broadcast to {moving.shape}"
+                    f"mu0 shape {mu0.shape} does not broadcast to {floor.shape}"
                 ) from exc
-            if not np.all(np.isfinite(mu0) & (mu0 >= 0.0)):
+            if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
                 raise ValueError("mu0 must be finite and non-negative")
             mu = np.minimum(np.maximum(mu0, floor), hi)
-            p, step = newton(mu)
+            (p0, p), (_, step) = newton(np.array([np.zeros_like(mu), mu]))
             mu = np.where(p < budget, np.maximum(step, floor), mu)
+        moving = p0 > budget
         mu = np.where(moving, mu, 0.0)
         boundary = moving.copy()
-        while np.any(moving):
-            step = np.minimum(newton(mu)[1], hi)
+        p = budget  # the residual stays 0 when no entry is on the boundary
+        while moving.any():
+            p, step = newton(mu)
+            step = np.minimum(step, hi)
             moving &= step > mu
             mu = np.where(moving, step, mu)
-        residual = np.where(boundary, np.abs(power(mu)[0] - budget), 0.0)
-    if np.any(residual > POWER_RTOL * budget):
+        # The last pass moved no entry, so p is the power at the returned mu.
+        residual = np.where(boundary, np.abs(p - budget), 0.0)
+    if (residual > POWER_RTOL * budget).any():
         raise NumericalError(
             f"power_constrained_solve: residual {np.max(residual / budget):.3e} exceeds "
             f"{POWER_RTOL:g} * budget"

@@ -29,6 +29,7 @@ __all__ = [
     "ScenarioSample",
     "ArrayGeometry",
     "load_config",
+    "load_yaml",
     "config_from_dict",
     "config_to_dict",
     "apply_overrides",
@@ -42,6 +43,10 @@ __all__ = [
     "NAMESPACE_EVAL",
     "NAMESPACE_INIT",
 ]
+
+# PyYAML's libyaml parser where PyYAML was built with it, else the pure-Python
+# one. Both build documents with the same safe constructor.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 # RNG namespaces: offline training samples, evaluation realizations, beam init.
 NAMESPACE_TRAIN = 0
@@ -300,10 +305,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
+def load_yaml(stream) -> Any:
+    """One YAML document from a string or a file, read with `YAML_LOADER`."""
+    return yaml.load(stream, Loader=YAML_LOADER)
+
+
 def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
     """Load a YAML configuration file, apply dotted-path overrides, validate."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = load_yaml(fh)
     if data is None:
         raise ConfigError(f"{path}: empty configuration file")
     if overrides:

@@ -9,11 +9,18 @@ is minimized by alternating closed-form updates of the receive filters G,
 the MSE weights W and the precoders V. Each block update is the exact
 minimizer of the objective over its block.
 
-Every kernel here takes channels shaped (..., N_u, L, M): with no leading
-axis it serves one channel realization (the online solver), with a leading
-N_s axis the frozen sample stack of the offline optimizer in `irs_opt`.
-Each slice of a stack gets the same floating-point operations as that
-channel set alone, so batching never changes a result.
+The kernels work on channels shaped (..., N_u, L, M): with no leading axis
+they serve one channel realization (the online solver), with a leading N_s
+axis the frozen sample stack of the offline optimizer in `irs_opt`. Each
+slice of a stack gets the same floating-point operations as that channel
+set alone, so batching never changes a result.
+
+The receivers, the MSE matrices, the objective and the rates read the
+channels only through the user-pair products H_i V_j, so they take those
+products from `pair_products` instead of (H, V). A caller forms them once
+per precoder iterate and shares them: in the online solver the objective,
+the next iteration's receivers and weights, and the final rates all use
+one set. The precoder update takes the channels themselves.
 
 `online_wmmse` runs the updates to convergence on one realization; its
 objective trace is non-increasing, and a measured increase beyond 1e-9
@@ -31,6 +38,7 @@ from .numerics import NumericalError, check_finite, herm, power_constrained_solv
 __all__ = [
     "LinkVariables",
     "logdet_hpd",
+    "pair_products",
     "update_receivers",
     "mse_matrices",
     "update_weights",
@@ -74,39 +82,43 @@ def logdet_hpd(mats: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(herm(mats))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"batched log det: matrix not positive definite ({exc})") from exc
-    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-    return 2.0 * np.sum(np.log(diag), axis=-1)
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
-def update_receivers(h: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
+def pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """User-pair products H_i V_j, shaped (..., N_u, N_u, L, L) with the
+    receiving user i before the precoded user j."""
+    return np.einsum("...ilm,...jmc->...ijlc", h, v)
+
+
+def update_receivers(hv: np.ndarray, sigma2: float) -> np.ndarray:
     """MMSE receive filters G_i = J_i^-1 H_i V_i with
-    J_i = sum_j H_i V_j V_j^H H_i^H + sigma2 I (the sum includes j = i)."""
-    hv = np.einsum("...ilm,...jmc->...ijlc", h, v)  # H_i V_j
-    j_mat = sigma2 * np.eye(h.shape[-2], dtype=complex) + np.einsum(
+    J_i = sum_j H_i V_j V_j^H H_i^H + sigma2 I (the sum includes j = i),
+    from the pair products hv = `pair_products`(H, V)."""
+    j_mat = sigma2 * np.eye(hv.shape[-2], dtype=complex) + np.einsum(
         "...ijlc,...ijkc->...ilk", hv, hv.conj()
     )
     return np.linalg.solve(j_mat, _diag_pairs(hv))
 
 
-def mse_matrices(h: np.ndarray, v: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
+def mse_matrices(hv: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
     """Symbol MSE matrices E_i = (I - G_i^H H_i V_i)(.)^H
-    + sum_{j != i} G_i^H H_i V_j (.)^H + sigma2 G_i^H G_i (Hermitian PSD)."""
-    hv = np.einsum("...ilm,...jmc->...ijlc", h, v)
-    gh = np.swapaxes(g.conj(), -1, -2)
+    + sum_{j != i} G_i^H H_i V_j (.)^H + sigma2 G_i^H G_i (Hermitian PSD),
+    from the pair products hv = `pair_products`(H, V)."""
+    gh = g.conj().swapaxes(-1, -2)
     cross = np.einsum("...ilk,...ijkc->...ijlc", gh, hv)  # G_i^H H_i V_j
     total = np.einsum("...ijlc,...ijkc->...ilk", cross, cross.conj())
     own = _diag_pairs(cross)
-    eye = np.eye(v.shape[-1], dtype=complex)
-    e = total + eye - own - np.swapaxes(own.conj(), -1, -2)
+    eye = np.eye(hv.shape[-1], dtype=complex)
+    e = total + eye - own - own.conj().swapaxes(-1, -2)
     e = e + sigma2 * np.einsum("...ilk,...ikc->...ilc", gh, g)
     return herm(e)
 
 
 def update_weights(e: np.ndarray) -> np.ndarray:
     """MSE weights W_i = E_i^-1."""
-    eye = np.eye(e.shape[-1], dtype=complex)
     try:
-        w = np.linalg.solve(e, np.broadcast_to(eye, e.shape).copy())
+        w = np.linalg.inv(e)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"update_weights: singular MSE matrix ({exc})") from exc
     check_finite(w, "weights")
@@ -131,42 +143,42 @@ def update_precoders(
     mu, warm-starts that search; the search first brings a start above
     the root down to or below it, so the multipliers are the same smallest
     ones to rounding."""
-    gwg = g @ w @ np.swapaxes(g.conj(), -1, -2)
-    k_mat = herm(np.einsum("j,...jmr->...mr", alpha, np.swapaxes(h.conj(), -1, -2) @ gwg @ h))
-    rhs = alpha[:, None, None] * (np.swapaxes(h.conj(), -1, -2) @ (g @ w))
+    hh = h.conj().swapaxes(-1, -2)
+    gwg = g @ w @ g.conj().swapaxes(-1, -2)
+    k_mat = herm(np.einsum("j,...jmr->...mr", alpha, hh @ gwg @ h))
+    rhs = alpha[:, None, None] * (hh @ (g @ w))
     return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget, mu0=mu0)
 
 
 def weighted_mse_objective(
-    h: np.ndarray,
-    v: np.ndarray,
+    hv: np.ndarray,
     g: np.ndarray,
     w: np.ndarray,
     alpha: np.ndarray,
     sigma2: float,
 ) -> np.ndarray:
     """Objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, one value per
-    channel set (shape (...))."""
-    e = mse_matrices(h, v, g, sigma2)
-    tr_we = np.real(np.einsum("...ilk,...ikl->...i", w, e))
+    channel set (shape (...)), from the pair products hv = `pair_products`(H, V)."""
+    e = mse_matrices(hv, g, sigma2)
+    tr_we = np.einsum("...ilk,...ikl->...i", w, e).real
     return np.einsum("i,...i->...", alpha, tr_we - logdet_hpd(w))
 
 
-def user_rates(h: np.ndarray, v: np.ndarray, sigma2: float) -> np.ndarray:
+def user_rates(hv: np.ndarray, sigma2: float) -> np.ndarray:
     """Achievable per-user rates in nats, shape (..., N_u):
     log det(I_L + V_i^H H_i^H Jbar_i^-1 H_i V_i), with Jbar_i the
-    interference-plus-noise covariance sum_{j != i} H_i V_j V_j^H H_i^H + sigma2 I.
+    interference-plus-noise covariance sum_{j != i} H_i V_j V_j^H H_i^H + sigma2 I,
+    from the pair products hv = `pair_products`(H, V).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    hv = np.einsum("...ilm,...jmc->...ijlc", h, v)
     total = np.einsum("...ijlc,...ijkc->...ilk", hv, hv.conj())
     own = _diag_pairs(hv)
-    jbar = sigma2 * np.eye(h.shape[-2], dtype=complex) + total - np.einsum(
+    jbar = sigma2 * np.eye(hv.shape[-2], dtype=complex) + total - np.einsum(
         "...ilc,...ikc->...ilk", own, own.conj()
     )
     inner = np.einsum("...ilc,...ilk->...ick", own.conj(), np.linalg.solve(jbar, own))
-    return logdet_hpd(np.eye(v.shape[-1], dtype=complex) + inner)
+    return logdet_hpd(np.eye(hv.shape[-1], dtype=complex) + inner)
 
 
 def initial_precoders(h: np.ndarray, p_budget: np.ndarray) -> np.ndarray:
@@ -174,7 +186,7 @@ def initial_precoders(h: np.ndarray, p_budget: np.ndarray) -> np.ndarray:
     vectors of H_i with equal per-stream power P_i / L."""
     l_ant = h.shape[-2]
     _, _, vh = np.linalg.svd(h)
-    return np.swapaxes(vh.conj(), -1, -2)[..., :l_ant] * np.sqrt(
+    return vh.conj().swapaxes(-1, -2)[..., :l_ant] * np.sqrt(
         np.asarray(p_budget, dtype=float)[:, None, None] / l_ant
     )
 
@@ -201,6 +213,10 @@ def online_wmmse(
     Newton path only: the search still returns the smallest multiplier
     meeting each budget, so V agrees with a cold-started loop to rounding.
 
+    The pair products H_i V_j are formed once per precoder iterate: the
+    objective at the new precoders, the next iteration's receivers and
+    weights, and at the end the final refresh and the rates share them.
+
     Raises NumericalError if the objective increases by more than 1e-9
     between iterations.
     """
@@ -216,6 +232,7 @@ def online_wmmse(
         np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()
     )
     v = initial_precoders(h, p_budget) if v0 is None else np.array(v0, dtype=complex)
+    hv = pair_products(h, v)
 
     trace: list[float] = []
     prev = np.inf
@@ -223,10 +240,11 @@ def online_wmmse(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        g = update_receivers(h, v, sigma2)
-        w = update_weights(mse_matrices(h, v, g, sigma2))
+        g = update_receivers(hv, sigma2)
+        w = update_weights(mse_matrices(hv, g, sigma2))
         v, mu = update_precoders(h, g, w, alpha, p_budget, mu0=mu)
-        obj = float(weighted_mse_objective(h, v, g, w, alpha, sigma2))
+        hv = pair_products(h, v)
+        obj = float(weighted_mse_objective(hv, g, w, alpha, sigma2))
         if not np.isfinite(obj):
             raise NumericalError("online_wmmse: non-finite objective")
         if obj > prev + MONOTONE_TOL:
@@ -240,13 +258,13 @@ def online_wmmse(
         prev = obj
 
     # Final refresh so rates and weights satisfy the duality identity.
-    g = update_receivers(h, v, sigma2)
-    w = update_weights(mse_matrices(h, v, g, sigma2))
+    g = update_receivers(hv, sigma2)
+    w = update_weights(mse_matrices(hv, g, sigma2))
     return LinkVariables(
         v=v,
         g=g,
         w=w,
-        rates=user_rates(h, v, sigma2) / np.log(2.0),
+        rates=user_rates(hv, sigma2) / np.log(2.0),
         mu=mu,
         objective_trace=trace,
         iterations=iterations,

@@ -1,5 +1,10 @@
+import copy
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from conftest import tiny_scenario_dict
 from irsmimo import scenario
@@ -228,3 +233,38 @@ def test_ue_elements_line_along_y(tiny_config):
     assert elems.shape == (1, 2, 3)
     assert elems[0, 1, 1] - elems[0, 0, 1] == pytest.approx(0.03)
     assert np.allclose(elems[0, :, [0, 2]].T, [[2.0, 1.0], [2.0, 1.0]])
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _scenario_configs(path, loader):
+    """Every scenario a file in configs/ describes, read with one loader:
+    the file itself, or each grid point of a sweep spec over its base."""
+    with open(path, encoding="utf-8") as fh:
+        doc = yaml.load(fh, Loader=loader)
+    if "base_config" not in doc:
+        return doc, [config_from_dict(doc)]
+    with open(path.parent / doc["base_config"], encoding="utf-8") as fh:
+        base = yaml.load(fh, Loader=loader)
+    configs = []
+    for combo in itertools.product(*[axis["points"] for axis in doc["axes"]]):
+        data = copy.deepcopy(base)
+        for point in combo:
+            apply_overrides(data, point.get("overrides") or {})
+        configs.append(config_from_dict(data))
+    return doc, configs
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+def test_yaml_loader_agrees_with_pure_python_loader(path):
+    fast_doc, fast = _scenario_configs(path, scenario.YAML_LOADER)
+    slow_doc, slow = _scenario_configs(path, yaml.SafeLoader)
+    assert fast_doc == slow_doc
+    assert fast == slow
+    assert [config_hash(c) for c in fast] == [config_hash(c) for c in slow]
+
+
+def test_yaml_loader_uses_libyaml_where_built():
+    expect = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario.YAML_LOADER is expect

@@ -51,22 +51,31 @@ def mse_matrix(h_i, v, g_i, sigma2, i):
     return herm(e)
 
 
-def cold_start_online_wmmse(h, sigma2, p_budget, alpha, tol, max_iters):
-    """The online loop with every mu search started cold (no mu0).
-    Returns (rates in bits, iterations, converged)."""
+def kernel_loop_online_wmmse(h, sigma2, p_budget, alpha, tol, max_iters, warm_mu=True):
+    """The online solver spelled out as a plain loop of the public kernels,
+    each forming its own pair products, then the final receiver and weight
+    refresh and the rates. With warm_mu=False every mu search starts cold
+    (no mu0). Returns (rates in bits, V, G, W, mu, objective trace,
+    iterations, converged)."""
     v = wmmse.initial_precoders(h, p_budget)
+    mu = np.zeros(h.shape[0])
+    trace = []
     prev = np.inf
     converged = False
     for iterations in range(1, max_iters + 1):
-        g = wmmse.update_receivers(h, v, sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
-        v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
-        obj = float(wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2))
+        g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
+        v, mu = wmmse.update_precoders(h, g, w, alpha, p_budget, mu0=mu if warm_mu else None)
+        obj = float(wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, alpha, sigma2))
+        trace.append(obj)
         if np.isfinite(prev) and prev - obj <= tol * abs(prev):
             converged = True
             break
         prev = obj
-    return wmmse.user_rates(h, v, sigma2) / np.log(2.0), iterations, converged
+    g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
+    w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
+    rates = wmmse.user_rates(wmmse.pair_products(h, v), sigma2) / np.log(2.0)
+    return rates, v, g, w, mu, trace, iterations, converged
 
 
 class TestUserRate:
@@ -78,31 +87,31 @@ class TestUserRate:
         direct = logdet_psd(
             herm(np.eye(2, dtype=complex) + hv.conj().T @ hv / sigma2)
         )
-        assert wmmse.user_rates(h, v, sigma2)[0] == pytest.approx(direct, rel=1e-12)
+        assert wmmse.user_rates(wmmse.pair_products(h, v), sigma2)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_matches_loop_reference(self):
         h, rng = random_links(18)
         v = crandn(rng, 3, 6, 2)
         expect = [user_rate(h[i], v, 0.3, i) for i in range(3)]
-        assert np.allclose(wmmse.user_rates(h, v, 0.3), expect, rtol=LOOP_RTOL, atol=0.0)
+        assert np.allclose(wmmse.user_rates(wmmse.pair_products(h, v), 0.3), expect, rtol=LOOP_RTOL, atol=0.0)
 
     def test_interference_lowers_rate(self):
         h, rng = random_links(1)
         v = crandn(rng, 3, 6, 2)
-        alone = wmmse.user_rates(h[:1], v[:1], 1.0)[0]
-        crowded = wmmse.user_rates(h, v, 1.0)[0]
+        alone = wmmse.user_rates(wmmse.pair_products(h[:1], v[:1]), 1.0)[0]
+        crowded = wmmse.user_rates(wmmse.pair_products(h, v), 1.0)[0]
         assert crowded < alone
 
     def test_zero_precoder_zero_rate(self):
         h, _ = random_links(2, n_u=1)
         v = np.zeros((1, 6, 2), dtype=complex)
-        assert wmmse.user_rates(h, v, 1.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert wmmse.user_rates(wmmse.pair_products(h, v), 1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_nonpositive_noise(self):
         h, rng = random_links(3, n_u=1)
         v = crandn(rng, 1, 6, 2)
         with pytest.raises(ValueError):
-            wmmse.user_rates(h, v, 0.0)
+            wmmse.user_rates(wmmse.pair_products(h, v), 0.0)
 
 
 class TestBlocks:
@@ -110,7 +119,7 @@ class TestBlocks:
         h, rng = random_links(4)
         v = crandn(rng, 3, 6, 2)
         sigma2 = 0.3
-        g = wmmse.update_receivers(h, v, sigma2)
+        g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
         for i in range(3):
             j = sigma2 * np.eye(2, dtype=complex)
             for k in range(3):
@@ -122,12 +131,12 @@ class TestBlocks:
     def test_mmse_receiver_minimizes_trace_mse(self):
         h, rng = random_links(5)
         v = crandn(rng, 3, 6, 2)
-        g = wmmse.update_receivers(h, v, 0.7)
-        base = float(np.real(np.trace(wmmse.mse_matrices(h, v, g, 0.7)[0])))
+        g = wmmse.update_receivers(wmmse.pair_products(h, v), 0.7)
+        base = float(np.real(np.trace(wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.7)[0])))
         for _ in range(20):
             probe = g.copy()
             probe[0] = g[0] + 0.1 * crandn(rng, 2, 2)
-            other = float(np.real(np.trace(wmmse.mse_matrices(h, v, probe, 0.7)[0])))
+            other = float(np.real(np.trace(wmmse.mse_matrices(wmmse.pair_products(h, v), probe, 0.7)[0])))
             assert other >= base - 1e-12
 
     def test_mse_matrices_match_loop_reference(self):
@@ -135,13 +144,13 @@ class TestBlocks:
         v = crandn(rng, 3, 6, 2)
         g = crandn(rng, 3, 2, 2)
         expect = np.array([mse_matrix(h[i], v, g[i], 0.6, i) for i in range(3)])
-        assert np.allclose(wmmse.mse_matrices(h, v, g, 0.6), expect, rtol=LOOP_RTOL, atol=0.0)
+        assert np.allclose(wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.6), expect, rtol=LOOP_RTOL, atol=0.0)
 
     def test_weights_invert_mse(self):
         h, rng = random_links(6)
         v = crandn(rng, 3, 6, 2)
-        g = wmmse.update_receivers(h, v, 0.4)
-        e = wmmse.mse_matrices(h, v, g, 0.4)
+        g = wmmse.update_receivers(wmmse.pair_products(h, v), 0.4)
+        e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.4)
         w = wmmse.update_weights(e)
         for i in range(3):
             assert np.allclose(w[i] @ e[i], np.eye(2), atol=1e-10)
@@ -149,8 +158,8 @@ class TestBlocks:
     def test_precoders_meet_power_budgets(self):
         h, rng = random_links(7)
         v = crandn(rng, 3, 6, 2)
-        g = wmmse.update_receivers(h, v, 0.2)
-        e = wmmse.mse_matrices(h, v, g, 0.2)
+        g = wmmse.update_receivers(wmmse.pair_products(h, v), 0.2)
+        e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.2)
         w = wmmse.update_weights(e)
         budgets = np.array([1.0, 2.0, 0.5])
         v_new, mu = wmmse.update_precoders(h, g, w, np.ones(3), budgets)
@@ -165,12 +174,12 @@ class TestBlocks:
         v = wmmse.initial_precoders(h, np.full(3, 2.0))
         sigma2 = 0.5
         alpha = np.ones(3)
-        g = wmmse.update_receivers(h, v, sigma2)
-        e = wmmse.mse_matrices(h, v, g, sigma2)
+        g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
+        e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
         w = wmmse.update_weights(e)
-        before = wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)
+        before = wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, alpha, sigma2)
         v_new, _ = wmmse.update_precoders(h, g, w, alpha, np.full(3, 2.0))
-        after = wmmse.weighted_mse_objective(h, v_new, g, w, alpha, sigma2)
+        after = wmmse.weighted_mse_objective(wmmse.pair_products(h, v_new), g, w, alpha, sigma2)
         assert after <= before + 1e-12
 
     def test_svd_init_uses_full_power(self):
@@ -226,7 +235,7 @@ class TestOnlineWmmse:
         sigma2 = 0.1
         out = wmmse.online_wmmse(h, sigma2, 2.0)
         v_iso = wmmse.initial_precoders(h, np.full(3, 2.0))
-        base = wmmse.user_rates(h, v_iso, sigma2).sum()
+        base = wmmse.user_rates(wmmse.pair_products(h, v_iso), sigma2).sum()
         assert out.rates.sum() * np.log(2.0) >= base - 1e-9
 
     def test_zero_channels_give_zero_rates(self):
@@ -257,12 +266,37 @@ class TestOnlineWmmse:
             cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg)
             h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
             out = wmmse.online_wmmse(h, sigma2, p_budget, alpha=alpha, tol=tol, max_iters=max_iters)
-            rates, iterations, converged = cold_start_online_wmmse(
-                h, sigma2, p_budget, alpha, tol, max_iters
+            rates, *_, iterations, converged = kernel_loop_online_wmmse(
+                h, sigma2, p_budget, alpha, tol, max_iters, warm_mu=False
             )
             assert out.iterations == iterations
             assert out.converged == converged
             assert np.allclose(out.rates, rates, rtol=1e-8, atol=0.0)
+
+    def test_shared_pair_products_match_kernel_loop_bit_for_bit(self, tiny_config):
+        """Forming H_i V_j once per precoder iterate changes no bit: four
+        realizations, the last stopped by a small iteration cap, equal the
+        plain kernel loop exactly."""
+        cfg = tiny_config
+        geo = build_antenna_positions(cfg)
+        rng = np.random.default_rng(22)
+        beams = np.exp(2j * np.pi * rng.random((cfg.k_total, cfg.p_per_tile)))
+        sigma2, p_budget, alpha = cfg.noise_power_w(), cfg.power_budgets_w(), cfg.alpha()
+        tol = cfg.solver.tol_online
+        caps = [cfg.solver.max_online_iters] * 3 + [4]
+        for idx, max_iters in enumerate(caps):
+            cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg)
+            h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
+            out = wmmse.online_wmmse(h, sigma2, p_budget, alpha=alpha, tol=tol, max_iters=max_iters)
+            rates, v, g, w, mu, trace, iterations, converged = kernel_loop_online_wmmse(
+                h, sigma2, p_budget, alpha, tol, max_iters
+            )
+            for got, expect in [(out.rates, rates), (out.v, v), (out.g, g), (out.w, w),
+                                (out.mu, mu), (out.objective_trace, trace)]:
+                assert np.array_equal(got, expect)
+            assert out.iterations == iterations
+            assert out.converged == converged
+        assert not out.converged and out.iterations == 4
 
     def test_alpha_weights_shift_rates(self):
         h, _ = random_links(17, n_u=2, l_ant=2, m_ant=6)
@@ -285,11 +319,11 @@ class TestBatching:
             v = wmmse.initial_precoders(h, budgets)
             out = []
             for _ in range(3):
-                g = wmmse.update_receivers(h, v, sigma2)
-                w = wmmse.update_weights(wmmse.mse_matrices(h, v, g, sigma2))
+                g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
+                w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
                 v, mu = wmmse.update_precoders(h, g, w, alpha, budgets)
-                obj = wmmse.weighted_mse_objective(h, v, g, w, alpha, sigma2)
-                out.append((g, w, v, mu, wmmse.user_rates(h, v, sigma2), obj))
+                obj = wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, alpha, sigma2)
+                out.append((g, w, v, mu, wmmse.user_rates(wmmse.pair_products(h, v), sigma2), obj))
             return out
 
         batched = run(stack)
