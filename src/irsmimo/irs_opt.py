@@ -21,7 +21,11 @@ The simultaneous variant (all tiles from the previous iterate) is available
 through the solver.tile_order configuration key. Both orders, and the
 gradient check `verify_theorem1`, take the per-tile statistics from
 `_tile_statistics`, which forms them as batched matrix products with the
-users folded into the inner axes.
+users folded into the inner axes. Its per-sample M stack and the tree of
+its pairwise mean live in one `_tile_workspace`, allocated once per run
+and overwritten by every tile call. Allocated per call, these megabyte
+stacks went back to the operating system when freed (glibc trims the
+heap top), so every tile call faulted them in again as zeroed pages.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -47,7 +51,14 @@ import numpy as np
 from . import channel as channel_mod
 from . import scenario as scenario_mod
 from . import wmmse
-from .numerics import NumericalError, check_finite, herm, pairwise_mean, power_constrained_solve
+from .numerics import (
+    NumericalError,
+    check_finite,
+    herm,
+    pairwise_mean,
+    pairwise_mean_nodes,
+    power_constrained_solve,
+)
 from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, ScenarioConfig
 
 __all__ = [
@@ -402,17 +413,19 @@ def frozen_sum_rate(
     v: np.ndarray,
     sigma2: float,
     alpha: np.ndarray,
-    h: np.ndarray | None = None,
+    hv: np.ndarray | None = None,
 ) -> float:
-    """mean_n sum_i alpha_i R_i (nats) with the precoders frozen."""
-    if h is None:
-        h = channel_mod.composite_channel(hbar, s, t, beams)
-    return _mean_sum_rate(h, v, sigma2, alpha)
+    """mean_n sum_i alpha_i R_i (nats) with the precoders frozen. hv, when
+    given, holds the pair products H_i V_j at these beams and precoders
+    (`wmmse.pair_products`), and the channels are not formed again."""
+    if hv is None:
+        hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
+    return _mean_sum_rate(hv, sigma2, alpha)
 
 
-def _mean_sum_rate(h: np.ndarray, v: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
-    """mean_n sum_i alpha_i R_i (nats) on the channel stack h."""
-    rates = wmmse.user_rates(wmmse.pair_products(h, v), sigma2)
+def _mean_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
+    """mean_n sum_i alpha_i R_i (nats) from the pair products hv."""
+    rates = wmmse.user_rates(hv, sigma2)
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, rates)))
 
 
@@ -447,6 +460,29 @@ def _tile_term(a_m: np.ndarray, cc: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a_m * b) @ cc[:, None]
 
 
+@dataclass(frozen=True)
+class _TileWorkspace:
+    """The per-sample M stacks of `_tile_statistics`, allocated once per run.
+
+    nodes (2 N_s - 1, P, P) is the `pairwise_mean_nodes` buffer: its first
+    N_s rows receive Phi and then M = Phi had Psi^T, the rest the inner
+    nodes of the mean. psi (N_s, P, P) receives Psi = CC CC^H, and once M
+    is formed serves the mean as its scratch. Every call overwrites both,
+    so one workspace serves every tile and iteration.
+    """
+
+    nodes: np.ndarray
+    psi: np.ndarray
+
+
+def _tile_workspace(n_s: int, p: int) -> _TileWorkspace:
+    """A `_TileWorkspace` for N_s samples and P elements per tile."""
+    return _TileWorkspace(
+        nodes=np.empty((2 * n_s - 1, p, p), dtype=complex),
+        psi=np.empty((n_s, p, p), dtype=complex),
+    )
+
+
 def _tile_statistics(
     g: np.ndarray,
     w: np.ndarray,
@@ -457,9 +493,11 @@ def _tile_statistics(
     b_m: np.ndarray,
     m: int,
     alpha: np.ndarray,
+    ws: _TileWorkspace,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
-    with ghv = G_i^H H_i V_j at the current beams (see `_coupling`).
+    with ghv = G_i^H H_i V_j at the current beams (see `_coupling`). The
+    per-sample M stack is formed in the workspace ws (`_tile_workspace`).
 
     Also returns the tile factors (A_m, CC_m, Z_m): A_im = G_i^H T_im
     (N_s, N_u, L, P), CC_m = [C_m1 ... C_mNu] (N_s, P, N_u*L) with
@@ -475,12 +513,16 @@ def _tile_statistics(
     w_alpha = alpha[:, None, None] * w
     # The users i fold into the rows: a_f[n] = [A_1m; ...; A_Nu m] (N_u*L, P).
     a_f = a_m.reshape(n_s, n_u * l_ant, p_elem)
-    phi = np.swapaxes(a_f.conj(), -1, -2) @ (w_alpha @ a_m).reshape(a_f.shape)
-    m_stack = phi * np.swapaxes(cc @ cc_h, -1, -2)
+    a_fc = a_f.conj()
+    # Phi, then M = Phi had Psi^T, in the first N_s rows of the node buffer.
+    m_stack = ws.nodes[:n_s]
+    np.matmul(np.swapaxes(a_fc, -1, -2), (w_alpha @ a_m).reshape(a_f.shape), out=m_stack)
+    np.matmul(cc, cc_h, out=ws.psi)
+    m_stack *= np.swapaxes(ws.psi, -1, -2)
     # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m.
     inner = cc_h.reshape(n_s, n_u, l_ant, p_elem) - (ghv - z_m) @ cc_h[:, None]
-    u_stack = np.sum(a_f.conj() * (w_alpha @ inner).reshape(a_f.shape), axis=1)
-    m_bar = herm(pairwise_mean(m_stack, axis=0))
+    u_stack = np.sum(a_fc * (w_alpha @ inner).reshape(a_f.shape), axis=1)
+    m_bar = herm(pairwise_mean_nodes(ws.nodes, ws.psi))
     u_bar = pairwise_mean(u_stack, axis=0)
     return m_bar, u_bar, (a_m, cc, z_m)
 
@@ -541,6 +583,7 @@ def offline_optimize_channels(
     hv = wmmse.pair_products(h, v)
 
     report = OptReport(eps=float(eps))
+    ws = _tile_workspace(hbar.shape[0], p_elem)
     g = w = None
     for _ in range(max_iters):
         t_start = time.perf_counter()
@@ -556,7 +599,9 @@ def offline_optimize_channels(
         ghv = _coupling(g, h, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
-            m_bar, u_bar, (a_m, cc, z_m) = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha)
+            m_bar, u_bar, (a_m, cc, z_m) = _tile_statistics(
+                g, w, v, s, t, ghv, beams[m], m, alpha, ws
+            )
             new_beams[m] = update_b(m_bar, u_bar, ball, b_current=beams[m])
             if tile_order == "sequential":
                 ghv += _tile_term(a_m, cc, new_beams[m]) - z_m
@@ -577,7 +622,7 @@ def offline_optimize_channels(
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
-        rate = frozen_sum_rate(hbar, s, t, beams, v, sigma2, alpha, h=h)
+        rate = frozen_sum_rate(hbar, s, t, beams, v, sigma2, alpha, hv=hv)
 
         report.iterations += 1
         report.delta_history.append(delta)
@@ -590,8 +635,8 @@ def offline_optimize_channels(
 
     if constraint.mode == "LC":
         beams, _ = quantize_lc(beams, constraint.n_bits)
-        h = channel_mod.composite_channel(hbar, s, t, beams)
-        report.projected_sum_rate = _mean_sum_rate(h, v, sigma2, alpha) / np.log(2.0)
+        hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
+        report.projected_sum_rate = _mean_sum_rate(hv, sigma2, alpha) / np.log(2.0)
 
     state = OfflineState(g=g, w=w, v=v)
     return beams, report, state
@@ -674,9 +719,10 @@ def verify_theorem1(
     w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2)) if stale_w is None else stale_w
 
     ghv = _coupling(g, h, v)
+    ws = _tile_workspace(hbar.shape[0], p_elem)
     grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):
-        m_bar, u_bar, _ = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha)
+        m_bar, u_bar, _ = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha, ws)
         grad_closed[m] = 2.0 * (m_bar @ beams[m] - u_bar)
 
     def theta2(b: np.ndarray) -> float:

@@ -20,6 +20,7 @@ __all__ = [
     "singular_values",
     "power_constrained_solve",
     "pairwise_mean",
+    "pairwise_mean_nodes",
 ]
 
 HERMITIAN_RTOL = 1e-10
@@ -216,8 +217,8 @@ def power_constrained_solve(
 
 
 @functools.lru_cache(maxsize=64)
-def _halving_plan(n: int) -> tuple[tuple, int]:
-    """Bottom-up schedule of the recursive-halving tree over n >= 2 items.
+def _halving_plan(n: int) -> tuple:
+    """Bottom-up schedule of the recursive-halving tree over n items.
 
     A segment (start, size) with size > 1 splits into its first h = size // 2
     items and the rest, so its height in the tree is ceil(log2(size)). Node
@@ -226,8 +227,9 @@ def _halving_plan(n: int) -> tuple[tuple, int]:
     last and each height fills one contiguous id range. Returns one step per
     height, (first, n_equal, left, right, h, size): the range start, its
     number of equal splits, the child ids of its segments and the (h, size)
-    of its unequal ones; and the node count. The arrays are read-only,
-    because every caller with this n shares them.
+    of its unequal ones; there is no step for n = 1. The ids run to
+    2n - 2, the root. The arrays are read-only, because every caller with
+    this n shares them.
     """
     segments, stack = [], [(0, n)]
     while stack:
@@ -257,7 +259,7 @@ def _halving_plan(n: int) -> tuple[tuple, int]:
             frozen(odd, float),
         ))
         first += len(level)
-    return tuple(steps), first
+    return tuple(steps)
 
 
 def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -268,9 +270,9 @@ def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
     order-independent by construction. Unequal splits combine with exact
     sample-count weights, (left * h + right * (n - h)) / n.
 
-    The tree is evaluated one height at a time (`_halving_plan`): every node
-    gets the same operations as in the recursion, in one vectorized step for
-    all nodes of a height.
+    The items are copied into a fresh node buffer and reduced there by
+    `pairwise_mean_nodes`, the one tree pass; a caller that reduces stacks
+    of one shape many times fills buffers of its own and calls that pass.
     """
     x = np.asarray(x)
     x = np.moveaxis(x, axis, 0)
@@ -279,18 +281,45 @@ def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
         raise ValueError("pairwise_mean of an empty axis")
     if n == 1:
         return x[0]
-    steps, n_nodes = _halving_plan(n)
-    buf = np.empty((n_nodes,) + x.shape[1:], dtype=np.result_type(x, 0.5))
-    buf[:n] = x
-    tail = (1,) * (x.ndim - 1)
-    for first, n_equal, left, right, h, size in steps:
-        lhs = buf.take(left, axis=0)
-        rhs = buf.take(right, axis=0)
+    nodes = np.empty((2 * n - 1,) + x.shape[1:], dtype=np.result_type(x, 0.5))
+    nodes[:n] = x
+    return pairwise_mean_nodes(nodes, np.empty_like(nodes[:n]))
+
+
+def pairwise_mean_nodes(nodes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`pairwise_mean` over axis 0 of the items nodes[:n], in place.
+
+    nodes holds 2n - 1 rows: the caller fills the first n with the items,
+    and the tree pass overwrites the other n - 1 with the inner nodes of
+    the halving tree. The tree is evaluated one height at a time
+    (`_halving_plan`): every node gets the same operations as in the
+    recursion, in one vectorized step for all nodes of a height. The
+    children of a height are gathered into scratch, n rows shaped and
+    typed like those of nodes, whose contents are overwritten; a height
+    has at most n / 2 nodes, so both sides fit. Returns the root, a view
+    of the last row of nodes.
+    """
+    if nodes.shape[0] % 2 == 0:
+        raise ValueError(f"a node buffer has an odd row count 2n - 1, got {nodes.shape[0]}")
+    n = (nodes.shape[0] + 1) // 2
+    tail = (1,) * (nodes.ndim - 1)
+    for first, n_equal, left, right, h, size in _halving_plan(n):
+        # The ids are in range; mode="clip" only spares take a copy of out.
+        k = left.size
+        lhs = nodes.take(left, axis=0, out=scratch[:k], mode="clip")
+        rhs = nodes.take(right, axis=0, out=scratch[k:2 * k], mode="clip")
         mid = first + n_equal
-        buf[first:mid] = 0.5 * (lhs[:n_equal] + rhs[:n_equal])
+        out = nodes[first:mid]
+        np.add(lhs[:n_equal], rhs[:n_equal], out=out)
+        out *= 0.5
         if h.size:
             # Weights in the buffer's dtype, as the recursion's Python ints are cast.
-            h_w = h.reshape(-1, *tail).astype(buf.dtype, copy=False)
-            size_w = size.reshape(-1, *tail).astype(buf.dtype, copy=False)
-            buf[mid:mid + h.size] = (lhs[n_equal:] * h_w + rhs[n_equal:] * (size_w - h_w)) / size_w
-    return buf[-1]
+            h_w = h.reshape(-1, *tail).astype(nodes.dtype, copy=False)
+            size_w = size.reshape(-1, *tail).astype(nodes.dtype, copy=False)
+            lhs_u, rhs_u = lhs[n_equal:], rhs[n_equal:]
+            lhs_u *= h_w
+            rhs_u *= size_w - h_w
+            out = nodes[mid:mid + h.size]
+            np.add(lhs_u, rhs_u, out=out)
+            out /= size_w
+    return nodes[-1]

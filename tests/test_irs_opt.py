@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import crandn, synthetic_instance, tiny_scenario_dict
-from irsmimo import channel, irs_opt
+from irsmimo import channel, irs_opt, scenario, wmmse
 from irsmimo.irs_opt import (
     BeamConstraint,
     IrsBeamSet,
@@ -235,8 +236,11 @@ class TestBatchedKernels:
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
+        ws = irs_opt._tile_workspace(hbar.shape[0], s.shape[1])
         for m in range(beams.shape[0]):
-            m_bar, u_bar, _ = irs_opt._tile_statistics(g, w, v, s, t, ghv, beams[m], m, inst["alpha"])
+            m_bar, u_bar, _ = irs_opt._tile_statistics(
+                g, w, v, s, t, ghv, beams[m], m, inst["alpha"], ws
+            )
             pairs = [
                 accumulate_quadratic(g[n], w[n], v[n], hbar[n], s, t[n], beams, m, inst["alpha"])
                 for n in range(hbar.shape[0])
@@ -250,14 +254,84 @@ class TestBatchedKernels:
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
+        ws = irs_opt._tile_workspace(hbar.shape[0], s.shape[1])
         for m in range(beams.shape[0]):
             _, _, (a_m, cc, z_m) = irs_opt._tile_statistics(
-                g, w, v, s, t, ghv, beams[m], m, inst["alpha"]
+                g, w, v, s, t, ghv, beams[m], m, inst["alpha"], ws
             )
             beams[m] = crandn(inst["rng"], beams.shape[1])
             ghv += irs_opt._tile_term(a_m, cc, beams[m]) - z_m
             fresh = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
             np.testing.assert_allclose(ghv, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
+
+    def test_reused_workspace_carries_no_stale_state(self, tiny_config):
+        """One workspace reused across the tiles of a sweep, NaN before the
+        first, gives the bits of a fresh workspace per tile: every call
+        writes every row it reads."""
+        cfg = tiny_config
+        geometry = scenario.build_antenna_positions(cfg)
+        s = channel.bs_irs_channels(geometry, cfg)
+        sets = [
+            channel.build_channel_set(scenario.draw_sample(cfg, n), geometry, cfg, s=s)
+            for n in range(cfg.solver.n_samples)
+        ]
+        hbar = np.array([cs.hbar for cs in sets])
+        t = np.array([cs.t for cs in sets])
+        beams0 = irs_opt.random_beam_set(cfg).beams
+        h = channel.composite_channel(hbar, s, t, beams0)
+        v = wmmse.initial_precoders(h, cfg.power_budgets_w())
+        g, w = receivers_and_weights(hbar, s, t, beams0, v, cfg.noise_power_w())
+        alpha = cfg.alpha()
+        ball = BeamConstraint(rho_sq=cfg.rho_sq())
+
+        def sweep(workspace_for_tile):
+            # One sequential tile sweep of the offline loop.
+            beams = beams0.copy()
+            ghv = irs_opt._coupling(g, h, v)
+            out = []
+            for m in range(beams.shape[0]):
+                m_bar, u_bar, (a_m, cc, z_m) = irs_opt._tile_statistics(
+                    g, w, v, s, t, ghv, beams[m], m, alpha, workspace_for_tile()
+                )
+                beams[m] = update_b(m_bar, u_bar, ball, b_current=beams[m])
+                ghv += irs_opt._tile_term(a_m, cc, beams[m]) - z_m
+                out.append((m_bar, u_bar, ghv.copy()))
+            return out
+
+        n_s, p = hbar.shape[0], s.shape[1]
+        fresh = sweep(lambda: irs_opt._tile_workspace(n_s, p))
+        stale = irs_opt._tile_workspace(n_s, p)
+        stale.nodes.fill(np.nan)
+        stale.psi.fill(np.nan)
+        reused = sweep(lambda: stale)
+        assert len(fresh) == cfg.k_total
+        for m, (want, got) in enumerate(zip(fresh, reused)):
+            for name, a, b in zip(("m_bar", "u_bar", "ghv"), want, got):
+                assert np.array_equal(a, b), f"tile {m}: {name}"
+
+    def test_tile_statistics_allocate_no_per_tile_stack(self):
+        """numpy reports its data buffers to tracemalloc. With the workspace,
+        one call peaks near 1.9 (N_s, P, P) stacks at desk shapes; forming
+        Psi and the product, or the mean's node buffer, per call again puts
+        it above 3."""
+        # Desk shapes: N_s = 100 draws, 2 users with 2 antennas, 8 BS
+        # antennas, 8 tiles of 16 elements.
+        inst = synthetic_instance(15, n_s=100, n_u=2, l=2, m=8, k=8, p=16)
+        hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
+        g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
+        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
+        n_s, p = hbar.shape[0], s.shape[1]
+        ws = irs_opt._tile_workspace(n_s, p)
+        args = (g, w, v, s, t, ghv, beams[0], 0, inst["alpha"], ws)
+        irs_opt._tile_statistics(*args)  # fills the cached tree plan
+        stack_bytes = n_s * p * p * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            irs_opt._tile_statistics(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f} (N_s, P, P) stacks"
 
     def test_composite_matches_per_sample_loop(self):
         inst = synthetic_instance(14, n_s=3, n_u=2, l=3, m=4, k=3, p=5)

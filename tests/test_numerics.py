@@ -10,6 +10,7 @@ from irsmimo.numerics import (
     herm,
     logdet_psd,
     pairwise_mean,
+    pairwise_mean_nodes,
     power_constrained_solve,
     singular_values,
 )
@@ -265,6 +266,19 @@ class TestPairwiseMean:
             want = recursive_pairwise_mean(x, axis=axis)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), f"n = {n}"
+            # The same tree on a caller-filled node buffer whose inner rows,
+            # like the scratch, start as NaN, so every inner node must be
+            # written.
+            items = np.moveaxis(x, axis, 0)
+            nodes = np.full((2 * n - 1,) + items.shape[1:], np.nan, dtype=want.dtype)
+            nodes[:n] = items
+            got_nodes = pairwise_mean_nodes(nodes, np.full_like(nodes[:n], np.nan))
+            assert got_nodes.dtype == want.dtype
+            assert np.array_equal(got_nodes, want), f"node buffer, n = {n}"
+
+    def test_node_buffer_rejects_even_row_count(self):
+        with pytest.raises(ValueError, match="2n - 1"):
+            pairwise_mean_nodes(np.zeros((4, 3)), np.zeros((2, 3)))
 
 
 def recursive_pairwise_mean(x, axis=0):
