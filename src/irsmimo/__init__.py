@@ -10,11 +10,17 @@ frozen.
 __version__ = "0.1.0"
 
 from .numerics import NumericalError
-from .scenario import ConfigError, ScenarioConfig, config_from_dict, config_hash, load_config
+from .scenario import (
+    BeamConstraint,
+    ConfigError,
+    ScenarioConfig,
+    config_from_dict,
+    config_hash,
+    load_config,
+)
 from .channel import ChannelSet, build_channel_set, composite_channel
 from .wmmse import online_wmmse
 from .irs_opt import (
-    BeamConstraint,
     IrsBeamSet,
     OptReport,
     load_beams,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import NumericalError, check_finite
-from .scenario import ArrayGeometry, ScenarioConfig, ScenarioSample, config_hash
+from .scenario import ArrayGeometry, ScenarioConfig, ScenarioSample
 
 __all__ = [
     "ChannelSet",
@@ -29,27 +29,9 @@ __all__ = [
     "composite_channel",
     "build_channel_set",
     "bs_irs_channels",
-    "clamp_count",
-    "reset_clamp_count",
-    "save_channel_set",
-    "load_channel_set",
 ]
 
 PATHLOSS_EXPONENTS = {"IO": 3.83, "SM": 3.21}
-CHANNEL_SET_VERSION = 1
-
-# Diagnostic counter for sub-reference-distance clamps (d < 1 m).
-_clamp_count = 0
-
-
-def clamp_count() -> int:
-    """Number of distances clamped to the 1 m reference so far (process-wide)."""
-    return _clamp_count
-
-
-def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
 
 
 def pathloss_nlos_db(d, profile: str, pl0_db: float):
@@ -57,16 +39,12 @@ def pathloss_nlos_db(d, profile: str, pl0_db: float):
 
     The exponent n_e is 3.83 for the indoor-office profile and 3.21 for the
     shopping-mall profile. Distances below the 1 m reference are clamped to
-    1 m and counted in the module diagnostics counter.
+    1 m.
     """
-    global _clamp_count
     if profile not in PATHLOSS_EXPONENTS:
         raise ValueError(f"unknown path-loss profile {profile!r}")
     d = np.asarray(d, dtype=float)
     clipped = np.maximum(d, 1.0)
-    n_clamped = int(np.count_nonzero(d < 1.0))
-    if n_clamped:
-        _clamp_count += n_clamped
     out = -pl0_db - 10.0 * PATHLOSS_EXPONENTS[profile] * np.log10(clipped)
     return float(out) if out.ndim == 0 else out
 
@@ -172,8 +150,6 @@ class ChannelSet:
     hbar: np.ndarray  # (N_u, L, M)
     s: np.ndarray  # (K, P, M)
     t: np.ndarray  # (N_u, K, L, P)
-    sample_index: int
-    config_hash: str
 
 
 def build_channel_set(
@@ -181,7 +157,6 @@ def build_channel_set(
     geometry: ArrayGeometry,
     cfg: ScenarioConfig,
     s: np.ndarray | None = None,
-    cfg_hash: str | None = None,
 ) -> ChannelSet:
     """Assemble the full ChannelSet for one sample.
 
@@ -197,13 +172,7 @@ def build_channel_set(
     )
     t = np.swapaxes(blocks, -1, -2)
     hbar = direct_channel(sample, geometry, cfg)
-    return ChannelSet(
-        hbar=hbar,
-        s=s,
-        t=t,
-        sample_index=sample.index,
-        config_hash=cfg_hash if cfg_hash is not None else config_hash(cfg),
-    )
+    return ChannelSet(hbar=hbar, s=s, t=t)
 
 
 def composite_channel(
@@ -226,36 +195,3 @@ def composite_channel(
     t_folded = np.swapaxes(t, -3, -2).reshape(*lead, l_ant, k_tiles * p_elem)
     return hbar + t_folded @ (beams[:, :, None] * s).reshape(k_tiles * p_elem, -1)
 
-
-def save_channel_set(path, cs: ChannelSet) -> None:
-    """Versioned binary dump (NumPy .npz container, little-endian complex128)."""
-    np.savez(
-        path,
-        version=np.array([CHANNEL_SET_VERSION]),
-        config_hash=np.array([cs.config_hash]),
-        sample_index=np.array([cs.sample_index]),
-        hbar=cs.hbar.astype("<c16"),
-        s=cs.s.astype("<c16"),
-        t=cs.t.astype("<c16"),
-    )
-
-
-def load_channel_set(path, expected_hash: str | None = None) -> ChannelSet:
-    """Load a dumped ChannelSet; optionally enforce the config hash key."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"][0])
-        if version != CHANNEL_SET_VERSION:
-            raise IOError(f"unsupported channel set version {version}")
-        stored_hash = str(data["config_hash"][0])
-        if expected_hash is not None and stored_hash != expected_hash:
-            raise ValueError(
-                f"channel set config hash {stored_hash[:12]} does not match "
-                f"expected {expected_hash[:12]}"
-            )
-        return ChannelSet(
-            hbar=data["hbar"].astype(complex),
-            s=data["s"].astype(complex),
-            t=data["t"].astype(complex),
-            sample_index=int(data["sample_index"][0]),
-            config_hash=stored_hash,
-        )

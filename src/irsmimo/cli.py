@@ -239,7 +239,7 @@ def cmd_array_factor(args) -> int:
     geometry = scenario_mod.build_antenna_positions(cfg)
     s = channel_mod.bs_irs_channels(geometry, cfg)
     sample = scenario_mod.draw_sample(cfg, args.realization, namespace=NAMESPACE_EVAL)
-    cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=cfg_hash)
+    cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
     h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beam_set.beams)
     link = online_wmmse(
         h,

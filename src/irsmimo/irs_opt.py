@@ -59,14 +59,12 @@ from .numerics import (
     pairwise_mean_nodes,
     power_constrained_solve,
 )
-from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, ScenarioConfig
+from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, BeamConstraint, ScenarioConfig
 
 __all__ = [
-    "BeamConstraint",
     "IrsBeamSet",
     "QuadraticStats",
     "OptReport",
-    "OfflineState",
     "lc_grid_point",
     "quantize_lc",
     "initial_beams",
@@ -91,18 +89,6 @@ __all__ = [
 ]
 
 BEAMS_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class BeamConstraint:
-    """Analog beam feasible set: norm ball (GC) or quantized unit modulus (LC)."""
-
-    mode: str = "GC"
-    n_bits: int | None = None
-    rho_sq: float | None = None  # GC ball radius squared; None means P
-
-    def resolved_rho_sq(self, p: int) -> float:
-        return float(self.rho_sq) if self.rho_sq is not None else float(p)
 
 
 @dataclass
@@ -161,15 +147,6 @@ class OptReport:
         }
 
 
-@dataclass
-class OfflineState:
-    """Final per-sample digital variables of the offline loop."""
-
-    g: np.ndarray  # (N_s, N_u, L, L)
-    w: np.ndarray  # (N_s, N_u, L, L)
-    v: np.ndarray  # (N_s, N_u, M, L)
-
-
 # ---------------------------------------------------------------------------
 # Constraint handling
 
@@ -221,14 +198,11 @@ def random_beam_set(cfg: ScenarioConfig) -> IrsBeamSet:
     """The NON-OPT baseline of a config: `initial_beams` drawn from the
     initialization stream of cfg.seed under the config's beam constraint.
     In GC mode it is also the starting point of the offline optimizer."""
-    constraint = BeamConstraint(
-        mode=cfg.constraint.mode, n_bits=cfg.constraint.n_bits, rho_sq=cfg.rho_sq()
-    )
     return IrsBeamSet(
-        beams=initial_beams(cfg.k_total, cfg.p_per_tile, constraint, _init_rng(cfg)),
-        mode=constraint.mode,
-        n_bits=constraint.n_bits,
-        rho_sq=constraint.resolved_rho_sq(cfg.p_per_tile),
+        beams=initial_beams(cfg.k_total, cfg.p_per_tile, cfg.constraint, _init_rng(cfg)),
+        mode=cfg.constraint.mode,
+        n_bits=cfg.constraint.n_bits,
+        rho_sq=cfg.rho_sq(),
         config_hash=scenario_mod.config_hash(cfg),
     )
 
@@ -236,21 +210,17 @@ def random_beam_set(cfg: ScenarioConfig) -> IrsBeamSet:
 def update_b(
     m_bar: np.ndarray,
     u_bar: np.ndarray,
-    constraint: BeamConstraint,
+    rho_sq: float,
     b_current: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact minimizer of b^H M b - 2 Re(u^H b) over the GC norm ball.
+    """Exact minimizer of b^H M b - 2 Re(u^H b) over the GC norm ball
+    ||b||^2 <= rho_sq.
 
     Interior solutions take mu = 0; otherwise the smallest boundary
     multiplier is found on the monotone power curve. With both statistics
     zero the objective is constant in b and the current beam is kept.
-    An LC beam comes from `quantize_lc` of the solution on its GC
-    relaxation, so an LC constraint is rejected here.
     """
-    if constraint.mode != "GC":
-        raise ValueError(f"update_b takes a GC constraint, got mode {constraint.mode!r}")
     p = m_bar.shape[0]
-    rho_sq = constraint.resolved_rho_sq(p)
     if np.linalg.norm(u_bar) == 0.0:
         if np.linalg.norm(m_bar) == 0.0 and b_current is not None:
             return np.array(b_current, dtype=complex)
@@ -544,7 +514,7 @@ def offline_optimize_channels(
     eps: float,
     max_iters: int = 200,
     tile_order: str = "sequential",
-) -> tuple[np.ndarray, OptReport, OfflineState]:
+) -> tuple[np.ndarray, OptReport]:
     """Run the offline beam optimization on a frozen stack of channel sets.
 
     hbar (N_s, N_u, L, M), s (K, P, M) shared across samples,
@@ -569,8 +539,7 @@ def offline_optimize_channels(
     if tile_order not in ("sequential", "simultaneous"):
         raise ValueError(f"tile_order must be 'sequential' or 'simultaneous', got {tile_order!r}")
     constraint = constraint or BeamConstraint()
-    ball = constraint if constraint.mode == "GC" else BeamConstraint()
-    rho_sq = ball.resolved_rho_sq(p_elem)
+    rho_sq = constraint.resolved_rho_sq(p_elem) if constraint.mode == "GC" else float(p_elem)
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
     p_budget = np.broadcast_to(np.asarray(p_budget, dtype=float), (n_u,)).copy()
 
@@ -584,7 +553,6 @@ def offline_optimize_channels(
 
     report = OptReport(eps=float(eps))
     ws = _tile_workspace(hbar.shape[0], p_elem)
-    g = w = None
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
@@ -602,7 +570,7 @@ def offline_optimize_channels(
             m_bar, u_bar, (a_m, cc, z_m) = _tile_statistics(
                 g, w, v, s, t, ghv, beams[m], m, alpha, ws
             )
-            new_beams[m] = update_b(m_bar, u_bar, ball, b_current=beams[m])
+            new_beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
             if tile_order == "sequential":
                 ghv += _tile_term(a_m, cc, new_beams[m]) - z_m
         beams, beams_prev = new_beams, beams
@@ -638,8 +606,7 @@ def offline_optimize_channels(
         hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
         report.projected_sum_rate = _mean_sum_rate(hv, sigma2, alpha) / np.log(2.0)
 
-    state = OfflineState(g=g, w=w, v=v)
-    return beams, report, state
+    return beams, report
 
 
 def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
@@ -660,18 +627,18 @@ def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
     t_list = []
     for n in range(cfg.solver.n_samples):
         sample = scenario_mod.draw_sample(cfg, n, namespace=NAMESPACE_TRAIN)
-        cs = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=init.config_hash)
+        cs = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
         hbar_list.append(cs.hbar)
         t_list.append(cs.t)
 
-    beams, report, _ = offline_optimize_channels(
+    beams, report = offline_optimize_channels(
         np.array(hbar_list),
         s,
         np.array(t_list),
         sigma2=cfg.noise_power_w(),
         p_budget=cfg.power_budgets_w(),
         alpha=cfg.alpha(),
-        constraint=BeamConstraint(mode=init.mode, n_bits=init.n_bits, rho_sq=init.rho_sq),
+        constraint=cfg.constraint,
         beams0=beams0,
         eps=cfg.eps_offline(),
         max_iters=cfg.solver.max_offline_iters,
@@ -713,12 +680,11 @@ def verify_theorem1(
     k_tiles, p_elem, _ = s.shape
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
 
-    h = channel_mod.composite_channel(hbar, s, t, beams)
-    hv = wmmse.pair_products(h, v)
-    g = wmmse.update_receivers(hv, sigma2)
-    w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2)) if stale_w is None else stale_w
+    g, w = receivers_and_weights(hbar, s, t, beams, v, sigma2)
+    if stale_w is not None:
+        w = stale_w
 
-    ghv = _coupling(g, h, v)
+    ghv = _coupling(g, channel_mod.composite_channel(hbar, s, t, beams), v)
     ws = _tile_workspace(hbar.shape[0], p_elem)
     grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):

@@ -163,7 +163,6 @@ def evaluate_average_sum_rate(
     beams: np.ndarray,
     n_realizations: int | None = None,
     beams_hash: str = "",
-    namespace: int = NAMESPACE_EVAL,
 ) -> EvalResult:
     """Monte-Carlo evaluation of fixed analog beams under the online solver.
 
@@ -199,8 +198,8 @@ def evaluate_average_sum_rate(
     excluded: list[int] = []
     messages: list[str] = []
     for idx in range(n_real):
-        sample = scenario_mod.draw_sample(cfg, idx, namespace=namespace)
-        cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s, cfg_hash=cfg_hash)
+        sample = scenario_mod.draw_sample(cfg, idx, namespace=NAMESPACE_EVAL)
+        cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
         h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beams)
         try:
             link = online_wmmse(

@@ -25,6 +25,7 @@ import yaml
 
 __all__ = [
     "ConfigError",
+    "BeamConstraint",
     "ScenarioConfig",
     "ScenarioSample",
     "ArrayGeometry",
@@ -126,10 +127,15 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class ConstraintConfig:
+class BeamConstraint:
+    """Analog beam feasible set: norm ball (GC) or quantized unit modulus (LC)."""
+
     mode: str = "GC"
     n_bits: int | None = None
-    rho_sq: float | None = None  # resolved to P (elements per tile)
+    rho_sq: float | None = None  # GC ball radius squared; None means P
+
+    def resolved_rho_sq(self, p: int) -> float:
+        return float(self.rho_sq) if self.rho_sq is not None else float(p)
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class ScenarioConfig:
     ue: UeConfig
     irs: IrsConfig
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    constraint: ConstraintConfig = field(default_factory=ConstraintConfig)
+    constraint: BeamConstraint = field(default_factory=BeamConstraint)
     power: PowerConfig = field(default_factory=PowerConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -204,9 +210,7 @@ class ScenarioConfig:
         return np.array(self.weights, dtype=float)
 
     def rho_sq(self) -> float:
-        if self.constraint.rho_sq is not None:
-            return float(self.constraint.rho_sq)
-        return float(self.p_per_tile)
+        return self.constraint.resolved_rho_sq(self.p_per_tile)
 
     def pl0_db(self) -> float:
         if self.channel.pl0_db is not None:
@@ -275,13 +279,19 @@ def _build_dataclass(cls, data: Any, path: str):
 
 
 def _coerce_field(annotation: str, value: Any, path: str):
+    if annotation in ("int", "int | None"):
+        if value is None and annotation == "int | None":
+            return None
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return value
     nested = {
         "RoomConfig": RoomConfig,
         "BsConfig": BsConfig,
         "UeConfig": UeConfig,
         "IrsConfig": IrsConfig,
         "ChannelConfig": ChannelConfig,
-        "ConstraintConfig": ConstraintConfig,
+        "BeamConstraint": BeamConstraint,
         "PowerConfig": PowerConfig,
         "SolverConfig": SolverConfig,
         "EvalConfig": EvalConfig,
@@ -405,10 +415,15 @@ def _validate(cfg: ScenarioConfig) -> None:
     if cfg.constraint.mode == "LC":
         if cfg.constraint.n_bits is None or cfg.constraint.n_bits < 1:
             raise ConfigError("constraint.n_bits must be a positive integer for LC mode")
+    if cfg.constraint.rho_sq is not None and not cfg.constraint.rho_sq > 0:
+        raise ConfigError("constraint.rho_sq must be positive")
     if isinstance(cfg.power.per_ue_dbm, tuple) and len(cfg.power.per_ue_dbm) != cfg.ue.count:
         raise ConfigError("power.per_ue_dbm list length must equal ue.count")
-    if cfg.weights is not None and len(cfg.weights) != cfg.ue.count:
-        raise ConfigError("weights length must equal ue.count")
+    if cfg.weights is not None:
+        if len(cfg.weights) != cfg.ue.count:
+            raise ConfigError("weights length must equal ue.count")
+        if any(w < 0 for w in cfg.weights) or all(w == 0 for w in cfg.weights):
+            raise ConfigError("weights must be non-negative and not all zero")
     if cfg.solver.n_samples < 1 or cfg.solver.max_offline_iters < 1 or cfg.solver.max_online_iters < 1:
         raise ConfigError("solver sample and iteration counts must be at least 1")
     if cfg.solver.tile_order not in ("sequential", "simultaneous"):

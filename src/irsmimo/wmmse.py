@@ -198,7 +198,6 @@ def online_wmmse(
     alpha=None,
     tol: float = 1e-6,
     max_iters: int = 500,
-    v0: np.ndarray | None = None,
 ) -> LinkVariables:
     """Run the WMMSE block coordinate descent to convergence for fixed channels.
 
@@ -231,7 +230,7 @@ def online_wmmse(
     alpha = (
         np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()
     )
-    v = initial_precoders(h, p_budget) if v0 is None else np.array(v0, dtype=complex)
+    v = initial_precoders(h, p_budget)
     hv = pair_products(h, v)
 
     trace: list[float] = []

@@ -297,17 +297,17 @@ def test_06_constraint_feasibility_every_update():
         a = crandn(rng, p + 1, p)
         m_bar = a.conj().T @ a
         u_bar = crandn(rng, p)
-        b_gc = update_b(m_bar, u_bar, BeamConstraint(mode="GC", rho_sq=float(p)))
+        b_gc = update_b(m_bar, u_bar, float(p))
         assert float(np.real(b_gc.conj() @ b_gc)) <= p + 1e-9
         n_bits = 1 + trial % 3
-        b_lc, _ = quantize_lc(update_b(m_bar, u_bar, BeamConstraint()), n_bits)
+        b_lc, _ = quantize_lc(update_b(m_bar, u_bar, float(p)), n_bits)
         assert np.allclose(np.abs(b_lc), 1.0, atol=1e-15)
         _, idx = quantize_lc(b_lc, n_bits)
         assert np.array_equal(b_lc, lc_grid_point(idx, n_bits))
     # whole-run violation tracking on a synthetic instance
     inst = synthetic_instance(51, k=2, p=4)
     beams0 = initial_beams(2, 4, BeamConstraint(mode="GC", rho_sq=4.0), rng)
-    _, report, _ = offline_optimize_channels(
+    _, report = offline_optimize_channels(
         inst["hbar"], inst["s"], inst["t"],
         sigma2=inst["sigma2"], p_budget=inst["p_budget"],
         constraint=BeamConstraint(mode="GC", rho_sq=4.0),
@@ -322,7 +322,7 @@ def test_07_offline_frozen_sample_descent():
         beams0 = initial_beams(
             2, 4, BeamConstraint(mode="GC", rho_sq=4.0), np.random.default_rng(seed)
         )
-        _, report, _ = offline_optimize_channels(
+        _, report = offline_optimize_channels(
             inst["hbar"], inst["s"], inst["t"],
             sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=inst["alpha"],
             constraint=BeamConstraint(mode="GC", rho_sq=4.0),
@@ -337,7 +337,7 @@ def test_07_lc_offline_frozen_sample_descent():
         inst = synthetic_instance(5000 + seed, n_s=3, k=2, p=4)
         constraint = BeamConstraint(mode="LC", n_bits=1 + seed % 3)
         beams0 = initial_beams(2, 4, constraint, np.random.default_rng(seed))
-        _, report, _ = offline_optimize_channels(
+        _, report = offline_optimize_channels(
             inst["hbar"], inst["s"], inst["t"],
             sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=inst["alpha"],
             constraint=constraint, beams0=beams0, eps=1e-12, max_iters=15,

@@ -1,9 +1,12 @@
 """The program names that the benchmark harness wraps exist and are called
-the way it counts them.
+the way it counts them, and the benchmark's artifact checks accept real output.
 
 `bench/tracing.py` and `bench/hostspeed.py` rebind module attributes of
 irsmimo from outside the package. A renamed or bypassed name would not make
 the benchmark fail: it would count zero work. These tests pin the hooks.
+`bench/checks.py` reads config and channel names of irsmimo
+(`cfg.solver.tile_order`, `cfg.rho_sq()`, `build_channel_set(..., s=)` and
+`ChannelSet.hbar/.s/.t`); running it here keeps those names in Tier-1.
 """
 
 import importlib
@@ -11,19 +14,47 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import yaml
 
-from irsmimo import irs_opt, metrics
+from irsmimo import cli, irs_opt, metrics, scenario
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+LC = {"constraint.mode": "LC", "constraint.n_bits": 2}
+
+
+def _load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
     """bench/tracing.py, loaded by path (it imports only the standard library)."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_by_path("bench_tracing", BENCH_DIR / "tracing.py")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """bench/checks.py, loaded by path (it imports numpy and irsmimo)."""
+    return _load_by_path("bench_checks", BENCH_DIR / "checks.py")
+
+
+@pytest.fixture
+def tiny_yaml(tiny_config_dict, tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(tiny_config_dict))
+    return path
+
+
+def _cli_output(checks, root: Path, config: Path, command: str, overrides: dict, *extra):
+    """Run one irsmimo command under root and return its output directory."""
+    argv = ["--output-root", str(root), command, "-c", str(config)]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={value}"]
+    assert cli.main([*argv, *extra]) == cli.EXIT_OK
+    return checks.command_dir(root)
 
 
 def test_every_traced_target_exists_and_is_callable(tracing):
@@ -68,3 +99,19 @@ def test_frozen_sum_rate_called_once_per_offline_iteration(tiny_config, monkeypa
     _, report = irs_opt.offline_optimize(tiny_config)
     assert report.iterations > 0
     assert len(calls) == report.iterations
+
+
+@pytest.mark.parametrize("overrides", [{}, LC], ids=["GC", "LC2"])
+def test_benchmark_checks_accept_optimize_output(checks, tiny_yaml, tmp_path, overrides):
+    outdir = _cli_output(checks, tmp_path / "opt", tiny_yaml, "optimize", overrides)
+    cfg = scenario.load_config(tiny_yaml, overrides=overrides)
+    assert checks.check_optimize(outdir, cfg) == []
+
+
+def test_benchmark_checks_accept_evaluate_output(checks, tiny_yaml, tmp_path):
+    outdir = _cli_output(
+        checks, tmp_path / "eval", tiny_yaml, "evaluate", {}, "-b", "random", "-n", "4"
+    )
+    errors, n_excluded = checks.check_evaluate(outdir, scenario.load_config(tiny_yaml), 4)
+    assert errors == []
+    assert n_excluded == 0

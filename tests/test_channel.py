@@ -7,7 +7,6 @@ from irsmimo import channel as ch
 from irsmimo.scenario import (
     build_antenna_positions,
     config_from_dict,
-    config_hash,
     draw_sample,
 )
 from conftest import tiny_scenario_dict
@@ -30,11 +29,8 @@ class TestPathloss:
         assert ch.pathloss_nlos_db(1.0, "IO", 41.2) == pytest.approx(-41.2)
 
     def test_subreference_clamps_and_counts(self):
-        ch.reset_clamp_count()
-        before = ch.clamp_count()
         val = ch.pathloss_nlos_db(0.2, "IO", 35.0)
         assert val == ch.pathloss_nlos_db(1.0, "IO", 35.0)
-        assert ch.clamp_count() == before + 1
 
     def test_vectorized(self):
         out = ch.pathloss_nlos_db(np.array([1.0, 10.0, 100.0]), "SM", 30.0)
@@ -217,41 +213,3 @@ class TestChannelSet:
         s = ch.bs_irs_channels(geo, tiny_config)
         cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config, s=s)
         assert cs.s is s
-
-    def test_roundtrip_is_bit_exact(self, tiny_config, geo, tmp_path):
-        cs = ch.build_channel_set(draw_sample(tiny_config, 7), geo, tiny_config)
-        path = tmp_path / "cs.npz"
-        ch.save_channel_set(path, cs)
-        back = ch.load_channel_set(path)
-        assert np.array_equal(back.hbar, cs.hbar)
-        assert np.array_equal(back.s, cs.s)
-        assert np.array_equal(back.t, cs.t)
-        assert back.sample_index == cs.sample_index
-        assert back.config_hash == cs.config_hash
-
-    def test_load_rejects_wrong_version(self, tiny_config, geo, tmp_path):
-        cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config)
-        path = tmp_path / "cs.npz"
-        np.savez(
-            path,
-            version=np.array([99]),
-            config_hash=np.array([cs.config_hash]),
-            sample_index=np.array([0]),
-            hbar=cs.hbar,
-            s=cs.s,
-            t=cs.t,
-        )
-        with pytest.raises(IOError, match="version"):
-            ch.load_channel_set(path)
-
-    def test_load_enforces_config_hash(self, tiny_config, geo, tmp_path):
-        cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config)
-        path = tmp_path / "cs.npz"
-        ch.save_channel_set(path, cs)
-        assert ch.load_channel_set(path, expected_hash=cs.config_hash).sample_index == 0
-        with pytest.raises(ValueError, match="hash"):
-            ch.load_channel_set(path, expected_hash="deadbeef" * 8)
-
-    def test_hash_recorded(self, tiny_config, geo):
-        cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config)
-        assert cs.config_hash == config_hash(tiny_config)

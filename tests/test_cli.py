@@ -82,6 +82,13 @@ class TestOptimizeCommand:
         assert rc == cli.EXIT_VALIDATION
         assert "constraint.mode" in capsys.readouterr().err
 
+    def test_non_integer_count_is_validation_error(self, smoke_config, capsys):
+        rc = cli.main(
+            ["optimize", "-c", str(smoke_config), "--override", "solver.n_samples=2.0"]
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "solver.n_samples" in capsys.readouterr().err
+
     def test_unknown_config_key_names_path(self, tmp_path, capsys):
         data = copy.deepcopy(SMOKE)
         data["solver"]["typo_key"] = 1

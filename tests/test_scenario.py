@@ -70,6 +70,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="nominal_positions"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("solver.n_samples", {"solver.n_samples": 2.0}),
+            ("solver.max_online_iters", {"solver.max_online_iters": 3.0}),
+            ("eval.n_realizations", {"eval.n_realizations": 1.5}),
+            ("constraint.n_bits", {"constraint.mode": "LC", "constraint.n_bits": 2.5}),
+            ("bs.n_y", {"bs.n_y": True}),
+            ("seed", {"seed": "3"}),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, key, overrides):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(tiny_scenario_dict(**overrides))
+
+    def test_optional_integer_accepts_null(self):
+        cfg = config_from_dict(tiny_scenario_dict(**{"constraint.n_bits": None}))
+        assert cfg.constraint.n_bits is None
+
+    @pytest.mark.parametrize("rho_sq", [-1.0, 0.0])
+    def test_rho_sq_must_be_positive(self, rho_sq):
+        with pytest.raises(ConfigError, match="rho_sq"):
+            config_from_dict(tiny_scenario_dict(**{"constraint.rho_sq": rho_sq}))
+
+    @pytest.mark.parametrize("weights", [[1.0, -1.0], [0.0, 0.0]])
+    def test_weights_nonnegative_and_not_all_zero(self, weights):
+        with pytest.raises(ConfigError, match="weights"):
+            config_from_dict(tiny_scenario_dict(weights=weights))
+
+    def test_one_zero_weight_is_allowed(self):
+        assert config_from_dict(tiny_scenario_dict(weights=[0.0, 1.0])).weights == (0.0, 1.0)
+
 
 def test_apply_overrides_dotted_paths():
     data = {"a": {"b": 1}, "seed": 0}
@@ -263,6 +295,34 @@ def test_yaml_loader_agrees_with_pure_python_loader(path):
     assert fast_doc == slow_doc
     assert fast == slow
     assert [config_hash(c) for c in fast] == [config_hash(c) for c in slow]
+
+
+# Every artifact directory name and beams.json carries the config hash, so a
+# refactor of the config schema must leave these values unchanged.
+PINNED_HASHES = [
+    ("desk", "desk.yaml", {}, "e50a6bcc113011f5d930450dd72479d57863aabc3bad1a57d33c59ba266c8d8c"),
+    (
+        "desk-lc2",
+        "desk.yaml",
+        {"constraint.mode": "LC", "constraint.n_bits": 2},
+        "f27fa7130a6911d4a290577a56dced388d1932424d66f2a80a73ed086f33277d",
+    ),
+    ("tiny", None, {}, "77985ed23fff085068f8d21fcbce0b34a5782ef79383359d5d53409c88ae1730"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, filename, overrides, expected", PINNED_HASHES, ids=[p[0] for p in PINNED_HASHES]
+)
+def test_config_hash_is_pinned(name, filename, overrides, expected):
+    if filename is None:
+        cfg = config_from_dict(tiny_scenario_dict(**overrides))
+    else:
+        cfg = scenario.load_config(CONFIG_DIR / filename, overrides=overrides)
+    assert config_hash(cfg) == expected, (
+        f"config hash of {name} changed: a config-schema change renames every artifact "
+        "directory and changes the config_hash of every beams.json, so CHANGES.md must state it"
+    )
 
 
 def test_yaml_loader_uses_libyaml_where_built():
