@@ -21,11 +21,12 @@ The simultaneous variant (all tiles from the previous iterate) is available
 through the solver.tile_order configuration key. Both orders, and the
 gradient check `verify_theorem1`, take the per-tile statistics from
 `_tile_statistics`, which forms them as batched matrix products with the
-users folded into the inner axes. Its per-sample M stack and the tree of
-its pairwise mean live in one `_tile_workspace`, allocated once per run
-and overwritten by every tile call. Allocated per call, these megabyte
-stacks went back to the operating system when freed (glibc trims the
-heap top), so every tile call faulted them in again as zeroed pages.
+users folded into the rows. Its per-sample M and u lie side by side in
+the rows of one `_tile_workspace`, so one tree pass of the pairwise mean
+averages both; allocated once per run, it is overwritten by every tile
+call. Allocated per call, these megabyte stacks went back to the operating
+system when freed (glibc trims the heap top), so every tile call faulted
+them in again as zeroed pages.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -414,9 +415,10 @@ def receivers_and_weights(
 
 
 def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G_i^H H_i V_j over the sample stack, with the users j folded into the
-    columns: (N_s, N_u, L, N_u*L), column block j holding G_i^H H_i V_j."""
-    return (np.swapaxes(g.conj(), -1, -2) @ h) @ _fold_users(v)[:, None]
+    """G_i^H H_i V_j over the sample stack, (N_s, N_u*L, N_u*L) with the users
+    i folded into the rows and j into the columns: block (i, j) is G_i^H H_i V_j."""
+    ghv = (np.swapaxes(g.conj(), -1, -2) @ h) @ _fold_users(v)[:, None]
+    return ghv.reshape(ghv.shape[0], -1, ghv.shape[-1])
 
 
 def _fold_users(v: np.ndarray) -> np.ndarray:
@@ -425,20 +427,20 @@ def _fold_users(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, 1, 2).reshape(n_s, m_ant, n_u * l_ant)
 
 
-def _tile_term(a_m: np.ndarray, cc: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tile m's own term A_im diag(b) C_mj of `_coupling`, (N_s, N_u, L, N_u*L)."""
-    return (a_m * b) @ cc[:, None]
+def _tile_term(a_f: np.ndarray, cc: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tile m's own term A_im diag(b) C_mj of `_coupling`, from the folded factors."""
+    return (a_f * b) @ cc
 
 
 @dataclass(frozen=True)
 class _TileWorkspace:
-    """The per-sample M stacks of `_tile_statistics`, allocated once per run.
+    """The per-sample statistics of `_tile_statistics`, allocated once per run.
 
-    nodes (2 N_s - 1, P, P) is the `pairwise_mean_nodes` buffer: its first
-    N_s rows receive Phi and then M = Phi had Psi^T, the rest the inner
-    nodes of the mean. psi (N_s, P, P) receives Psi = CC CC^H, and once M
-    is formed serves the mean as its scratch. Every call overwrites both,
-    so one workspace serves every tile and iteration.
+    nodes (2 N_s - 1, P*P + P) is the `pairwise_mean_nodes` buffer: its first
+    N_s rows receive Phi, then M = Phi had Psi^T, and u beside it, so one
+    pass averages both; the rest the inner nodes. psi (N_s, P*P + P) receives
+    Psi = CC CC^H, then serves the mean as its scratch. Every call overwrites
+    both, so one workspace serves every tile and iteration.
     """
 
     nodes: np.ndarray
@@ -448,8 +450,8 @@ class _TileWorkspace:
 def _tile_workspace(n_s: int, p: int) -> _TileWorkspace:
     """A `_TileWorkspace` for N_s samples and P elements per tile."""
     return _TileWorkspace(
-        nodes=np.empty((2 * n_s - 1, p, p), dtype=complex),
-        psi=np.empty((n_s, p, p), dtype=complex),
+        nodes=np.empty((2 * n_s - 1, p * p + p), dtype=complex),
+        psi=np.empty((n_s, p * p + p), dtype=complex),
     )
 
 
@@ -467,34 +469,35 @@ def _tile_statistics(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
     with ghv = G_i^H H_i V_j at the current beams (see `_coupling`). The
-    per-sample M stack is formed in the workspace ws (`_tile_workspace`).
+    per-sample statistics are formed in the workspace ws (`_tile_workspace`).
 
-    Also returns the tile factors (A_m, CC_m, Z_m): A_im = G_i^H T_im
-    (N_s, N_u, L, P), CC_m = [C_m1 ... C_mNu] (N_s, P, N_u*L) with
-    C_mj = S_m V_j, and Z_m = `_tile_term`(A_m, CC_m, b_m), tile m's own
-    term of ghv. Replacing b_m by b changes ghv by
+    Also returns the tile factors (A_m, CC_m, Z_m): A_m = [A_1m; ...; A_Num]
+    (N_s, N_u*L, P) with A_im = G_i^H T_im, CC_m = [C_m1 ... C_mNu]
+    (N_s, P, N_u*L) with C_mj = S_m V_j, and Z_m = `_tile_term`(A_m, CC_m,
+    b_m), tile m's own term of ghv. Replacing b_m by b changes ghv by
     `_tile_term`(A_m, CC_m, b) - Z_m.
     """
     n_s, n_u, _, l_ant, p_elem = t.shape
+    pp = p_elem * p_elem
     a_m = np.swapaxes(g.conj(), -1, -2) @ t[:, :, m]
+    a_f = a_m.reshape(n_s, n_u * l_ant, p_elem)
     cc = s[m] @ _fold_users(v)
     cc_h = np.swapaxes(cc.conj(), -1, -2)
-    z_m = _tile_term(a_m, cc, b_m)
+    z_m = _tile_term(a_f, cc, b_m)
     w_alpha = alpha[:, None, None] * w
-    # The users i fold into the rows: a_f[n] = [A_1m; ...; A_Nu m] (N_u*L, P).
-    a_f = a_m.reshape(n_s, n_u * l_ant, p_elem)
     a_fc = a_f.conj()
-    # Phi, then M = Phi had Psi^T, in the first N_s rows of the node buffer.
-    m_stack = ws.nodes[:n_s]
+    # Phi, then M = Phi had Psi^T, in the M columns of the first N_s node rows.
+    m_stack = ws.nodes[:n_s, :pp].reshape(n_s, p_elem, p_elem)
+    psi = ws.psi[:, :pp].reshape(n_s, p_elem, p_elem)
     np.matmul(np.swapaxes(a_fc, -1, -2), (w_alpha @ a_m).reshape(a_f.shape), out=m_stack)
-    np.matmul(cc, cc_h, out=ws.psi)
-    m_stack *= np.swapaxes(ws.psi, -1, -2)
-    # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m.
-    inner = cc_h.reshape(n_s, n_u, l_ant, p_elem) - (ghv - z_m) @ cc_h[:, None]
-    u_stack = np.sum(a_fc * (w_alpha @ inner).reshape(a_f.shape), axis=1)
-    m_bar = herm(pairwise_mean_nodes(ws.nodes, ws.psi))
-    u_bar = pairwise_mean(u_stack, axis=0)
-    return m_bar, u_bar, (a_m, cc, z_m)
+    np.matmul(cc, cc_h, out=psi)
+    m_stack *= np.swapaxes(psi, -1, -2)
+    # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m, then u in the u columns.
+    inner = (cc_h - (ghv - z_m) @ cc_h).reshape(a_m.shape)
+    np.sum(a_fc * (w_alpha @ inner).reshape(a_f.shape), axis=1, out=ws.nodes[:n_s, pp:])
+    root = pairwise_mean_nodes(ws.nodes, ws.psi)
+    # u_bar is copied out: the next call overwrites the root.
+    return herm(root[:pp].reshape(p_elem, p_elem)), root[pp:].copy(), (a_f, cc, z_m)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +570,12 @@ def offline_optimize_channels(
         ghv = _coupling(g, h, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
-            m_bar, u_bar, (a_m, cc, z_m) = _tile_statistics(
+            m_bar, u_bar, (a_f, cc, z_m) = _tile_statistics(
                 g, w, v, s, t, ghv, beams[m], m, alpha, ws
             )
             new_beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
             if tile_order == "sequential":
-                ghv += _tile_term(a_m, cc, new_beams[m]) - z_m
+                ghv += _tile_term(a_f, cc, new_beams[m]) - z_m
         beams, beams_prev = new_beams, beams
 
         violation = gc_violation(beams, rho_sq)

@@ -46,20 +46,18 @@ def check_finite(a: np.ndarray, name: str = "array") -> None:
         raise NumericalError(f"{name} contains non-finite entries")
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (..., m, n), by the formula
-    of np.linalg.norm(a, axis=(-2, -1)) without its per-call dispatch."""
-    return np.sqrt((a.conj() * a).real.sum(axis=(-2, -1)))
-
-
 def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN_RTOL) -> None:
     """Raise ValueError if A, or any matrix of a stack (..., n, n), deviates
-    from its conjugate transpose by more than rtol (relative)."""
+    from its conjugate transpose by more than rtol (relative). An exactly
+    Hermitian input, as every `herm` output is, returns before the norms."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.maximum(_frobenius(a), 1e-300)
-    dev = _frobenius(a - a.conj().swapaxes(-1, -2))
+    a_h = a.conj().swapaxes(-1, -2)
+    if (a == a_h).all():
+        return
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-300)
+    dev = np.linalg.norm(a - a_h, axis=(-2, -1))
     if (dev > rtol * scale).any():
         i = np.argmax(dev / scale)
         raise ValueError(
@@ -133,7 +131,8 @@ def power_constrained_solve(
     from one evaluation on the two stacked multiplier arrays, and the budget
     residual is read from the last pass of the rise, which moves no entry
     and so has evaluated p at the returned mu. A search costs one
-    evaluation plus one per pass.
+    evaluation plus one per pass. No evaluation masks: a zero-power row is
+    read at eigenvalue 1, where its term and slope are exactly +0 for mu >= 0.
 
     Raises
     ------
@@ -160,21 +159,20 @@ def power_constrained_solve(
     eigvals = np.maximum(eigvals, 0.0)
     bt = eigvecs.conj().swapaxes(-1, -2) @ b
     row_power = (np.abs(bt) ** 2).sum(axis=-1)
-    active = row_power > 0.0
+    eig_safe = np.where(row_power > 0.0, eigvals, 1.0)  # zero-power rows read 1
 
     def power(mu):
         # p(mu) and -p'(mu) / 2
-        denom = eigvals + mu[..., None]
-        terms = np.where(active, row_power / denom**2, 0.0)
-        slope = np.where(active, terms / denom, 0.0)
-        return terms.sum(axis=-1), slope.sum(axis=-1)
+        denom = eig_safe + mu[..., None]
+        terms = row_power / denom**2
+        return np.add.reduce(terms, axis=-1), np.add.reduce(terms / denom, axis=-1)
 
     def newton(mu):
         # p(mu) and the Newton iterate from mu on 1/sqrt(p) - 1/sqrt(P)
         p, slope = power(mu)
         return p, mu + p * (np.sqrt(p / budget) - 1.0) / slope
 
-    # 0/0 arises only on zero-power rows and interior entries, which the masks discard.
+    # x/0 and 0/0 arise only where p(0) = inf or B = 0, in steps the search discards.
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
         hi = np.sqrt(row_power.sum(axis=-1) / budget)
@@ -184,12 +182,13 @@ def power_constrained_solve(
             mu = floor
         else:
             mu0 = np.asarray(mu0, dtype=float)
-            try:
-                mu0 = np.broadcast_to(mu0, floor.shape)
-            except ValueError as exc:
-                raise ValueError(
-                    f"mu0 shape {mu0.shape} does not broadcast to {floor.shape}"
-                ) from exc
+            if mu0.shape != floor.shape:
+                try:
+                    mu0 = np.broadcast_to(mu0, floor.shape)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"mu0 shape {mu0.shape} does not broadcast to {floor.shape}"
+                    ) from exc
             if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
                 raise ValueError("mu0 must be finite and non-negative")
             mu = np.minimum(np.maximum(mu0, floor), hi)

@@ -285,6 +285,8 @@ def _coerce_field(annotation: str, value: Any, path: str):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
+    if "float" in annotation and not (value is None and "None" in annotation):
+        _check_numbers(value, path, "tuple" in annotation)
     nested = {
         "RoomConfig": RoomConfig,
         "BsConfig": BsConfig,
@@ -306,6 +308,15 @@ def _coerce_field(annotation: str, value: Any, path: str):
     if isinstance(value, list):
         return tuple(tuple(v) if isinstance(v, list) else v for v in value)
     return value
+
+
+def _check_numbers(value: Any, path: str, sequence: bool) -> None:
+    """ConfigError unless value (with sequence, each item of its nested lists) is a number."""
+    if sequence and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_numbers(item, f"{path}[{i}]", sequence)
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

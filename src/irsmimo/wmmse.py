@@ -29,6 +29,7 @@ raises. Rates are computed in nats internally and reported in bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,9 +71,25 @@ class LinkVariables:
     converged: bool = False
 
 
+@functools.lru_cache(maxsize=16)
+def _eye(n: int) -> np.ndarray:
+    """The complex identity of order n, read-only: every caller shares it."""
+    eye = np.eye(n, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+@functools.lru_cache(maxsize=16)
+def _user_index(n: int) -> np.ndarray:
+    """The indices 0 .. n-1 that `_diag_pairs` reads, read-only and shared."""
+    idx = np.arange(n)
+    idx.setflags(write=False)
+    return idx
+
+
 def _diag_pairs(x: np.ndarray) -> np.ndarray:
     """The i == j entries of a (..., N_u, N_u, a, b) user-pair stack."""
-    idx = np.arange(x.shape[-3])
+    idx = _user_index(x.shape[-3])
     return x[..., idx, idx, :, :]
 
 
@@ -95,7 +112,7 @@ def update_receivers(hv: np.ndarray, sigma2: float) -> np.ndarray:
     """MMSE receive filters G_i = J_i^-1 H_i V_i with
     J_i = sum_j H_i V_j V_j^H H_i^H + sigma2 I (the sum includes j = i),
     from the pair products hv = `pair_products`(H, V)."""
-    j_mat = sigma2 * np.eye(hv.shape[-2], dtype=complex) + np.einsum(
+    j_mat = sigma2 * _eye(hv.shape[-2]) + np.einsum(
         "...ijlc,...ijkc->...ilk", hv, hv.conj()
     )
     return np.linalg.solve(j_mat, _diag_pairs(hv))
@@ -109,8 +126,7 @@ def mse_matrices(hv: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
     cross = np.einsum("...ilk,...ijkc->...ijlc", gh, hv)  # G_i^H H_i V_j
     total = np.einsum("...ijlc,...ijkc->...ilk", cross, cross.conj())
     own = _diag_pairs(cross)
-    eye = np.eye(hv.shape[-1], dtype=complex)
-    e = total + eye - own - own.conj().swapaxes(-1, -2)
+    e = total + _eye(hv.shape[-1]) - own - own.conj().swapaxes(-1, -2)
     e = e + sigma2 * np.einsum("...ilk,...ikc->...ilc", gh, g)
     return herm(e)
 
@@ -144,9 +160,10 @@ def update_precoders(
     the root down to or below it, so the multipliers are the same smallest
     ones to rounding."""
     hh = h.conj().swapaxes(-1, -2)
-    gwg = g @ w @ g.conj().swapaxes(-1, -2)
+    gw = g @ w
+    gwg = gw @ g.conj().swapaxes(-1, -2)
     k_mat = herm(np.einsum("j,...jmr->...mr", alpha, hh @ gwg @ h))
-    rhs = alpha[:, None, None] * (hh @ (g @ w))
+    rhs = alpha[:, None, None] * (hh @ gw)
     return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget, mu0=mu0)
 
 
@@ -174,11 +191,11 @@ def user_rates(hv: np.ndarray, sigma2: float) -> np.ndarray:
         raise ValueError("sigma2 must be positive")
     total = np.einsum("...ijlc,...ijkc->...ilk", hv, hv.conj())
     own = _diag_pairs(hv)
-    jbar = sigma2 * np.eye(hv.shape[-2], dtype=complex) + total - np.einsum(
+    jbar = sigma2 * _eye(hv.shape[-2]) + total - np.einsum(
         "...ilc,...ikc->...ilk", own, own.conj()
     )
     inner = np.einsum("...ilc,...ilk->...ick", own.conj(), np.linalg.solve(jbar, own))
-    return logdet_hpd(np.eye(hv.shape[-1], dtype=complex) + inner)
+    return logdet_hpd(_eye(hv.shape[-1]) + inner)
 
 
 def initial_precoders(h: np.ndarray, p_budget: np.ndarray) -> np.ndarray:

@@ -89,6 +89,13 @@ class TestOptimizeCommand:
         assert rc == cli.EXIT_VALIDATION
         assert "solver.n_samples" in capsys.readouterr().err
 
+    def test_non_number_float_is_validation_error(self, smoke_config, capsys):
+        rc = cli.main(
+            ["optimize", "-c", str(smoke_config), "--override", "solver.tol_online=abc"]
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "solver.tol_online" in capsys.readouterr().err
+
     def test_unknown_config_key_names_path(self, tmp_path, capsys):
         data = copy.deepcopy(SMOKE)
         data["solver"]["typo_key"] = 1

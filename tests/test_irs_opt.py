@@ -306,9 +306,11 @@ class TestBatchedKernels:
 
     def test_tile_statistics_allocate_no_per_tile_stack(self):
         """numpy reports its data buffers to tracemalloc. With the workspace,
-        one call peaks near 1.9 (N_s, P, P) stacks at desk shapes; forming
-        Psi and the product, or the mean's node buffer, per call again puts
-        it above 3."""
+        one call peaks near 2.1 (N_s, P, P) stacks at desk shapes, about 1.0
+        of it numpy's iteration buffers for the Hadamard product on the
+        packed rows (three of 8192 entries, whatever N_s); forming Psi and
+        the product, or the mean's node buffer, per call again puts it
+        above 3."""
         # Desk shapes: N_s = 100 draws, 2 users with 2 antennas, 8 BS
         # antennas, 8 tiles of 16 elements.
         inst = synthetic_instance(15, n_s=100, n_u=2, l=2, m=8, k=8, p=16)

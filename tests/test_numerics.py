@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,25 @@ def test_check_hermitian_rejects_skew():
     a = np.array([[1.0, 2.0], [3.0, 1.0]])
     with pytest.raises(ValueError):
         check_hermitian(a, "a")
+
+
+def test_check_hermitian_exact_shortcut_keeps_tolerance():
+    """An exactly Hermitian stack returns early; a slice off by less than
+    rtol still passes and one off by more still raises, with its norms."""
+    rng = np.random.default_rng(2)
+    a = herm(crandn(rng, 3, 4, 4))
+    check_hermitian(a, "a")
+    scale = np.linalg.norm(a[1])
+    near = a.copy()
+    near[1, 0, 2] += 1e-12 * scale
+    assert not np.array_equal(near, near.conj().swapaxes(-1, -2))
+    check_hermitian(near, "near")
+    far = a.copy()
+    far[1, 0, 2] += 1e-8 * scale
+    dev = np.linalg.norm(far[1] - far[1].conj().T)
+    want = f"||A - A^H|| = {dev:.3e}, ||A|| = {np.linalg.norm(far[1]):.3e}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        check_hermitian(far, "far")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -155,6 +176,28 @@ class TestPowerConstrainedSolve:
         skew[1, 0, 1] += 1.0
         with pytest.raises(ValueError):
             power_constrained_solve(skew, b, budget)
+
+    def test_zero_power_row_on_zero_eigenvalue_at_the_boundary(self):
+        """A singular slice that needs mu > 0, with a zero-power row on the
+        eigenvalue 0: cold and warm stacks give the bits of per-slice solves,
+        meet the budget and stay finite."""
+        rng = np.random.default_rng(10)
+        a = np.stack([np.diag([2.0, 1.0, 0.5, 0.0]).astype(complex), random_psd(rng, 4)])
+        b = crandn(rng, 2, 4, 2)
+        b[0, 3] = 0.0
+        budget = np.array([0.05, 0.5])
+        for mu0 in (None, np.array([0.3, 2.0])):
+            x, mu = power_constrained_solve(a, b, budget, mu0=mu0)
+            for s in range(2):
+                x_s, mu_s = power_constrained_solve(
+                    a[s], b[s], budget[s], mu0=None if mu0 is None else mu0[s]
+                )
+                assert np.array_equal(x[s], x_s)
+                assert np.array_equal(mu[s], mu_s)
+            assert np.all(mu > 0.0)
+            assert np.all(np.isfinite(x))
+            power = np.sum(np.abs(x) ** 2, axis=(-2, -1))
+            assert np.all(np.abs(power - budget) <= 1e-8 * budget)
 
     @staticmethod
     def warm_cases():

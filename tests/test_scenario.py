@@ -1,5 +1,6 @@
 import copy
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,41 @@ class TestConfigValidation:
     def test_integer_fields_reject_non_integers(self, key, overrides):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(tiny_scenario_dict(**overrides))
+
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("solver.tol_online", {"solver.tol_online": "abc"}),
+            ("room.x", {"room.x": True}),
+            ("constraint.rho_sq", {"constraint.rho_sq": "abc"}),
+            ("solver.eps_offline", {"solver.eps_offline": [1e-3]}),
+            ("bs.position[2]", {"bs.position": [6.0, 11.5, "2"]}),
+            ("ue.nominal_positions[1][0]", {"ue.nominal_positions": [[1.5, 4.0], [None, 8.0]]}),
+            ("weights[1]", {"weights": [1, "x"]}),
+            ("power.per_ue_dbm", {"power.per_ue_dbm": "0 dBm"}),
+            ("power.per_ue_dbm[0]", {"power.per_ue_dbm": [False, 0.0]}),
+        ],
+    )
+    def test_float_fields_reject_non_numbers(self, key, overrides):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict(tiny_scenario_dict(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"room.x": 12},
+            {"constraint.rho_sq": None},
+            {"power.per_ue_dbm": [0, -1.5]},
+            {"weights": [1, 2.0]},
+        ],
+    )
+    def test_float_fields_accept_numbers_unconverted(self, overrides):
+        cfg = config_from_dict(tiny_scenario_dict(**overrides))
+        for dotted, value in overrides.items():
+            got = cfg
+            for part in dotted.split("."):
+                got = getattr(got, part)
+            assert repr(got) == repr(tuple(value) if isinstance(value, list) else value)
 
     def test_optional_integer_accepts_null(self):
         cfg = config_from_dict(tiny_scenario_dict(**{"constraint.n_bits": None}))
