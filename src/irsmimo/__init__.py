@@ -27,7 +27,6 @@ from .irs_opt import (
     offline_optimize,
     offline_optimize_channels,
     save_beams,
-    verify_theorem1,
 )
 from .metrics import EvalResult, effective_rank, equivalent_array_factor, evaluate_average_sum_rate
 
@@ -50,7 +49,6 @@ __all__ = [
     "offline_optimize",
     "offline_optimize_channels",
     "save_beams",
-    "verify_theorem1",
     "EvalResult",
     "effective_rank",
     "equivalent_array_factor",

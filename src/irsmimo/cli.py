@@ -320,6 +320,14 @@ def _load_sweep_spec(path: str) -> dict:
         raise ConfigError(f"unknown sweep spec keys: {sorted(unknown)}")
     if "base_config" not in spec or "axes" not in spec:
         raise ConfigError("sweep spec needs base_config and axes")
+    n_real = spec.get("realizations")
+    if n_real is not None and (
+        not isinstance(n_real, int) or isinstance(n_real, bool) or n_real < 1
+    ):
+        raise ConfigError(f"realizations: expected an integer >= 1 or null, got {n_real!r}")
+    for key in ("constant_total_area", "include_random_baseline"):
+        if not isinstance(spec.get(key, False), bool):
+            raise ConfigError(f"{key}: expected true or false, got {spec[key]!r}")
     axes = spec["axes"]
     if not isinstance(axes, list) or not axes:
         raise ConfigError("sweep axes must be a non-empty list")
@@ -375,7 +383,7 @@ def cmd_sweep(args) -> int:
         if len(set(totals.values())) > 1:
             raise ConfigError(f"constant_total_area violated: element counts {totals}")
 
-    include_baseline = bool(spec.get("include_random_baseline", False))
+    include_baseline = spec.get("include_random_baseline", False)
     n_real = spec.get("realizations")
     rows = []
     failures = 0

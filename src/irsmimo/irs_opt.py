@@ -18,15 +18,14 @@ Tile updates run sequentially by default (the cross-tile coupling inside u_m
 is refreshed after each tile), which makes every block update an exact
 minimizer and the frozen-sample objective monotonically non-increasing.
 The simultaneous variant (all tiles from the previous iterate) is available
-through the solver.tile_order configuration key. Both orders, and the
-gradient check `verify_theorem1`, take the per-tile statistics from
-`_tile_statistics`, which forms them as batched matrix products with the
-users folded into the rows. Its per-sample M and u lie side by side in
-the rows of one `_tile_workspace`, so one tree pass of the pairwise mean
-averages both; allocated once per run, it is overwritten by every tile
-call. Allocated per call, these megabyte stacks went back to the operating
-system when freed (glibc trims the heap top), so every tile call faulted
-them in again as zeroed pages.
+through the solver.tile_order configuration key. Both orders take the
+per-tile statistics from `_tile_statistics`, which forms them as batched
+matrix products with the users folded into the rows. Its per-sample M and
+u lie side by side in the rows of one `_tile_workspace`, so one tree pass
+of the pairwise mean averages both; allocated once per run, it is
+overwritten by every tile call. Allocated per call, these megabyte stacks
+went back to the operating system when freed (glibc trims the heap top),
+so every tile call faulted them in again as zeroed pages.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -64,23 +63,14 @@ from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, BeamConstraint, ScenarioC
 
 __all__ = [
     "IrsBeamSet",
-    "QuadraticStats",
     "OptReport",
     "lc_grid_point",
     "quantize_lc",
     "initial_beams",
     "random_beam_set",
-    "build_linear_factors",
-    "q_map",
-    "gamma_expand",
-    "accumulate_quadratic",
-    "mc_expectation",
     "update_b",
     "offline_optimize",
     "offline_optimize_channels",
-    "verify_theorem1",
-    "receivers_and_weights",
-    "frozen_weighted_mse",
     "frozen_sum_rate",
     "save_beams",
     "load_beams",
@@ -107,15 +97,6 @@ class IrsBeamSet:
         if self.mode != "LC":
             return None
         return quantize_lc(self.beams, self.n_bits)[1]
-
-
-@dataclass(frozen=True)
-class QuadraticStats:
-    """Monte-Carlo averaged per-tile quadratic statistics."""
-
-    m_bar: np.ndarray  # (K, P, P)
-    u_bar: np.ndarray  # (K, P)
-    n_samples: int
 
 
 @dataclass
@@ -232,148 +213,7 @@ def update_b(
 
 
 # ---------------------------------------------------------------------------
-# Quadratic-form algebra (single-sample reference forms)
-
-
-def build_linear_factors(
-    g_i: np.ndarray,
-    v: np.ndarray,
-    hbar_i: np.ndarray,
-    s: np.ndarray,
-    t_i: np.ndarray,
-    beams: np.ndarray,
-    m: int,
-    j: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shorthand factors of the tile-m, stream-j term of G_i^H H_i V_j.
-
-    A = G_i^H T_im (L x P), C = S_m V_j (P x L),
-    D = C (G_i^H Hbar_i V_j)^H, and F = C (sum_{k != m} A_ik diag(b_k) C_kj)^H
-    collect the direct-channel and other-tile cross couplings.
-    """
-    a = g_i.conj().T @ t_i[m]
-    c = s[m] @ v[j]
-    d = c @ (g_i.conj().T @ hbar_i @ v[j]).conj().T
-    cross = np.zeros((g_i.shape[1], v[j].shape[1]), dtype=complex)
-    for k in range(s.shape[0]):
-        if k == m:
-            continue
-        cross += (g_i.conj().T @ t_i[k]) @ (beams[k][:, None] * (s[k] @ v[j]))
-    f = c @ cross.conj().T
-    return a, c, d, f
-
-
-def q_map(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Compact row-block form Q (L x P*L) with block m equal to Q1 * Q2[:, m]^T,
-    so that Q1 diag(b) Q2 = q_map(Q1, Q2) @ gamma_expand(b)."""
-    l_rows, p = q1.shape
-    p2, l_cols = q2.shape
-    if p2 != p:
-        raise ValueError("q_map: inner dimensions do not match")
-    # blocks[l, m, p] = Q1[l, p] * Q2[p, m]
-    blocks = q1[:, None, :] * q2.T[None, :, :]
-    return blocks.reshape(l_rows, l_cols * p)
-
-
-def gamma_expand(b: np.ndarray, l: int) -> np.ndarray:
-    """Sparse companion of q_map: Gamma (P*L x L) whose column m carries b in
-    rows m*P .. (m+1)*P - 1, so Q1 diag(b) Q2 = q_map(Q1, Q2) @ gamma_expand(b, L)."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(np.eye(l, dtype=complex), b[:, None])
-
-
-def accumulate_quadratic(
-    g: np.ndarray,
-    w: np.ndarray,
-    v: np.ndarray,
-    hbar: np.ndarray,
-    s: np.ndarray,
-    t: np.ndarray,
-    beams: np.ndarray,
-    m: int,
-    alpha: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample quadratic statistics (M_m, u_m) of tile m.
-
-    The per-sample weighted MSE sum_i alpha_i tr(W_i E_i), as a function of
-    b_m with everything else fixed, equals b^H M b - 2 Re(u^H b) + const with
-
-        M = sum_i alpha_i (A_im^H W_i A_im) had (sum_j C_mj C_mj^H)^T
-        u = sum_i alpha_i diagvec(A_im^H W_i (C_mi^H - sum_j (D_imj + F_imj)^H))
-
-    (had = Hadamard product; diagvec = main diagonal of the matrix product).
-    M is Hermitian PSD as a Hadamard product of PSD factors.
-    """
-    n_u, _, _ = hbar.shape
-    p = s.shape[1]
-    phi = np.zeros((p, p), dtype=complex)
-    psi = np.zeros((p, p), dtype=complex)
-    u = np.zeros(p, dtype=complex)
-    for i in range(n_u):
-        a_im = g[i].conj().T @ t[i, m]
-        phi += alpha[i] * (a_im.conj().T @ w[i] @ a_im)
-        inner = (s[m] @ v[i]).conj().T  # C_mi^H
-        for j in range(n_u):
-            _, c, d, f = build_linear_factors(g[i], v, hbar[i], s, t[i], beams, m, j)
-            if i == 0:
-                psi += c @ c.conj().T
-            inner = inner - (d + f).conj().T
-        u += alpha[i] * np.einsum("pl,lq,qp->p", a_im.conj().T, w[i], inner)
-    m_mat = herm(phi * psi.T)
-    eigs = np.linalg.eigvalsh(m_mat)
-    scale = max(float(eigs[-1]), 0.0)
-    if eigs[0] < -1e-9 * max(scale, 1e-300):
-        raise NumericalError(f"accumulate_quadratic: M not PSD (lambda_min = {eigs[0]:.3e})")
-    return m_mat, u
-
-
-def mc_expectation(m_samples: np.ndarray, u_samples: np.ndarray) -> QuadraticStats:
-    """Average per-sample statistics into QuadraticStats.
-
-    Uses the recursive-halving mean, so the reduction is order-independent
-    and the mean over an even split equals the average of the half means
-    bit-exactly. Validates the Hermitian/PSD contract per tile.
-    """
-    m_samples = np.asarray(m_samples)
-    u_samples = np.asarray(u_samples)
-    if m_samples.ndim == 3:  # single tile: (N_s, P, P)
-        m_samples = m_samples[:, None]
-        u_samples = u_samples[:, None]
-    m_bar = pairwise_mean(m_samples, axis=0)
-    u_bar = pairwise_mean(u_samples, axis=0)
-    for k in range(m_bar.shape[0]):
-        dev = np.linalg.norm(m_bar[k] - m_bar[k].conj().T)
-        if dev > 1e-10 * max(np.linalg.norm(m_bar[k]), 1e-300):
-            raise NumericalError(f"mc_expectation: tile {k} average is not Hermitian")
-        eigs = np.linalg.eigvalsh(herm(m_bar[k]))
-        if eigs[0] < -1e-9 * max(float(eigs[-1]), 1e-300):
-            raise NumericalError(
-                f"mc_expectation: tile {k} average not PSD (lambda_min = {eigs[0]:.3e})"
-            )
-    return QuadraticStats(m_bar=m_bar, u_bar=u_bar, n_samples=m_samples.shape[0])
-
-
-# ---------------------------------------------------------------------------
 # Sample-stack evaluators and tile statistics
-
-
-def frozen_weighted_mse(
-    hbar: np.ndarray,
-    s: np.ndarray,
-    t: np.ndarray,
-    beams: np.ndarray,
-    g: np.ndarray,
-    w: np.ndarray,
-    v: np.ndarray,
-    sigma2: float,
-    alpha: np.ndarray,
-) -> float:
-    """mean_n sum_i alpha_i tr(W_i E_i) as a function of the beams, with the
-    digital variables frozen. Reference evaluator for the gradient oracles."""
-    h = channel_mod.composite_channel(hbar, s, t, beams)
-    e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
-    tr_we = np.real(np.einsum("nilk,nikl->ni", w, e))
-    return float(pairwise_mean(np.einsum("i,ni->n", alpha, tr_we)))
 
 
 def frozen_sum_rate(
@@ -398,20 +238,6 @@ def _mean_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
     """mean_n sum_i alpha_i R_i (nats) from the pair products hv."""
     rates = wmmse.user_rates(hv, sigma2)
     return float(pairwise_mean(np.einsum("i,ni->n", alpha, rates)))
-
-
-def receivers_and_weights(
-    hbar: np.ndarray,
-    s: np.ndarray,
-    t: np.ndarray,
-    beams: np.ndarray,
-    v: np.ndarray,
-    sigma2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE receivers and W = E^-1 for the sample stack at the given beams."""
-    hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
-    g = wmmse.update_receivers(hv, sigma2)
-    return g, wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
 
 
 def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -648,79 +474,6 @@ def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
         tile_order=cfg.solver.tile_order,
     )
     return replace(init, beams=beams), report
-
-
-# ---------------------------------------------------------------------------
-# Stationarity cross-check
-
-
-def verify_theorem1(
-    hbar: np.ndarray,
-    s: np.ndarray,
-    t: np.ndarray,
-    beams: np.ndarray,
-    v: np.ndarray,
-    sigma2: float,
-    alpha=None,
-    fd_step: float = 1e-6,
-    stale_w: np.ndarray | None = None,
-) -> dict:
-    """Compare the closed-form beam gradient of the averaged weighted-MSE
-    objective against finite differences of the negated averaged weighted
-    sum-rate.
-
-    With MMSE receivers and W = E^-1 at the evaluation point the two
-    gradients coincide; passing stale_w (weights from a different beam set)
-    breaks the premise and the deviation becomes material.
-
-    Returns a report dict with the per-tile and maximum relative deviations.
-    """
-    hbar = np.asarray(hbar, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    beams = np.asarray(beams, dtype=complex)
-    n_u = hbar.shape[1]
-    k_tiles, p_elem, _ = s.shape
-    alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
-
-    g, w = receivers_and_weights(hbar, s, t, beams, v, sigma2)
-    if stale_w is not None:
-        w = stale_w
-
-    ghv = _coupling(g, channel_mod.composite_channel(hbar, s, t, beams), v)
-    ws = _tile_workspace(hbar.shape[0], p_elem)
-    grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)
-    for m in range(k_tiles):
-        m_bar, u_bar, _ = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha, ws)
-        grad_closed[m] = 2.0 * (m_bar @ beams[m] - u_bar)
-
-    def theta2(b: np.ndarray) -> float:
-        return -frozen_sum_rate(hbar, s, t, b, v, sigma2, alpha)
-
-    grad_fd = np.zeros((k_tiles, p_elem), dtype=complex)
-    for m in range(k_tiles):
-        for p in range(p_elem):
-            for direction in (1.0, 1.0j):
-                bp = beams.copy()
-                bp[m, p] += fd_step * direction
-                bm = beams.copy()
-                bm[m, p] -= fd_step * direction
-                slope = (theta2(bp) - theta2(bm)) / (2.0 * fd_step)
-                grad_fd[m, p] += slope * direction
-
-    per_tile = np.array(
-        [
-            np.linalg.norm(grad_closed[m] - grad_fd[m])
-            / max(np.linalg.norm(grad_fd[m]), 1e-300)
-            for m in range(k_tiles)
-        ]
-    )
-    return {
-        "max_rel_deviation": float(per_tile.max()),
-        "per_tile_rel_deviation": per_tile.tolist(),
-        "fd_step": fd_step,
-        "stale_weights": stale_w is not None,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ __all__ = [
     "herm",
     "check_finite",
     "check_hermitian",
-    "logdet_psd",
+    "logdet_hpd",
     "singular_values",
     "power_constrained_solve",
     "pairwise_mean",
@@ -65,27 +65,15 @@ def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN
         )
 
 
-def logdet_psd(a: np.ndarray) -> float:
-    """log det(A) for a Hermitian positive-definite matrix, in nats.
-
-    Computed from the Cholesky factor so the determinant is never formed
-    explicitly. The input is symmetrized before factorization.
-
-    Raises
-    ------
-    ValueError
-        If A is not Hermitian within the relative tolerance 1e-10.
-    NumericalError
-        If A is not positive definite.
-    """
-    a = np.asarray(a, dtype=complex)
-    check_finite(a, "logdet_psd input")
-    check_hermitian(a, "logdet_psd input")
+def logdet_hpd(mats: np.ndarray) -> np.ndarray:
+    """log det of a Hermitian positive-definite matrix, or of each matrix of
+    a stack (..., n, n), in nats, from the Cholesky factor of the symmetrized
+    input. Raises NumericalError if a matrix is not positive definite."""
     try:
-        chol = np.linalg.cholesky(herm(a))
+        chol = np.linalg.cholesky(herm(mats))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"logdet_psd: matrix is not positive definite ({exc})") from exc
-    return float(2.0 * np.sum(np.log(np.real(np.diagonal(chol)))))
+        raise NumericalError(f"batched log det: matrix not positive definite ({exc})") from exc
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,9 +46,20 @@ __all__ = [
     "NAMESPACE_INIT",
 ]
 
-# PyYAML's libyaml parser where PyYAML was built with it, else the pure-Python
-# one. Both build documents with the same safe constructor.
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+class _YamlLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """PyYAML's safe loader, on its libyaml parser where PyYAML was built with
+    it, else on the pure-Python one, with the YAML 1.2 float resolver: YAML
+    1.1 reads an exponent without a decimal point or without a sign (1e-6,
+    2E3, 1.0e6) as a string. Integers still resolve as integers."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+YAML_LOADER = _YamlLoader
 
 # RNG namespaces: offline training samples, evaluation realizations, beam init.
 NAMESPACE_TRAIN = 0

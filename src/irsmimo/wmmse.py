@@ -34,11 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericalError, check_finite, herm, power_constrained_solve
+from .numerics import NumericalError, check_finite, herm, logdet_hpd, power_constrained_solve
 
 __all__ = [
     "LinkVariables",
-    "logdet_hpd",
     "pair_products",
     "update_receivers",
     "mse_matrices",
@@ -91,15 +90,6 @@ def _diag_pairs(x: np.ndarray) -> np.ndarray:
     """The i == j entries of a (..., N_u, N_u, a, b) user-pair stack."""
     idx = _user_index(x.shape[-3])
     return x[..., idx, idx, :, :]
-
-
-def logdet_hpd(mats: np.ndarray) -> np.ndarray:
-    """log det of a stack of Hermitian positive-definite matrices (nats)."""
-    try:
-        chol = np.linalg.cholesky(herm(mats))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"batched log det: matrix not positive definite ({exc})") from exc
-    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
 def pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:

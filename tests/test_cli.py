@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from irsmimo import cli, irs_opt, metrics
+from irsmimo import cli, irs_opt, metrics, scenario
 from irsmimo.numerics import NumericalError
 
 
@@ -95,6 +95,18 @@ class TestOptimizeCommand:
         )
         assert rc == cli.EXIT_VALIDATION
         assert "solver.tol_online" in capsys.readouterr().err
+
+    def test_exponent_float_override_validates(self, smoke_config, tmp_path):
+        out = tmp_path / "opt"
+        rc = cli.main(
+            ["optimize", "-c", str(smoke_config), "--override", "solver.tol_online=1e-6",
+             "-o", str(out)]
+        )
+        assert rc == cli.EXIT_OK
+        cfg = scenario.load_config(smoke_config, overrides={"solver.tol_online": 1e-6})
+        assert cfg.solver.tol_online == 1e-6
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == scenario.config_hash(cfg)
 
     def test_unknown_config_key_names_path(self, tmp_path, capsys):
         data = copy.deepcopy(SMOKE)
@@ -358,6 +370,46 @@ class TestSweepCommand:
         body = rows[2:]
         statuses = {r.split(",")[1]: r.split(",")[3] for r in body}
         assert statuses == {"good": "ok", "bad": "failed"}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("realizations", 2.5),
+            ("realizations", True),
+            ("realizations", 0),
+            ("realizations", "2"),
+            ("include_random_baseline", "false"),
+            ("include_random_baseline", 0),
+            ("include_random_baseline", None),
+            ("constant_total_area", "yes"),
+            ("constant_total_area", 1),
+        ],
+    )
+    def test_mistyped_spec_value_names_key(self, smoke_config, tmp_path, capsys, key, value):
+        spec = self._write_sweep(
+            tmp_path, smoke_config,
+            {"axes": [{"name": "a", "points": [{"label": "x"}]}], key: value},
+        )
+        assert cli.main(["sweep", "-s", str(spec), "-o", str(tmp_path / "sweep")]) == (
+            cli.EXIT_VALIDATION
+        )
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"realizations": None},
+            {"realizations": 1},
+            {"include_random_baseline": False, "constant_total_area": True},
+        ],
+    )
+    def test_well_typed_spec_values_load(self, smoke_config, tmp_path, extra):
+        spec = self._write_sweep(
+            tmp_path, smoke_config, {"axes": [{"name": "a", "points": [{"label": "x"}]}], **extra}
+        )
+        loaded = cli._load_sweep_spec(str(spec))
+        assert {key: loaded[key] for key in extra} == extra
 
     def test_missing_spec_is_io_error(self, tmp_path):
         assert cli.main(["sweep", "-s", str(tmp_path / "nope.yaml")]) == cli.EXIT_IO

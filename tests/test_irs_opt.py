@@ -6,27 +6,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import crandn, synthetic_instance, tiny_scenario_dict
+from oracles import (
+    accumulate_quadratic,
+    frozen_weighted_mse,
+    gamma_expand,
+    mc_expectation,
+    q_map,
+    receivers_and_weights,
+    verify_theorem1,
+)
 from irsmimo import channel, irs_opt, scenario, wmmse
 from irsmimo.irs_opt import (
     BeamConstraint,
     IrsBeamSet,
-    accumulate_quadratic,
     beam_set_digest,
-    frozen_weighted_mse,
-    gamma_expand,
     gc_violation,
     initial_beams,
     lc_grid_point,
     load_beams,
-    mc_expectation,
     offline_optimize,
     offline_optimize_channels,
-    q_map,
     quantize_lc,
-    receivers_and_weights,
     save_beams,
     update_b,
-    verify_theorem1,
 )
 from irsmimo.scenario import ConfigError, config_from_dict
 

@@ -10,7 +10,7 @@ from irsmimo.numerics import (
     check_finite,
     check_hermitian,
     herm,
-    logdet_psd,
+    logdet_hpd,
     pairwise_mean,
     pairwise_mean_nodes,
     power_constrained_solve,
@@ -68,12 +68,22 @@ def test_logdet_psd_matches_slogdet(seed):
     a = random_psd(rng, 5)
     sign, ref = np.linalg.slogdet(a)
     assert sign > 0
-    assert logdet_psd(a) == pytest.approx(ref, rel=1e-12)
+    assert logdet_hpd(a) == pytest.approx(ref, rel=1e-12)
 
 
 def test_logdet_psd_rejects_indefinite():
     with pytest.raises(NumericalError):
-        logdet_psd(np.diag([1.0, -1.0]))
+        logdet_hpd(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_logdet_hpd_stack_slices_equal_single_calls(n):
+    rng = np.random.default_rng(n)
+    stack = np.array([[random_psd(rng, n) for _ in range(3)] for _ in range(2)])
+    out = logdet_hpd(stack)
+    assert out.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], logdet_hpd(stack[idx]))
 
 
 def test_singular_values_sorted():

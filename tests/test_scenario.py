@@ -363,4 +363,29 @@ def test_config_hash_is_pinned(name, filename, overrides, expected):
 
 def test_yaml_loader_uses_libyaml_where_built():
     expect = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    assert scenario.YAML_LOADER is expect
+    assert scenario.YAML_LOADER.__bases__ == (expect,)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("1e-6", 1e-6), ("-2E+3", -2000.0), ("1.0e6", 1e6), (".5e2", 50.0), ("2.5", 2.5)]
+)
+def test_yaml_reads_exponent_floats_as_floats(text, value):
+    loaded = scenario.load_yaml(text)
+    assert type(loaded) is float and loaded == value
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-3", -3), ("0", 0), ("1_000", 1000)])
+def test_yaml_integers_stay_integers(text, value):
+    loaded = scenario.load_yaml(text)
+    assert type(loaded) is int and loaded == value
+
+
+@pytest.mark.parametrize("text", ["1e", "e5", "1e-", "1.2.3e4"])
+def test_yaml_non_numbers_stay_strings(text):
+    assert scenario.load_yaml(text) == text
+
+
+def test_yaml_float_resolver_leaves_pyyaml_loaders_unchanged():
+    assert yaml.load("1e-6", Loader=yaml.SafeLoader) == "1e-6"
+    if yaml.__with_libyaml__:
+        assert yaml.load("1e-6", Loader=yaml.CSafeLoader) == "1e-6"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn
-from irsmimo.numerics import NumericalError, logdet_psd, herm
+from irsmimo.numerics import NumericalError, logdet_hpd, herm
 from irsmimo import channel as ch
 from irsmimo import wmmse
 from irsmimo.scenario import build_antenna_positions, draw_sample
@@ -34,7 +34,7 @@ def user_rate(h_i, v, sigma2, i):
         jbar += hv @ hv.conj().T
     hv_i = h_i @ v[i]
     inner = hv_i.conj().T @ np.linalg.solve(jbar, hv_i)
-    return logdet_psd(herm(np.eye(v.shape[2], dtype=complex) + inner))
+    return logdet_hpd(herm(np.eye(v.shape[2], dtype=complex) + inner))
 
 
 def mse_matrix(h_i, v, g_i, sigma2, i):
@@ -84,7 +84,7 @@ class TestUserRate:
         v = crandn(rng, 1, 6, 2)
         sigma2 = 0.5
         hv = h[0] @ v[0]
-        direct = logdet_psd(
+        direct = logdet_hpd(
             herm(np.eye(2, dtype=complex) + hv.conj().T @ hv / sigma2)
         )
         assert wmmse.user_rates(wmmse.pair_products(h, v), sigma2)[0] == pytest.approx(direct, rel=1e-12)
@@ -213,7 +213,7 @@ class TestOnlineWmmse:
         out = wmmse.online_wmmse(h, 0.05, 2.0, tol=1e-10, max_iters=400)
         rates_nats = out.rates * np.log(2.0)
         for i in range(3):
-            assert rates_nats[i] == pytest.approx(logdet_psd(herm(out.w[i])), rel=1e-6)
+            assert rates_nats[i] == pytest.approx(logdet_hpd(herm(out.w[i])), rel=1e-6)
 
     def test_reported_rates_match_user_rate(self):
         h, _ = random_links(12)
