@@ -7,8 +7,10 @@ embeds the analog beams as H_i(B) = Hbar_i + sum_k T_ik diag(b_k) S_k.
 
 One LOS kernel, `_los_link`, broadcasts over leading axes, so the BS-IRS
 stack S (K, P, M) and the IRS-UE stack T (N_u, K, L, P) are one call each.
-One composite kernel, `composite_channel`, serves one realization
-(evaluation) and the frozen sample stack (offline optimization) alike.
+One composite kernel, `composite_channel`, serves one realization and a
+stack of realizations alike. `sample_channels` is the one path from a config
+to channels: the offline training draws, the evaluation realizations and the
+array-factor realization all come from it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scenario as scenario_mod
 from .numerics import NumericalError, check_finite
 from .scenario import ArrayGeometry, ScenarioConfig, ScenarioSample
 
@@ -28,6 +31,7 @@ __all__ = [
     "direct_channel",
     "composite_channel",
     "build_channel_set",
+    "sample_channels",
     "bs_irs_channels",
 ]
 
@@ -173,6 +177,22 @@ def build_channel_set(
     t = np.swapaxes(blocks, -1, -2)
     hbar = direct_channel(sample, geometry, cfg)
     return ChannelSet(hbar=hbar, s=s, t=t)
+
+
+def sample_channels(cfg: ScenarioConfig, namespace: int, indices) -> ChannelSet:
+    """The channel sets of draws `indices` of stream `namespace`, stacked on a
+    leading axis: hbar (n, N_u, L, M) and t (n, N_u, K, L, P) around the one
+    shared S (K, P, M). Draws and synthesis go through the module names
+    `scenario.draw_sample` and `build_channel_set`, one call per index."""
+    geometry = scenario_mod.build_antenna_positions(cfg)
+    s = bs_irs_channels(geometry, cfg)
+    sets = [
+        build_channel_set(scenario_mod.draw_sample(cfg, i, namespace), geometry, cfg, s=s)
+        for i in indices
+    ]
+    return ChannelSet(
+        hbar=np.array([cs.hbar for cs in sets]), s=s, t=np.array([cs.t for cs in sets])
+    )
 
 
 def composite_channel(

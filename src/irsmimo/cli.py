@@ -30,7 +30,6 @@ from . import irs_opt, metrics
 from . import scenario as scenario_mod
 from .numerics import NumericalError
 from .scenario import NAMESPACE_EVAL, ConfigError, ScenarioConfig
-from .wmmse import online_wmmse
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -237,18 +236,9 @@ def cmd_array_factor(args) -> int:
     outdir = _resolve_outdir(args, f"array-factor-{cfg_hash[:12]}-{beams_hash[:12]}")
 
     geometry = scenario_mod.build_antenna_positions(cfg)
-    s = channel_mod.bs_irs_channels(geometry, cfg)
-    sample = scenario_mod.draw_sample(cfg, args.realization, namespace=NAMESPACE_EVAL)
-    cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
+    cset = channel_mod.sample_channels(cfg, NAMESPACE_EVAL, [args.realization])
     h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beam_set.beams)
-    link = online_wmmse(
-        h,
-        cfg.noise_power_w(),
-        cfg.power_budgets_w(),
-        alpha=cfg.alpha(),
-        tol=cfg.solver.tol_online,
-        max_iters=cfg.solver.max_online_iters,
-    )
+    link = metrics.online_solve(cfg, h[0])
 
     angles = metrics.default_direction_grid()
     meta_base = {
@@ -275,7 +265,7 @@ def cmd_array_factor(args) -> int:
                 n_written += 1
             for k in range(cfg.k_total):
                 grid, gain_db = metrics.equivalent_array_factor(
-                    geometry, cfg, beam_set.beams, v_col, k, angles_deg=angles, s=s
+                    geometry, cfg, beam_set.beams, v_col, k, angles_deg=angles, s=cset.s
                 )
                 metrics.write_array_factor_csv(
                     outdir / f"af_tile{k}_ue{i}_s{c}.csv",

@@ -14,18 +14,16 @@ from diagonal extraction of the desired-signal and cross-interference terms.
 Averaging (M_m, u_m) over the frozen samples and solving the norm-ball
 trust-region problem per tile yields the beam update.
 
-Tile updates run sequentially by default (the cross-tile coupling inside u_m
-is refreshed after each tile), which makes every block update an exact
+Tile updates run sequentially (the cross-tile coupling inside u_m is
+refreshed after each tile), which makes every block update an exact
 minimizer and the frozen-sample objective monotonically non-increasing.
-The simultaneous variant (all tiles from the previous iterate) is available
-through the solver.tile_order configuration key. Both orders take the
-per-tile statistics from `_tile_statistics`, which forms them as batched
-matrix products with the users folded into the rows. Its per-sample M and
-u lie side by side in the rows of one `_tile_workspace`, so one tree pass
-of the pairwise mean averages both; allocated once per run, it is
-overwritten by every tile call. Allocated per call, these megabyte stacks
-went back to the operating system when freed (glibc trims the heap top),
-so every tile call faulted them in again as zeroed pages.
+The per-tile statistics come from `_tile_statistics`, which forms them as
+batched matrix products with the users folded into the rows. Its
+per-sample M and u lie side by side in the rows of one `_tile_workspace`,
+so one tree pass of the pairwise mean averages both; allocated once per
+run, it is overwritten by every tile call. Allocated per call, these
+megabyte stacks went back to the operating system when freed (glibc trims
+the heap top), so every tile call faulted them in again as zeroed pages.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -44,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -116,17 +114,7 @@ class OptReport:
     projected_sum_rate: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "delta_history": self.delta_history,
-            "objective_history": self.objective_history,
-            "sum_rate_history": self.sum_rate_history,
-            "seconds_per_iteration": self.seconds_per_iteration,
-            "converged": self.converged,
-            "eps": self.eps,
-            "max_gc_violation": self.max_gc_violation,
-            "projected_sum_rate": self.projected_sum_rate,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +330,6 @@ def offline_optimize_channels(
     beams0: np.ndarray,
     eps: float,
     max_iters: int = 200,
-    tile_order: str = "sequential",
 ) -> tuple[np.ndarray, OptReport]:
     """Run the offline beam optimization on a frozen stack of channel sets.
 
@@ -365,8 +352,6 @@ def offline_optimize_channels(
     check_finite(t, "t")
     n_u = hbar.shape[1]
     k_tiles, p_elem, _ = s.shape
-    if tile_order not in ("sequential", "simultaneous"):
-        raise ValueError(f"tile_order must be 'sequential' or 'simultaneous', got {tile_order!r}")
     constraint = constraint or BeamConstraint()
     rho_sq = constraint.resolved_rho_sq(p_elem) if constraint.mode == "GC" else float(p_elem)
     alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
@@ -390,9 +375,8 @@ def offline_optimize_channels(
         w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
         v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
 
-        # Tile updates: the sequential order refreshes the cached cross
-        # coupling after each tile, the simultaneous order keeps the
-        # coupling of the previous iterate.
+        # Tile updates in order, the cached cross coupling refreshed after
+        # each tile.
         ghv = _coupling(g, h, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
@@ -400,8 +384,7 @@ def offline_optimize_channels(
                 g, w, v, s, t, ghv, beams[m], m, alpha, ws
             )
             new_beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-            if tile_order == "sequential":
-                ghv += _tile_term(a_f, cc, new_beams[m]) - z_m
+            ghv += _tile_term(a_f, cc, new_beams[m]) - z_m
         beams, beams_prev = new_beams, beams
 
         violation = gc_violation(beams, rho_sq)
@@ -450,20 +433,11 @@ def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
     beams0 = init.beams
     if init.mode == "LC":
         beams0 = initial_beams(cfg.k_total, cfg.p_per_tile, BeamConstraint(), _init_rng(cfg))
-    geometry = scenario_mod.build_antenna_positions(cfg)
-    s = channel_mod.bs_irs_channels(geometry, cfg)
-    hbar_list = []
-    t_list = []
-    for n in range(cfg.solver.n_samples):
-        sample = scenario_mod.draw_sample(cfg, n, namespace=NAMESPACE_TRAIN)
-        cs = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
-        hbar_list.append(cs.hbar)
-        t_list.append(cs.t)
-
+    cs = channel_mod.sample_channels(cfg, NAMESPACE_TRAIN, range(cfg.solver.n_samples))
     beams, report = offline_optimize_channels(
-        np.array(hbar_list),
-        s,
-        np.array(t_list),
+        cs.hbar,
+        cs.s,
+        cs.t,
         sigma2=cfg.noise_power_w(),
         p_budget=cfg.power_budgets_w(),
         alpha=cfg.alpha(),
@@ -471,7 +445,6 @@ def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
         beams0=beams0,
         eps=cfg.eps_offline(),
         max_iters=cfg.solver.max_offline_iters,
-        tile_order=cfg.solver.tile_order,
     )
     return replace(init, beams=beams), report
 

@@ -19,7 +19,7 @@ from . import channel as channel_mod
 from . import scenario as scenario_mod
 from .numerics import NumericalError, pairwise_mean, singular_values
 from .scenario import NAMESPACE_EVAL, ScenarioConfig
-from .wmmse import online_wmmse
+from .wmmse import LinkVariables, online_wmmse
 
 __all__ = [
     "EvalResult",
@@ -27,6 +27,7 @@ __all__ = [
     "array_factor",
     "equivalent_array_factor",
     "default_direction_grid",
+    "online_solve",
     "evaluate_average_sum_rate",
     "write_eval_csv",
     "write_array_factor_csv",
@@ -158,6 +159,19 @@ def equivalent_array_factor(
     return angles, np.maximum(gain_db, DB_FLOOR)
 
 
+def online_solve(cfg: ScenarioConfig, h: np.ndarray) -> LinkVariables:
+    """The online digital solve of composite channels h (N_u, L, M) under the
+    config's noise power, power budgets, rate weights and stop rule."""
+    return online_wmmse(
+        h,
+        cfg.noise_power_w(),
+        cfg.power_budgets_w(),
+        alpha=cfg.alpha(),
+        tol=cfg.solver.tol_online,
+        max_iters=cfg.solver.max_online_iters,
+    )
+
+
 def evaluate_average_sum_rate(
     cfg: ScenarioConfig,
     beams: np.ndarray,
@@ -166,29 +180,23 @@ def evaluate_average_sum_rate(
 ) -> EvalResult:
     """Monte-Carlo evaluation of fixed analog beams under the online solver.
 
-    Per realization: draw a network sample, synthesize the channel set,
-    form the composite channels, run the online solver, record per-user
-    rates and the per-user effective rank of the composite channel. Solver
-    failures exclude the realization (counted); more than 1% exclusions is
-    a hard failure. Paired comparisons across beam sets reuse identical
-    realization indices, so differences are not seed noise.
+    The realizations' channel sets are drawn and synthesized as one stack
+    (`channel.sample_channels`) and their composite channels formed in one
+    call; then per realization the online solver runs, and the per-user
+    rates and the per-user effective rank of the composite channel are
+    recorded. Solver failures exclude the realization (counted); more than
+    1% exclusions is a hard failure. Paired comparisons across beam sets
+    reuse identical realization indices, so differences are not seed noise.
     """
-    n_real = cfg.eval.n_realizations if n_realizations is None else int(n_realizations)
+    n_real = cfg.eval.n_realizations if n_realizations is None else n_realizations
+    if isinstance(n_real, bool) or not isinstance(n_real, (int, np.integer)):
+        raise ValueError(f"evaluate_average_sum_rate: n_realizations {n_real!r} is not an integer")
+    n_real = int(n_real)
     if n_real < 1:
         raise ValueError("evaluate_average_sum_rate: need at least one realization")
-    geometry = scenario_mod.build_antenna_positions(cfg)
     cfg_hash = scenario_mod.config_hash(cfg)
-    s = channel_mod.bs_irs_channels(geometry, cfg)
-    beams = np.asarray(beams, dtype=complex)
-    if beams.shape != (cfg.k_total, cfg.p_per_tile):
-        raise ValueError(
-            f"beam shape {beams.shape} does not match config tiling "
-            f"{(cfg.k_total, cfg.p_per_tile)}"
-        )
-
-    sigma2 = cfg.noise_power_w()
-    p_budget = cfg.power_budgets_w()
-    alpha = cfg.alpha()
+    cs = channel_mod.sample_channels(cfg, NAMESPACE_EVAL, range(n_real))
+    h_all = channel_mod.composite_channel(cs.hbar, cs.s, cs.t, beams)
 
     rate_rows: list[np.ndarray] = []
     rank_rows: list[np.ndarray] = []
@@ -197,19 +205,9 @@ def evaluate_average_sum_rate(
     converged: list[bool] = []
     excluded: list[int] = []
     messages: list[str] = []
-    for idx in range(n_real):
-        sample = scenario_mod.draw_sample(cfg, idx, namespace=NAMESPACE_EVAL)
-        cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
-        h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beams)
+    for idx, h in enumerate(h_all):
         try:
-            link = online_wmmse(
-                h,
-                sigma2,
-                p_budget,
-                alpha=alpha,
-                tol=cfg.solver.tol_online,
-                max_iters=cfg.solver.max_online_iters,
-            )
+            link = online_solve(cfg, h)
             # dark composite channel (no direct path, zero beams): rank ratio
             # is undefined, record 0 instead of discarding the realization
             ranks = np.array(

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from irsmimo import cli, irs_opt, metrics, scenario
+from irsmimo import channel, cli, irs_opt, metrics, scenario
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 LC = {"constraint.mode": "LC", "constraint.n_bits": 2}
@@ -85,6 +85,38 @@ def test_online_solver_called_once_per_realization(tiny_config, tracing, monkeyp
     metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=3)
     assert calls == sink
     assert len(calls) == 3
+
+
+def test_one_draw_and_synthesis_per_sample_and_realization(tiny_config, monkeypatch):
+    # The traced benchmark counts `scenario.draw_sample` and
+    # `channel.build_channel_set` calls through these module names.
+    calls = []
+    draw, build = scenario.draw_sample, channel.build_channel_set
+
+    def counted_draw(cfg, index, namespace=scenario.NAMESPACE_TRAIN):
+        calls.append(("draw", namespace, index))
+        return draw(cfg, index, namespace=namespace)
+
+    def counted_build(*args, **kwargs):
+        calls.append(("build",))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "draw_sample", counted_draw)
+    monkeypatch.setattr(channel, "build_channel_set", counted_build)
+    irs_opt.offline_optimize(tiny_config)
+    n_samples = tiny_config.solver.n_samples
+    assert [c for c in calls if c[0] == "draw"] == [
+        ("draw", scenario.NAMESPACE_TRAIN, n) for n in range(n_samples)
+    ]
+    assert len(calls) == 2 * n_samples
+
+    calls.clear()
+    beams = irs_opt.random_beam_set(tiny_config).beams
+    metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=3)
+    assert [c for c in calls if c[0] == "draw"] == [
+        ("draw", scenario.NAMESPACE_EVAL, n) for n in range(3)
+    ]
+    assert len(calls) == 6
 
 
 def test_frozen_sum_rate_called_once_per_offline_iteration(tiny_config, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from irsmimo import channel as ch
 from irsmimo.scenario import (
+    NAMESPACE_EVAL,
     build_antenna_positions,
     config_from_dict,
     draw_sample,
@@ -213,3 +214,15 @@ class TestChannelSet:
         s = ch.bs_irs_channels(geo, tiny_config)
         cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config, s=s)
         assert cs.s is s
+
+    def test_sample_channels_stacks_per_index_sets(self, tiny_config, geo):
+        indices = [3, 0, 2]
+        stack = ch.sample_channels(tiny_config, NAMESPACE_EVAL, indices)
+        assert stack.hbar.shape[0] == stack.t.shape[0] == len(indices)
+        # one S for the whole stack, not one per draw
+        assert np.array_equal(stack.s, ch.bs_irs_channels(geo, tiny_config))
+        for pos, idx in enumerate(indices):
+            sample = draw_sample(tiny_config, idx, namespace=NAMESPACE_EVAL)
+            one = ch.build_channel_set(sample, geo, tiny_config)
+            assert np.array_equal(stack.hbar[pos], one.hbar)
+            assert np.array_equal(stack.t[pos], one.t)

@@ -219,6 +219,18 @@ class TestEvaluate:
             assert few.iterations[r] == many.iterations[r]
             assert few.converged[r] == many.converged[r]
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_realization_count_rejected(self, tiny_config, n):
+        beams = np.ones((4, 8), dtype=complex)
+        with pytest.raises(ValueError, match="not an integer"):
+            metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=n)
+
+    def test_numpy_integer_realization_count_accepted(self, tiny_config):
+        beams = np.ones((4, 8), dtype=complex)
+        out = metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=np.int64(2))
+        assert type(out.n_realizations) is int
+        assert out.realization_ids == [0, 1]
+
     def test_capped_solves_reported(self, tmp_path):
         cfg = config_from_dict(tiny_scenario_dict(**{"solver.max_online_iters": 1}))
         rng = np.random.default_rng(11)

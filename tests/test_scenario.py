@@ -324,13 +324,37 @@ def _scenario_configs(path, loader):
     return doc, configs
 
 
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
-def test_yaml_loader_agrees_with_pure_python_loader(path):
+class _PurePythonLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader with the implicit resolvers of
+    `scenario.YAML_LOADER`, its YAML 1.2 float resolver included: the same
+    resolution rules on the other parser."""
+
+    yaml_implicit_resolvers = {
+        key: list(resolvers)
+        for key, resolvers in scenario.YAML_LOADER.yaml_implicit_resolvers.items()
+    }
+
+
+def _assert_loaders_agree(path):
     fast_doc, fast = _scenario_configs(path, scenario.YAML_LOADER)
-    slow_doc, slow = _scenario_configs(path, yaml.SafeLoader)
+    slow_doc, slow = _scenario_configs(path, _PurePythonLoader)
     assert fast_doc == slow_doc
     assert fast == slow
     assert [config_hash(c) for c in fast] == [config_hash(c) for c in slow]
+    return fast
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+def test_yaml_loader_agrees_with_pure_python_loader(path):
+    _assert_loaders_agree(path)
+
+
+def test_yaml_loader_agrees_with_pure_python_loader_on_exponent_float(tmp_path):
+    path = tmp_path / "desk.yaml"
+    text = (CONFIG_DIR / "desk.yaml").read_text(encoding="utf-8")
+    path.write_text(text.replace("solver:\n", "solver:\n  tol_online: 1e-6\n"), encoding="utf-8")
+    (cfg,) = _assert_loaders_agree(path)
+    assert cfg.solver.tol_online == 1e-6
 
 
 # Every artifact directory name and beams.json carries the config hash, so a
