@@ -157,18 +157,11 @@ class ChannelSet:
 
 
 def build_channel_set(
-    sample: ScenarioSample,
-    geometry: ArrayGeometry,
-    cfg: ScenarioConfig,
-    s: np.ndarray | None = None,
+    sample: ScenarioSample, geometry: ArrayGeometry, cfg: ScenarioConfig, s: np.ndarray
 ) -> ChannelSet:
-    """Assemble the full ChannelSet for one sample.
-
-    S is sample-independent; pass a precomputed stack to skip rebuilding it
-    inside evaluation loops.
-    """
-    if s is None:
-        s = bs_irs_channels(geometry, cfg)
+    """Assemble the full ChannelSet for one sample around the BS-IRS stack
+    s (K, P, M), which is sample-independent: every caller builds it once
+    with `bs_irs_channels` and passes it to each sample."""
     # T_ik (N_u, K, L, P): the tile-to-UE blocks (N_u, K, P, L), transposed.
     gr = 10.0 ** (cfg.channel.rx_gain_db / 10.0)
     blocks = _los_link(

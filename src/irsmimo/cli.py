@@ -190,6 +190,19 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
+def _evaluate_and_write(
+    outdir: Path, cfg: ScenarioConfig, beams: np.ndarray, n_realizations: int | None,
+    beams_hash: str, suffix: str = "",
+) -> metrics.EvalResult:
+    """Evaluate one beam set and write eval{suffix}.csv and summary{suffix}.json."""
+    result = metrics.evaluate_average_sum_rate(
+        cfg, beams, n_realizations=n_realizations, beams_hash=beams_hash
+    )
+    metrics.write_eval_csv(outdir / f"eval{suffix}.csv", result)
+    metrics.write_summary_json(outdir / f"summary{suffix}.json", result)
+    return result
+
+
 def cmd_evaluate(args) -> int:
     started = _utc_now()
     cfg = _load_config(args.config, _parse_overrides(args.override))
@@ -199,11 +212,7 @@ def cmd_evaluate(args) -> int:
     if args.beams == "random":
         irs_opt.save_beams(outdir / "beams_random.json", beam_set)
 
-    result = metrics.evaluate_average_sum_rate(
-        cfg, beam_set.beams, n_realizations=args.realizations, beams_hash=beams_hash
-    )
-    metrics.write_eval_csv(outdir / "eval.csv", result)
-    metrics.write_summary_json(outdir / "summary.json", result)
+    result = _evaluate_and_write(outdir, cfg, beam_set.beams, args.realizations, beams_hash)
     _write_manifest(
         outdir,
         "evaluate",
@@ -233,6 +242,8 @@ def cmd_array_factor(args) -> int:
     cfg = _load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
     beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    if args.realization < 0:
+        raise ConfigError(f"--realization must be a non-negative integer, got {args.realization}")
     outdir = _resolve_outdir(args, f"array-factor-{cfg_hash[:12]}-{beams_hash[:12]}")
 
     geometry = scenario_mod.build_antenna_positions(cfg)
@@ -399,11 +410,7 @@ def cmd_sweep(args) -> int:
         try:
             beam_set, report = irs_opt.offline_optimize(cfg)
             beams_hash = _write_optimize_artifacts(point_dir, cfg, cfg_hash, beam_set, report)
-            result = metrics.evaluate_average_sum_rate(
-                cfg, beam_set.beams, n_realizations=n_real, beams_hash=beams_hash
-            )
-            metrics.write_eval_csv(point_dir / "eval.csv", result)
-            metrics.write_summary_json(point_dir / "summary.json", result)
+            result = _evaluate_and_write(point_dir, cfg, beam_set.beams, n_real, beams_hash)
             row.update(
                 {
                     "mean_sum_rate": f"{result.mean_sum_rate:.12g}",
@@ -416,14 +423,10 @@ def cmd_sweep(args) -> int:
             )
             if include_baseline:
                 base_set = irs_opt.random_beam_set(cfg)
-                base_result = metrics.evaluate_average_sum_rate(
-                    cfg,
-                    base_set.beams,
-                    n_realizations=n_real,
-                    beams_hash=irs_opt.beam_set_digest(base_set),
+                base_hash = irs_opt.beam_set_digest(base_set)
+                base_result = _evaluate_and_write(
+                    point_dir, cfg, base_set.beams, n_real, base_hash, suffix="_random"
                 )
-                metrics.write_eval_csv(point_dir / "eval_random.csv", base_result)
-                metrics.write_summary_json(point_dir / "summary_random.json", base_result)
                 row["baseline_mean_sum_rate"] = f"{base_result.mean_sum_rate:.12g}"
                 row["baseline_stderr_sum_rate"] = f"{base_result.stderr_sum_rate:.12g}"
         except (ConfigError, NumericalError, IOError, ValueError) as exc:

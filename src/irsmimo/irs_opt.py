@@ -190,14 +190,12 @@ def update_b(
     multiplier is found on the monotone power curve. With both statistics
     zero the objective is constant in b and the current beam is kept.
     """
-    p = m_bar.shape[0]
     if np.linalg.norm(u_bar) == 0.0:
         if np.linalg.norm(m_bar) == 0.0 and b_current is not None:
             return np.array(b_current, dtype=complex)
-        b = np.zeros(p, dtype=complex)
-    else:
-        b, _ = power_constrained_solve(m_bar, u_bar, rho_sq)
-    return b
+        return np.zeros(m_bar.shape[0], dtype=complex)
+    x, _ = power_constrained_solve(m_bar, u_bar[:, None], rho_sq)
+    return x[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,9 @@ def save_beams(path, beam_set: IrsBeamSet) -> None:
 
 def load_beams(path) -> IrsBeamSet:
     """Load a beam-set file; LC beams re-materialize from their grid indices
-    so entries are bit-identical to the canonical grid points."""
+    so entries are bit-identical to the canonical grid points. Raises
+    IOError, naming the key, for a missing key, a mode other than GC or LC,
+    or LC beams whose n_bits is not an integer >= 1."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -494,15 +494,23 @@ def load_beams(path) -> IrsBeamSet:
         raise IOError(f"unsupported beam-set format version {version!r}")
     if doc.get("kind") != "irs-beam-set":
         raise IOError("not a beam-set file")
+    missing = [key for key in ("mode", "n_bits", "rho_sq", "tiles") if key not in doc]
+    if missing:
+        raise IOError(f"beam-set file lacks key(s) {', '.join(missing)}")
+    mode, n_bits = doc["mode"], doc["n_bits"]
+    if mode not in ("GC", "LC"):
+        raise IOError(f"beam-set mode: expected GC or LC, got {mode!r}")
+    if mode == "LC" and (isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 1):
+        raise IOError(f"beam-set n_bits: expected an integer >= 1 for LC beams, got {n_bits!r}")
     beams = np.array(
         [[complex(re, im) for re, im in tile] for tile in doc["tiles"]], dtype=complex
     )
-    if doc["mode"] == "LC" and doc.get("phase_indices") is not None:
-        beams = lc_grid_point(np.array(doc["phase_indices"], dtype=int), doc["n_bits"])
+    if mode == "LC" and doc.get("phase_indices") is not None:
+        beams = lc_grid_point(np.array(doc["phase_indices"], dtype=int), n_bits)
     return IrsBeamSet(
         beams=beams,
-        mode=doc["mode"],
-        n_bits=doc["n_bits"],
+        mode=mode,
+        n_bits=n_bits,
         rho_sq=doc["rho_sq"],
         config_hash=doc.get("config_hash", ""),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import scenario as scenario_mod
-from .numerics import NumericalError, pairwise_mean, singular_values
+from .numerics import NumericalError, check_finite, pairwise_mean
 from .scenario import NAMESPACE_EVAL, ScenarioConfig
 from .wmmse import LinkVariables, online_wmmse
 
@@ -38,6 +38,9 @@ __all__ = [
 EVAL_CSV_VERSION = 1
 MAX_EXCLUDED_FRACTION = 0.01
 DB_FLOOR = -300.0
+# Realizations drawn, synthesized and solved per chunk of an evaluation,
+# which bounds its memory whatever the realization count.
+EVAL_CHUNK = 64
 
 
 @dataclass
@@ -74,8 +77,11 @@ class EvalResult:
 
 def effective_rank(h: np.ndarray) -> float:
     """R = sum(sigma_i) / max(sigma_i) over the singular values; in
-    [1, min(L, M)] for any nonzero matrix."""
-    sv = singular_values(np.asarray(h))
+    [1, min(L, M)] for any nonzero matrix. Raises NumericalError for a
+    non-finite matrix and ValueError for a zero one."""
+    h = np.asarray(h, dtype=complex)
+    check_finite(h, "effective_rank input")
+    sv = np.linalg.svd(h, compute_uv=False)
     top = float(sv[0])
     if top == 0.0:
         raise ValueError("effective_rank: zero matrix has no defined rank ratio")
@@ -128,21 +134,21 @@ def equivalent_array_factor(
     beams: np.ndarray,
     v_col: np.ndarray,
     tile: int,
+    s: np.ndarray,
     angles_deg: np.ndarray | None = None,
-    s: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radiation pattern of the virtual array formed at IRS tile `tile`.
 
     The excitation combines the BS precoder column, the BS-to-tile channel
-    and the tile's beam: e = diag(b_k) S_k v. Gains are in dB, normalized
-    to the grid maximum, floored at -300 dB. Invariant to a global phase
-    rotation of b_k (only |.|^2 of the sum enters).
+    S_k = s[tile] of the BS-IRS stack s (K, P, M) and the tile's beam:
+    e = diag(b_k) S_k v. Gains are in dB, normalized to the grid maximum,
+    floored at -300 dB. Invariant to a global phase rotation of b_k (only
+    |.|^2 of the sum enters).
     """
     angles = default_direction_grid() if angles_deg is None else np.asarray(angles_deg, float)
     if angles.size == 0:
         raise ValueError("equivalent_array_factor: empty direction grid")
-    s_k = np.asarray(channel_mod.bs_irs_channels(geometry, cfg) if s is None else s)[tile]
-    e = np.asarray(beams)[tile] * (s_k @ np.asarray(v_col, dtype=complex))
+    e = np.asarray(beams)[tile] * (np.asarray(s)[tile] @ np.asarray(v_col, dtype=complex))
     pattern = array_factor(
         geometry.tiles[tile],
         e,
@@ -180,13 +186,17 @@ def evaluate_average_sum_rate(
 ) -> EvalResult:
     """Monte-Carlo evaluation of fixed analog beams under the online solver.
 
-    The realizations' channel sets are drawn and synthesized as one stack
-    (`channel.sample_channels`) and their composite channels formed in one
+    The realizations run in chunks of EVAL_CHUNK consecutive indices: a
+    chunk's channel sets are drawn and synthesized as one stack
+    (`channel.sample_channels`) and its composite channels formed in one
     call; then per realization the online solver runs, and the per-user
     rates and the per-user effective rank of the composite channel are
-    recorded. Solver failures exclude the realization (counted); more than
-    1% exclusions is a hard failure. Paired comparisons across beam sets
-    reuse identical realization indices, so differences are not seed noise.
+    recorded. Only one chunk's channels are held at a time, so memory does
+    not grow with the realization count, and the results equal those of
+    one stack of all realizations bit for bit. Solver failures exclude the
+    realization (counted); more than 1% exclusions is a hard failure.
+    Paired comparisons across beam sets reuse identical realization
+    indices, so differences are not seed noise.
     """
     n_real = cfg.eval.n_realizations if n_realizations is None else n_realizations
     if isinstance(n_real, bool) or not isinstance(n_real, (int, np.integer)):
@@ -195,9 +205,6 @@ def evaluate_average_sum_rate(
     if n_real < 1:
         raise ValueError("evaluate_average_sum_rate: need at least one realization")
     cfg_hash = scenario_mod.config_hash(cfg)
-    cs = channel_mod.sample_channels(cfg, NAMESPACE_EVAL, range(n_real))
-    h_all = channel_mod.composite_channel(cs.hbar, cs.s, cs.t, beams)
-
     rate_rows: list[np.ndarray] = []
     rank_rows: list[np.ndarray] = []
     ok_ids: list[int] = []
@@ -205,26 +212,30 @@ def evaluate_average_sum_rate(
     converged: list[bool] = []
     excluded: list[int] = []
     messages: list[str] = []
-    for idx, h in enumerate(h_all):
-        try:
-            link = online_solve(cfg, h)
-            # dark composite channel (no direct path, zero beams): rank ratio
-            # is undefined, record 0 instead of discarding the realization
-            ranks = np.array(
-                [
-                    effective_rank(h[i]) if np.any(h[i] != 0.0) else 0.0
-                    for i in range(cfg.ue.count)
-                ]
-            )
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            excluded.append(idx)
-            messages.append(f"realization {idx}: {exc}")
-            continue
-        rate_rows.append(link.rates)
-        rank_rows.append(ranks)
-        ok_ids.append(idx)
-        iterations.append(int(link.iterations))
-        converged.append(bool(link.converged))
+    for start in range(0, n_real, EVAL_CHUNK):
+        chunk = range(start, min(start + EVAL_CHUNK, n_real))
+        cs = channel_mod.sample_channels(cfg, NAMESPACE_EVAL, chunk)
+        h_chunk = channel_mod.composite_channel(cs.hbar, cs.s, cs.t, beams)
+        for idx, h in zip(chunk, h_chunk):
+            try:
+                link = online_solve(cfg, h)
+                # dark composite channel (no direct path, zero beams): rank ratio
+                # is undefined, record 0 instead of discarding the realization
+                ranks = np.array(
+                    [
+                        effective_rank(h[i]) if np.any(h[i] != 0.0) else 0.0
+                        for i in range(cfg.ue.count)
+                    ]
+                )
+            except (NumericalError, np.linalg.LinAlgError) as exc:
+                excluded.append(idx)
+                messages.append(f"realization {idx}: {exc}")
+                continue
+            rate_rows.append(link.rates)
+            rank_rows.append(ranks)
+            ok_ids.append(idx)
+            iterations.append(int(link.iterations))
+            converged.append(bool(link.converged))
 
     if len(excluded) > MAX_EXCLUDED_FRACTION * n_real:
         raise NumericalError(

@@ -17,7 +17,6 @@ __all__ = [
     "check_finite",
     "check_hermitian",
     "logdet_hpd",
-    "singular_values",
     "power_constrained_solve",
     "pairwise_mean",
     "pairwise_mean_nodes",
@@ -76,24 +75,17 @@ def logdet_hpd(mats: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of A, sorted descending; length min(rows, cols)."""
-    a = np.asarray(a, dtype=complex)
-    check_finite(a, "singular_values input")
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def power_constrained_solve(
     a: np.ndarray, b: np.ndarray, budget, mu0=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest mu >= 0 with ||(A + mu I)^-1 B||_F^2 <= budget, on stacks.
 
-    A is a Hermitian PSD stack (..., n, n); B is (..., n, c), or (..., n) for
-    a vector right-hand side (one axis fewer than A). The leading axes of A,
-    B and budget broadcast, so one eigendecomposition of A can serve several
-    right-hand sides. Returns X = (A + mu I)^-1 B and mu, shaped like the
-    broadcast leading axes. This is the shared mu search behind the per-user
-    precoder power constraint and the per-tile beam norm constraint.
+    A is a Hermitian PSD stack (..., n, n); B is (..., n, c), c columns of
+    right-hand sides (a vector b is passed as b[..., None]). The leading axes
+    of A, B and budget broadcast, so one eigendecomposition of A can serve
+    several right-hand sides. Returns X = (A + mu I)^-1 B (..., n, c) and mu,
+    shaped like the broadcast leading axes. This is the shared mu search
+    behind the per-user precoder power constraint and the tile beam norm.
 
     In the eigenbasis A = U diag(lam) U^H the power is the rational function
     p(mu) = sum_k r_k / (lam_k + mu)^2, with r_k the row powers of U^H B;
@@ -139,9 +131,6 @@ def power_constrained_solve(
     if (budget <= 0).any():
         raise ValueError(f"power budget must be positive, got {budget}")
 
-    vector_rhs = b.ndim == a.ndim - 1
-    if vector_rhs:
-        b = b[..., None]
     eigvals, eigvecs = np.linalg.eigh(herm(a))
     # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
     eigvals = np.maximum(eigvals, 0.0)
@@ -200,7 +189,7 @@ def power_constrained_solve(
         )
     denom = eigvals + mu[..., None]
     x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
-    return (x[..., 0] if vector_rhs else x), mu
+    return x, mu
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,8 +238,8 @@ def _halving_plan(n: int) -> tuple:
     return tuple(steps)
 
 
-def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Mean along an axis by recursive halving.
+def pairwise_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the leading axis of a stack x (n, ...) by recursive halving.
 
     Equal halves combine as (left + right) / 2, so the mean over 2n items is
     bit-identical to the average of the two half means and the reduction is
@@ -262,7 +251,6 @@ def pairwise_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
     of one shape many times fills buffers of its own and calls that pass.
     """
     x = np.asarray(x)
-    x = np.moveaxis(x, axis, 0)
     n = x.shape[0]
     if n == 0:
         raise ValueError("pairwise_mean of an empty axis")

@@ -453,6 +453,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("solver sample and iteration counts must be at least 1")
     if cfg.eval.n_realizations < 1:
         raise ConfigError("eval.n_realizations must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     bx, by, bz = cfg.bs.position
     if not (0 <= bx <= cfg.room.x and 0 <= by <= cfg.room.y and bz >= 0):
         raise ConfigError("bs.position lies outside the room")

@@ -1,9 +1,10 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
-from irsmimo import scenario
+from irsmimo import irs_opt, scenario
 
 
 def crandn(rng, *shape):
@@ -64,6 +65,34 @@ def tiny_scenario_dict(**updates):
     for dotted, value in updates.items():
         scenario.apply_overrides(data, {dotted: value})
     return data
+
+
+# Edits that make an LC beam-set file malformed, as (key, value); DROP
+# deletes the key. Loading the file must fail with an IOError naming the key.
+DROP = object()
+MALFORMED_BEAM_EDITS = [
+    pytest.param("tiles", DROP, id="no-tiles"),
+    pytest.param("rho_sq", DROP, id="no-rho_sq"),
+    pytest.param("mode", DROP, id="no-mode"),
+    pytest.param("n_bits", DROP, id="no-n_bits"),
+    pytest.param("mode", "XC", id="unknown-mode"),
+    pytest.param("n_bits", None, id="null-n_bits"),
+    pytest.param("n_bits", 0, id="zero-n_bits"),
+    pytest.param("n_bits", 1.5, id="fractional-n_bits"),
+]
+
+
+def write_malformed_beams(path, key, value):
+    """Save a 2-bit LC beam set of one 4-element tile (the tiling of the CLI
+    tests' smoke config), apply one edit, and return the path."""
+    beams = irs_opt.lc_grid_point(np.arange(4).reshape(1, 4), 2)
+    doc = irs_opt.beam_doc(irs_opt.IrsBeamSet(beams=beams, mode="LC", n_bits=2, rho_sq=1.0))
+    if value is DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture

@@ -140,8 +140,8 @@ def mc_expectation(m_samples: np.ndarray, u_samples: np.ndarray) -> QuadraticSta
     if m_samples.ndim == 3:  # single tile: (N_s, P, P)
         m_samples = m_samples[:, None]
         u_samples = u_samples[:, None]
-    m_bar = pairwise_mean(m_samples, axis=0)
-    u_bar = pairwise_mean(u_samples, axis=0)
+    m_bar = pairwise_mean(m_samples)
+    u_bar = pairwise_mean(u_samples)
     for k in range(m_bar.shape[0]):
         dev = np.linalg.norm(m_bar[k] - m_bar[k].conj().T)
         if dev > 1e-10 * max(np.linalg.norm(m_bar[k]), 1e-300):

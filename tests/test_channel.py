@@ -147,14 +147,15 @@ class TestIrsLinks:
         geo = build_antenna_positions(cfg)
         assert len({tuple(n) for n in geo.tile_normals}) == 2
         sample = draw_sample(cfg, index)
-        cs = ch.build_channel_set(sample, geo, cfg)
+        cs = ch.build_channel_set(sample, geo, cfg, s=ch.bs_irs_channels(geo, cfg))
         s_ref, t_ref = loop_irs_links(sample, geo, cfg)
         assert np.array_equal(cs.s, s_ref)
         assert np.array_equal(cs.t, t_ref)
 
     def test_irs_ue_entry_hand_computed(self, tiny_config, geo):
         sample = draw_sample(tiny_config, 0)
-        t = ch.build_channel_set(sample, geo, tiny_config).t
+        s = ch.bs_irs_channels(geo, tiny_config)
+        t = ch.build_channel_set(sample, geo, tiny_config, s=s).t
         lam = tiny_config.wavelength
         gr = 10.0 ** (tiny_config.channel.rx_gain_db / 10.0)
         gc = tiny_config.cell_gain()
@@ -195,7 +196,8 @@ class TestIrsLinks:
 class TestChannelSet:
     def test_composite_matches_loop(self, tiny_config, geo):
         sample = draw_sample(tiny_config, 3)
-        cs = ch.build_channel_set(sample, geo, tiny_config)
+        s = ch.bs_irs_channels(geo, tiny_config)
+        cs = ch.build_channel_set(sample, geo, tiny_config, s=s)
         rng = np.random.default_rng(0)
         beams = np.exp(2j * np.pi * rng.random(cs.s.shape[:2]))
         h = ch.composite_channel(cs.hbar, cs.s, cs.t, beams)
@@ -206,7 +208,8 @@ class TestChannelSet:
             assert np.allclose(h[i], acc, rtol=1e-12, atol=0)
 
     def test_composite_rejects_wrong_beam_shape(self, tiny_config, geo):
-        cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config)
+        s = ch.bs_irs_channels(geo, tiny_config)
+        cs = ch.build_channel_set(draw_sample(tiny_config, 0), geo, tiny_config, s=s)
         with pytest.raises(ValueError, match="beam"):
             ch.composite_channel(cs.hbar, cs.s, cs.t, np.ones((3, 8)))
 
@@ -220,9 +223,10 @@ class TestChannelSet:
         stack = ch.sample_channels(tiny_config, NAMESPACE_EVAL, indices)
         assert stack.hbar.shape[0] == stack.t.shape[0] == len(indices)
         # one S for the whole stack, not one per draw
-        assert np.array_equal(stack.s, ch.bs_irs_channels(geo, tiny_config))
+        s = ch.bs_irs_channels(geo, tiny_config)
+        assert np.array_equal(stack.s, s)
         for pos, idx in enumerate(indices):
             sample = draw_sample(tiny_config, idx, namespace=NAMESPACE_EVAL)
-            one = ch.build_channel_set(sample, geo, tiny_config)
+            one = ch.build_channel_set(sample, geo, tiny_config, s=s)
             assert np.array_equal(stack.hbar[pos], one.hbar)
             assert np.array_equal(stack.t[pos], one.t)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import MALFORMED_BEAM_EDITS, write_malformed_beams
 from irsmimo import cli, irs_opt, metrics, scenario
 from irsmimo.numerics import NumericalError
 
@@ -197,6 +198,15 @@ class TestEvaluateCommand:
         )
         assert rc == cli.EXIT_IO
 
+    @pytest.mark.parametrize("key, value", MALFORMED_BEAM_EDITS)
+    def test_malformed_beams_file_is_io_error(self, smoke_config, tmp_path, capsys, key, value):
+        path = write_malformed_beams(tmp_path / "beams.json", key, value)
+        rc = cli.main(
+            ["evaluate", "-c", str(smoke_config), "-b", str(path), "-n", "1", "--force"]
+        )
+        assert rc == cli.EXIT_IO
+        assert key in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, smoke_config, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("synthetic blow-up")
@@ -264,6 +274,29 @@ class TestArrayFactorCommand:
         gains = np.array([float(r[1]) for r in rows])
         assert gains.max() == pytest.approx(0.0, abs=1e-9)
         assert gains.min() >= metrics.DB_FLOOR - 1e-9
+
+
+class TestNegativeIndexRejected:
+    """A negative seed or realization index fails validation before the
+    command creates its output directory."""
+
+    @pytest.mark.parametrize(
+        "command", [["optimize"], ["evaluate", "-b", "random"], ["array-factor", "-b", "random"]],
+        ids=lambda command: command[0],
+    )
+    def test_negative_seed(self, smoke_config, tmp_path, capsys, command):
+        rc = cli.main([*command, "-c", str(smoke_config), "--override", "seed=-1"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_array_factor_realization(self, smoke_config, tmp_path, capsys):
+        rc = cli.main(
+            ["array-factor", "-c", str(smoke_config), "-b", "random", "--realization", "-1"]
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "--realization" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestSweepCommand:

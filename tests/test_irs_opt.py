@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import crandn, synthetic_instance, tiny_scenario_dict
+from conftest import (
+    MALFORMED_BEAM_EDITS,
+    crandn,
+    synthetic_instance,
+    tiny_scenario_dict,
+    write_malformed_beams,
+)
 from oracles import (
     accumulate_quadratic,
     frozen_weighted_mse,
@@ -506,6 +512,12 @@ class TestBeamPersistence:
         path = tmp_path / "beams.json"
         path.write_text(json.dumps({"format_version": 1, "kind": "other"}))
         with pytest.raises(IOError, match="beam-set"):
+            load_beams(path)
+
+    @pytest.mark.parametrize("key, value", MALFORMED_BEAM_EDITS)
+    def test_malformed_file_rejected_naming_key(self, tmp_path, key, value):
+        path = write_malformed_beams(tmp_path / "beams.json", key, value)
+        with pytest.raises(IOError, match=key):
             load_beams(path)
 
 

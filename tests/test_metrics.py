@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import crandn, tiny_scenario_dict
 from irsmimo import metrics, wmmse
 from irsmimo.numerics import NumericalError
-from irsmimo.scenario import build_antenna_positions, config_from_dict, draw_sample
+from irsmimo.scenario import NAMESPACE_EVAL, build_antenna_positions, config_from_dict, draw_sample
 from irsmimo import channel as ch
 
 
@@ -26,6 +28,13 @@ class TestEffectiveRank:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             metrics.effective_rank(np.zeros((3, 3)))
+
+    def test_nonfinite_channel_rejected(self):
+        for bad in (np.nan, np.inf):
+            h = np.eye(3, dtype=complex)
+            h[1, 2] = bad
+            with pytest.raises(NumericalError, match="effective_rank"):
+                metrics.effective_rank(h)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(0)
@@ -114,46 +123,47 @@ class TestEquivalentArrayFactor:
         rng = np.random.default_rng(4)
         beams = np.exp(2j * np.pi * rng.random((4, 8)))
         v_col = crandn(rng, 8)
-        return geo, beams, v_col
+        return geo, beams, v_col, ch.bs_irs_channels(geo, tiny_config)
 
     def test_global_phase_invariance(self, tiny_config, setup):
-        geo, beams, v_col = setup
-        angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 1)
+        geo, beams, v_col, s = setup
+        angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 1, s=s)
         rotated = beams.copy()
         rotated[1] = rotated[1] * np.exp(1j * 1.234)
-        _, gain_rot = metrics.equivalent_array_factor(geo, tiny_config, rotated, v_col, 1)
+        _, gain_rot = metrics.equivalent_array_factor(geo, tiny_config, rotated, v_col, 1, s=s)
         assert np.allclose(gain, gain_rot, atol=1e-9)
 
     def test_normalized_peak_is_zero_db(self, tiny_config, setup):
-        geo, beams, v_col = setup
-        _, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0)
+        geo, beams, v_col, s = setup
+        _, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0, s=s)
         assert np.max(gain) == pytest.approx(0.0, abs=1e-12)
         assert np.all(gain >= metrics.DB_FLOOR - 1e-12)
 
     def test_default_grid_spacing(self, tiny_config, setup):
-        geo, beams, v_col = setup
-        angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0)
+        geo, beams, v_col, s = setup
+        angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0, s=s)
         assert angles.shape == (720,)
         assert gain.shape == (720,)
         assert angles[1] - angles[0] == 0.5
 
     def test_empty_grid_rejected(self, tiny_config, setup):
-        geo, beams, v_col = setup
+        geo, beams, v_col, s = setup
         with pytest.raises(ValueError, match="empty"):
             metrics.equivalent_array_factor(
-                geo, tiny_config, beams, v_col, 0, angles_deg=np.array([])
+                geo, tiny_config, beams, v_col, 0, s=s, angles_deg=np.array([])
             )
 
     def test_zero_excitation_rejected(self, tiny_config, setup):
-        geo, beams, v_col = setup
+        geo, beams, v_col, s = setup
         dark = np.zeros_like(beams)
         with pytest.raises(ValueError, match="zero"):
-            metrics.equivalent_array_factor(geo, tiny_config, dark, v_col, 0)
+            metrics.equivalent_array_factor(geo, tiny_config, dark, v_col, 0, s=s)
 
     def test_precomputed_s_matches(self, tiny_config, setup):
-        geo, beams, v_col = setup
-        s = ch.bs_irs_channels(geo, tiny_config)
-        _, a = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 2)
+        geo, beams, v_col, s = setup
+        _, a = metrics.equivalent_array_factor(
+            geo, tiny_config, beams, v_col, 2, s=ch.bs_irs_channels(geo, tiny_config)
+        )
         _, b = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 2, s=s)
         assert np.array_equal(a, b)
 
@@ -195,7 +205,8 @@ class TestEvaluate:
         out = metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=2)
         geo = build_antenna_positions(tiny_config)
         sample = draw_sample(tiny_config, 1, namespace=1)
-        cset = ch.build_channel_set(sample, geo, tiny_config)
+        s = ch.bs_irs_channels(geo, tiny_config)
+        cset = ch.build_channel_set(sample, geo, tiny_config, s=s)
         h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
         link = wmmse.online_wmmse(
             h,
@@ -218,6 +229,41 @@ class TestEvaluate:
             assert np.array_equal(few.eff_ranks[r], many.eff_ranks[r])
             assert few.iterations[r] == many.iterations[r]
             assert few.converged[r] == many.converged[r]
+
+    def test_chunk_boundary_rows_equal_single_realization_solves(self, tiny_config, monkeypatch):
+        """Chunks of 2 over 5 realizations, so rows 1|2 and 3|4 straddle a
+        boundary: every row equals one online solve of that realization."""
+        monkeypatch.setattr(metrics, "EVAL_CHUNK", 2)
+        rng = np.random.default_rng(14)
+        beams = np.exp(2j * np.pi * rng.random((4, 8)))
+        out = metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=5)
+        assert out.realization_ids == list(range(5))
+        for idx in range(5):
+            cs = ch.sample_channels(tiny_config, NAMESPACE_EVAL, [idx])
+            h = ch.composite_channel(cs.hbar, cs.s, cs.t, beams)[0]
+            link = metrics.online_solve(tiny_config, h)
+            assert np.array_equal(out.per_ue_rates[idx], link.rates)
+            assert np.array_equal(out.eff_ranks[idx], [metrics.effective_rank(hi) for hi in h])
+            assert out.iterations[idx] == link.iterations
+
+    def test_memory_does_not_grow_with_realization_count(self, tiny_config, monkeypatch):
+        """The tracemalloc peak over 8 chunks stays below 3 times the peak of
+        one chunk; one stack of all realizations holds about 8 times as
+        much. The online solver is stubbed: it frees what it allocates, and
+        it would dominate the run time."""
+        n_u = tiny_config.ue.count
+        link = SimpleNamespace(rates=np.ones(n_u), iterations=1, converged=True)
+        monkeypatch.setattr(metrics, "online_wmmse", lambda *args, **kwargs: link)
+        beams = np.ones((4, 8), dtype=complex)
+        peaks = []
+        for n in (metrics.EVAL_CHUNK, 8 * metrics.EVAL_CHUNK):
+            tracemalloc.start()
+            try:
+                metrics.evaluate_average_sum_rate(tiny_config, beams, n_realizations=n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0], f"peaks {peaks} bytes"
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
     def test_non_integer_realization_count_rejected(self, tiny_config, n):

@@ -61,6 +61,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="divisible"):
             config_from_dict(tiny_scenario_dict(**{"irs.tiles_per_panel": 3}))
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict(tiny_scenario_dict(seed=-1))
+
     def test_eccentricity_range(self):
         with pytest.raises(ConfigError, match="eccentricity"):
             config_from_dict(tiny_scenario_dict(**{"channel.eccentricity": 1.0}))

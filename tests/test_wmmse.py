@@ -252,12 +252,13 @@ class TestOnlineWmmse:
     def test_warm_mu_search_matches_cold_start_loop(self, tiny_config):
         cfg = tiny_config
         geo = build_antenna_positions(cfg)
+        s = ch.bs_irs_channels(geo, cfg)
         rng = np.random.default_rng(21)
         beams = np.exp(2j * np.pi * rng.random((cfg.k_total, cfg.p_per_tile)))
         sigma2, p_budget, alpha = cfg.noise_power_w(), cfg.power_budgets_w(), cfg.alpha()
         tol, max_iters = cfg.solver.tol_online, cfg.solver.max_online_iters
         for idx in range(4):
-            cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg)
+            cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg, s=s)
             h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
             out = wmmse.online_wmmse(h, sigma2, p_budget, alpha=alpha, tol=tol, max_iters=max_iters)
             rates, *_, iterations, converged = kernel_loop_online_wmmse(
@@ -273,13 +274,14 @@ class TestOnlineWmmse:
         plain kernel loop exactly."""
         cfg = tiny_config
         geo = build_antenna_positions(cfg)
+        s = ch.bs_irs_channels(geo, cfg)
         rng = np.random.default_rng(22)
         beams = np.exp(2j * np.pi * rng.random((cfg.k_total, cfg.p_per_tile)))
         sigma2, p_budget, alpha = cfg.noise_power_w(), cfg.power_budgets_w(), cfg.alpha()
         tol = cfg.solver.tol_online
         caps = [cfg.solver.max_online_iters] * 3 + [4]
         for idx, max_iters in enumerate(caps):
-            cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg)
+            cset = ch.build_channel_set(draw_sample(cfg, idx, namespace=1), geo, cfg, s=s)
             h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
             out = wmmse.online_wmmse(h, sigma2, p_budget, alpha=alpha, tol=tol, max_iters=max_iters)
             rates, v, g, w, mu, trace, iterations, converged = kernel_loop_online_wmmse(
