@@ -321,10 +321,8 @@ def _load_sweep_spec(path: str) -> dict:
         raise ConfigError(f"unknown sweep spec keys: {sorted(unknown)}")
     if "base_config" not in spec or "axes" not in spec:
         raise ConfigError("sweep spec needs base_config and axes")
-    n_real = spec.get("realizations")
-    if n_real is not None and (
-        not isinstance(n_real, int) or isinstance(n_real, bool) or n_real < 1
-    ):
+    n_real = scenario_mod._coerce(int | None, spec.get("realizations"), "realizations")
+    if n_real is not None and n_real < 1:
         raise ConfigError(f"realizations: expected an integer >= 1 or null, got {n_real!r}")
     for key in ("constant_total_area", "include_random_baseline"):
         if not isinstance(spec.get(key, False), bool):
@@ -335,9 +333,15 @@ def _load_sweep_spec(path: str) -> dict:
     for axis in axes:
         if not isinstance(axis, dict) or "name" not in axis or "points" not in axis:
             raise ConfigError("each sweep axis needs name and points")
-        for point in axis["points"]:
+        name, points = axis["name"], axis["points"]
+        if not isinstance(points, list):
+            raise ConfigError(f"axis {name!r}: points must be a list, got {points!r}")
+        for point in points:
             if not isinstance(point, dict) or "label" not in point:
-                raise ConfigError(f"axis {axis['name']!r}: each point needs a label")
+                raise ConfigError(f"axis {name!r}: each point needs a label")
+            if not isinstance(point.get("overrides") or {}, dict):
+                label = point["label"]
+                raise ConfigError(f"axis {name!r} point {label!r}: overrides must be a mapping")
     return spec
 
 

@@ -43,6 +43,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -468,25 +469,25 @@ def beam_doc(beam_set: IrsBeamSet) -> dict:
     }
 
 
+def _beam_file_bytes(beam_set: IrsBeamSet) -> bytes:
+    return (json.dumps(beam_doc(beam_set), indent=1) + "\n").encode("utf-8")
+
+
 def beam_set_digest(beam_set: IrsBeamSet) -> str:
-    """SHA-256 over the canonical beam-set document."""
-    payload = json.dumps(beam_doc(beam_set), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 of the bytes `save_beams` writes for the beam set."""
+    return hashlib.sha256(_beam_file_bytes(beam_set)).hexdigest()
 
 
 def save_beams(path, beam_set: IrsBeamSet) -> None:
     """Versioned JSON dump with per-tile (re, im) pairs and constraint metadata."""
-    doc = beam_doc(beam_set)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    Path(path).write_bytes(_beam_file_bytes(beam_set))
 
 
 def load_beams(path) -> IrsBeamSet:
     """Load a beam-set file; LC beams re-materialize from their grid indices
     so entries are bit-identical to the canonical grid points. Raises
     IOError, naming the key, for a missing key, a mode other than GC or LC,
-    or LC beams whose n_bits is not an integer >= 1."""
+    an LC n_bits not an integer >= 1, or ill-typed tiles or phase_indices."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -502,11 +503,15 @@ def load_beams(path) -> IrsBeamSet:
         raise IOError(f"beam-set mode: expected GC or LC, got {mode!r}")
     if mode == "LC" and (isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 1):
         raise IOError(f"beam-set n_bits: expected an integer >= 1 for LC beams, got {n_bits!r}")
-    beams = np.array(
-        [[complex(re, im) for re, im in tile] for tile in doc["tiles"]], dtype=complex
-    )
-    if mode == "LC" and doc.get("phase_indices") is not None:
-        beams = lc_grid_point(np.array(doc["phase_indices"], dtype=int), n_bits)
+    check = scenario_mod._coerce
+    try:
+        tiles = check(tuple[tuple[tuple[float, float], ...], ...], doc["tiles"], "tiles")
+        idx = check(tuple[tuple[int, ...], ...] | None, doc.get("phase_indices"), "phase_indices")
+    except scenario_mod.ConfigError as exc:
+        raise IOError(f"beam-set {exc}") from exc
+    beams = np.array([[complex(re, im) for re, im in tile] for tile in tiles], dtype=complex)
+    if mode == "LC" and idx is not None:
+        beams = lc_grid_point(np.array(idx, dtype=int), n_bits)
     return IrsBeamSet(
         beams=beams,
         mode=mode,

@@ -14,12 +14,14 @@ of the offline training draws.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import re
+import types
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -273,64 +275,58 @@ class ArrayGeometry:
 # Config loading
 
 
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> dict[str, Any]:
+    """Each config field's resolved annotation, by field name."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
 def _build_dataclass(cls, data: Any, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    prefix = f"{path}." if path else ""
+    fields = _field_types(cls)
     unknown = set(data) - set(fields)
     if unknown:
-        keys = ", ".join(f"{path + '.' if path else ''}{k}" for k in sorted(unknown))
+        keys = ", ".join(prefix + k for k in sorted(unknown))
         raise ConfigError(f"unknown configuration key(s): {keys}")
-    kwargs = {}
-    for name, f in fields.items():
-        if name not in data:
-            continue
-        kwargs[name] = _coerce_field(f.type, data[name], f"{path + '.' if path else ''}{name}")
+    kwargs = {n: _coerce(tp, data[n], prefix + n) for n, tp in fields.items() if n in data}
     try:
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
-def _coerce_field(annotation: str, value: Any, path: str):
-    if annotation in ("int", "int | None"):
-        if value is None and annotation == "int | None":
+def _coerce(tp, value: Any, path: str):
+    """Check value against the annotation tp; lists become tuples. A bool is
+    never a number, and an int stays an int in a float field. A union sends
+    None to None, a list to its tuple member and a scalar to the other."""
+    args = get_args(tp)
+    if get_origin(tp) in (Union, types.UnionType):
+        if value is None and type(None) in args:
             return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if "float" in annotation and not (value is None and "None" in annotation):
-        _check_numbers(value, path, "tuple" in annotation)
-    nested = {
-        "RoomConfig": RoomConfig,
-        "BsConfig": BsConfig,
-        "UeConfig": UeConfig,
-        "IrsConfig": IrsConfig,
-        "ChannelConfig": ChannelConfig,
-        "BeamConstraint": BeamConstraint,
-        "PowerConfig": PowerConfig,
-        "SolverConfig": SolverConfig,
-        "EvalConfig": EvalConfig,
-    }
-    for name, cls in nested.items():
-        if name in str(annotation):
-            return _build_dataclass(cls, value, path)
-    if "IrsPanelConfig" in str(annotation):
+        is_list = isinstance(value, (list, tuple))
+        members = [a for a in args if a is not type(None)]
+        tp = next((a for a in members if (get_origin(a) is tuple) == is_list), members[0])
+        return _coerce(tp, value, path)
+    if dataclasses.is_dataclass(tp):
+        return _build_dataclass(tp, value, path)
+    if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list of panel mappings")
-        return tuple(_build_dataclass(IrsPanelConfig, p, f"{path}[{i}]") for i, p in enumerate(value))
-    if isinstance(value, list):
-        return tuple(tuple(v) if isinstance(v, list) else v for v in value)
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_coerce(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    accepted, expected = _SCALARS[tp]
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     return value
-
-
-def _check_numbers(value: Any, path: str, sequence: bool) -> None:
-    """ConfigError unless value (with sequence, each item of its nested lists) is a number."""
-    if sequence and isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_numbers(item, f"{path}[{i}]", sequence)
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -473,14 +469,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_hash(cfg: ScenarioConfig) -> str:
     """SHA-256 over the canonical JSON of the resolved config."""
-    payload = json.dumps(config_to_dict(cfg), sort_keys=True, default=_json_default)
+    payload = json.dumps(config_to_dict(cfg), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _json_default(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------

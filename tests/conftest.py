@@ -79,6 +79,8 @@ MALFORMED_BEAM_EDITS = [
     pytest.param("n_bits", None, id="null-n_bits"),
     pytest.param("n_bits", 0, id="zero-n_bits"),
     pytest.param("n_bits", 1.5, id="fractional-n_bits"),
+    pytest.param("tiles", [[1.0, 2.0]], id="tiles-not-pairs"),
+    pytest.param("tiles", "abc", id="string-tiles"),
 ]
 
 

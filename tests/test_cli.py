@@ -109,6 +109,16 @@ class TestOptimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == scenario.config_hash(cfg)
 
+    @pytest.mark.parametrize(
+        "override, key", [("bs.position=5", "bs.position"), ("weights=[1, [2]]", "weights[1]")]
+    )
+    def test_malformed_list_names_key(self, smoke_config, tmp_path, capsys, override, key):
+        out = tmp_path / "opt"
+        rc = cli.main(["optimize", "-c", str(smoke_config), "--override", override, "-o", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_names_path(self, tmp_path, capsys):
         data = copy.deepcopy(SMOKE)
         data["solver"]["typo_key"] = 1
@@ -159,6 +169,19 @@ class TestEvaluateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_realizations"] == 2
         assert summary["mean_sum_rate"] > 0
+
+    def test_random_beams_and_their_file_record_one_beams_hash(self, smoke_config, tmp_path):
+        rand, again = tmp_path / "rand", tmp_path / "again"
+        assert cli.main(["evaluate", "-c", str(smoke_config), "-b", "random", "-o", str(rand)]) == 0
+        saved = rand / "beams_random.json"
+        rc = cli.main(["evaluate", "-c", str(smoke_config), "-b", str(saved), "-o", str(again)])
+        assert rc == cli.EXIT_OK
+        hashes = {
+            json.loads((out / name).read_text())["beams_hash"]
+            for out in (rand, again)
+            for name in ("manifest.json", "summary.json")
+        }
+        assert hashes == {hashlib.sha256(saved.read_bytes()).hexdigest()}
 
     def test_evaluate_optimized_beams(self, smoke_config, tmp_path):
         opt = tmp_path / "opt"
@@ -427,6 +450,22 @@ class TestSweepCommand:
             cli.EXIT_VALIDATION
         )
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "axis, named",
+        [
+            ({"name": "a", "points": 3}, "axis 'a': points"),
+            ({"name": "a", "points": [{"label": "x", "overrides": [1, 2]}]}, "'x': overrides"),
+            ({"name": "a", "points": [{"label": "x", "overrides": "seed=1"}]}, "'x': overrides"),
+        ],
+    )
+    def test_malformed_axis_names_axis_or_point(self, smoke_config, tmp_path, capsys, axis, named):
+        spec = self._write_sweep(tmp_path, smoke_config, {"axes": [axis]})
+        assert cli.main(["sweep", "-s", str(spec), "-o", str(tmp_path / "sweep")]) == (
+            cli.EXIT_VALIDATION
+        )
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize(

@@ -159,14 +159,6 @@ class TestEquivalentArrayFactor:
         with pytest.raises(ValueError, match="zero"):
             metrics.equivalent_array_factor(geo, tiny_config, dark, v_col, 0, s=s)
 
-    def test_precomputed_s_matches(self, tiny_config, setup):
-        geo, beams, v_col, s = setup
-        _, a = metrics.equivalent_array_factor(
-            geo, tiny_config, beams, v_col, 2, s=ch.bs_irs_channels(geo, tiny_config)
-        )
-        _, b = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 2, s=s)
-        assert np.array_equal(a, b)
-
 
 class TestEvaluate:
     def test_duplicate_run_is_identical(self, tiny_config):

@@ -109,6 +109,21 @@ class TestConfigValidation:
             config_from_dict(tiny_scenario_dict(**overrides))
 
     @pytest.mark.parametrize(
+        "key, overrides, message",
+        [
+            ("bs.position", {"bs.position": 5}, "expected a list, got 5"),
+            ("bs.position", {"bs.position": [6.0, 11.5]}, "expected 3 entries, got 2"),
+            ("ue.service_area", {"ue.service_area": 3}, "expected a list, got 3"),
+            ("ue.nominal_positions[0]", {"ue.nominal_positions": [1.5, 4.0]}, "expected a list"),
+            ("weights", {"weights": 3}, "expected a list, got 3"),
+            ("weights[1]", {"weights": [1, [2]]}, "expected a number, got [2]"),
+        ],
+    )
+    def test_list_fields_reject_wrong_shapes(self, key, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
+            config_from_dict(tiny_scenario_dict(**overrides))
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"room.x": 12},
