@@ -5,7 +5,8 @@ offline descent gate runs in GC and in LC) and five scaled statistical
 reproductions of the qualitative experiment trends (optimized vs. random beams, placement-knowledge ordering, effective-rank
 growth with panel count, phase-quantization loss, beam pointing). The
 statistical checks run desk-scale scenarios with pinned seeds, so every
-number below is deterministic.
+number below is deterministic, and one more test pins the desk run's
+numbers themselves.
 """
 
 import copy
@@ -384,6 +385,40 @@ def test_09_optimized_beams_beat_random_baseline(desk_opt_run):
         rnd.mean_sum_rate + 2 * rnd.stderr_sum_rate
     ), "2-stderr intervals overlap"
     assert desk_opt_run["elapsed_s"] < 600.0
+
+
+# The desk run's numbers, measured on a 2-core host with Python 3.11.7,
+# numpy 2.4.6 and OpenBLAS: (value, tolerance, relative).
+DESK_PINS = {
+    "training rate": (20.838668788921108, 1e-6, True),
+    "optimized mean_sum_rate": (21.038606254743694, 1e-6, True),
+    "random mean_sum_rate": (17.983230205793536, 1e-6, True),
+    "optimized n_capped": (34, 1, False),
+    "random n_capped": (13, 1, False),
+    "optimized online_iterations_p50": (238.0, 1, False),
+    "random online_iterations_p50": (152.5, 1, False),
+}
+
+
+def test_desk_numbers_are_pinned(desk_opt_run):
+    observed = {"training rate": desk_opt_run["report"].sum_rate_history[-1]}
+    for label in ("optimized", "random"):
+        summary = metrics.summary_dict(desk_opt_run["opt" if label == "optimized" else "random"])
+        for key in ("mean_sum_rate", "n_capped", "online_iterations_p50"):
+            observed[f"{label} {key}"] = summary[key]
+    moved = {
+        name: (pinned, observed[name])
+        for name, (pinned, tol, relative) in DESK_PINS.items()
+        if not (
+            observed[name] == pytest.approx(pinned, rel=tol, abs=0)
+            if relative
+            else abs(observed[name] - pinned) <= tol
+        )
+    }
+    assert not moved, (
+        f"desk results moved (pinned, observed): {moved}; a change that moves results "
+        "must state the old and new values in CHANGES.md"
+    )
 
 
 def test_10_placement_knowledge_ordering(placement_runs):
