@@ -160,17 +160,13 @@ def initial_beams(
     return b
 
 
-def _init_rng(cfg: ScenarioConfig) -> np.random.Generator:
-    """The initialization stream of cfg.seed."""
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(NAMESPACE_INIT, 0, 0)))
-
-
 def random_beam_set(cfg: ScenarioConfig) -> IrsBeamSet:
     """The NON-OPT baseline of a config: `initial_beams` drawn from the
     initialization stream of cfg.seed under the config's beam constraint.
     In GC mode it is also the starting point of the offline optimizer."""
+    rng = scenario_mod._stream(cfg, NAMESPACE_INIT, 0, 0)
     return IrsBeamSet(
-        beams=initial_beams(cfg.k_total, cfg.p_per_tile, cfg.constraint, _init_rng(cfg)),
+        beams=initial_beams(cfg.k_total, cfg.p_per_tile, cfg.constraint, rng),
         mode=cfg.constraint.mode,
         n_bits=cfg.constraint.n_bits,
         rho_sq=cfg.rho_sq(),
@@ -203,21 +199,11 @@ def update_b(
 # Sample-stack evaluators and tile statistics
 
 
-def frozen_sum_rate(
-    hbar: np.ndarray,
-    s: np.ndarray,
-    t: np.ndarray,
-    beams: np.ndarray,
-    v: np.ndarray,
-    sigma2: float,
-    alpha: np.ndarray,
-    hv: np.ndarray | None = None,
-) -> float:
-    """mean_n sum_i alpha_i R_i (nats) with the precoders frozen. hv, when
-    given, holds the pair products H_i V_j at these beams and precoders
-    (`wmmse.pair_products`), and the channels are not formed again."""
-    if hv is None:
-        hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
+def frozen_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
+    """The training rate of one offline iteration: `_mean_sum_rate` of the
+    pair products hv at the iteration's beams and frozen precoders. Only
+    the loop calls it, once per iteration, so a wrapper on this name counts
+    iterations; the LC projection calls `_mean_sum_rate` itself."""
     return _mean_sum_rate(hv, sigma2, alpha)
 
 
@@ -324,11 +310,11 @@ def offline_optimize_channels(
     *,
     sigma2: float,
     p_budget,
-    alpha=None,
-    constraint: BeamConstraint | None = None,
+    alpha,
+    constraint: BeamConstraint,
     beams0: np.ndarray,
     eps: float,
-    max_iters: int = 200,
+    max_iters: int,
 ) -> tuple[np.ndarray, OptReport]:
     """Run the offline beam optimization on a frozen stack of channel sets.
 
@@ -351,9 +337,8 @@ def offline_optimize_channels(
     check_finite(t, "t")
     n_u = hbar.shape[1]
     k_tiles, p_elem, _ = s.shape
-    constraint = constraint or BeamConstraint()
     rho_sq = constraint.resolved_rho_sq(p_elem) if constraint.mode == "GC" else float(p_elem)
-    alpha = np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
+    alpha = np.broadcast_to(np.asarray(alpha, float), (n_u,)).copy()
     p_budget = np.broadcast_to(np.asarray(p_budget, dtype=float), (n_u,)).copy()
 
     beams = np.array(beams0, dtype=complex)
@@ -401,7 +386,7 @@ def offline_optimize_channels(
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
-        rate = frozen_sum_rate(hbar, s, t, beams, v, sigma2, alpha, hv=hv)
+        rate = frozen_sum_rate(hv, sigma2, alpha)
 
         report.iterations += 1
         report.delta_history.append(delta)
@@ -431,7 +416,8 @@ def offline_optimize(cfg: ScenarioConfig) -> tuple[IrsBeamSet, OptReport]:
     init = random_beam_set(cfg)
     beams0 = init.beams
     if init.mode == "LC":
-        beams0 = initial_beams(cfg.k_total, cfg.p_per_tile, BeamConstraint(), _init_rng(cfg))
+        rng = scenario_mod._stream(cfg, NAMESPACE_INIT, 0, 0)
+        beams0 = initial_beams(cfg.k_total, cfg.p_per_tile, BeamConstraint(), rng)
     cs = channel_mod.sample_channels(cfg, NAMESPACE_TRAIN, range(cfg.solver.n_samples))
     beams, report = offline_optimize_channels(
         cs.hbar,
@@ -487,7 +473,8 @@ def load_beams(path) -> IrsBeamSet:
     """Load a beam-set file; LC beams re-materialize from their grid indices
     so entries are bit-identical to the canonical grid points. Raises
     IOError, naming the key, for a missing key, a mode other than GC or LC,
-    an LC n_bits not an integer >= 1, or ill-typed tiles or phase_indices."""
+    an LC n_bits not an integer >= 1, ill-typed or ragged tiles, or LC
+    phase_indices off the 2^n_bits grid or not shaped like tiles."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -509,8 +496,15 @@ def load_beams(path) -> IrsBeamSet:
         idx = check(tuple[tuple[int, ...], ...] | None, doc.get("phase_indices"), "phase_indices")
     except scenario_mod.ConfigError as exc:
         raise IOError(f"beam-set {exc}") from exc
+    lengths = [len(tile) for tile in tiles]
+    if len(set(lengths)) > 1:
+        raise IOError(f"beam-set tiles: expected tiles of one length, got lengths {lengths}")
     beams = np.array([[complex(re, im) for re, im in tile] for tile in tiles], dtype=complex)
     if mode == "LC" and idx is not None:
+        if [len(row) for row in idx] != lengths:
+            raise IOError(f"beam-set phase_indices: expected the shape {beams.shape} of tiles")
+        if not all(0 <= i < 2**n_bits for row in idx for i in row):
+            raise IOError(f"beam-set phase_indices: expected integers in [0, {2**n_bits})")
         beams = lc_grid_point(np.array(idx, dtype=int), n_bits)
     return IrsBeamSet(
         beams=beams,

@@ -75,17 +75,18 @@ class EvalResult:
         return self.converged.count(False)
 
 
-def effective_rank(h: np.ndarray) -> float:
-    """R = sum(sigma_i) / max(sigma_i) over the singular values; in
-    [1, min(L, M)] for any nonzero matrix. Raises NumericalError for a
-    non-finite matrix and ValueError for a zero one."""
+def effective_rank(h: np.ndarray) -> np.ndarray:
+    """R = sum(sigma_i) / max(sigma_i) over the singular values of each
+    matrix of a stack h (..., L, M), shaped (...); in [1, min(L, M)] for any
+    nonzero matrix. Raises NumericalError for a non-finite matrix and
+    ValueError for a zero one."""
     h = np.asarray(h, dtype=complex)
     check_finite(h, "effective_rank input")
     sv = np.linalg.svd(h, compute_uv=False)
-    top = float(sv[0])
-    if top == 0.0:
+    top = sv[..., 0]
+    if np.any(top == 0.0):
         raise ValueError("effective_rank: zero matrix has no defined rank ratio")
-    return float(np.sum(sv) / top)
+    return np.sum(sv, axis=-1) / top
 
 
 def array_factor(
@@ -178,6 +179,15 @@ def online_solve(cfg: ScenarioConfig, h: np.ndarray) -> LinkVariables:
     )
 
 
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """The recursive-halving mean of x and its standard error (0 for one value)."""
+    mean = float(pairwise_mean(x))
+    n = len(x)
+    if n < 2:
+        return mean, 0.0
+    return mean, float(np.sqrt(np.sum((x - mean) ** 2) / (n - 1)) / np.sqrt(n))
+
+
 def evaluate_average_sum_rate(
     cfg: ScenarioConfig,
     beams: np.ndarray,
@@ -189,14 +199,14 @@ def evaluate_average_sum_rate(
     The realizations run in chunks of EVAL_CHUNK consecutive indices: a
     chunk's channel sets are drawn and synthesized as one stack
     (`channel.sample_channels`) and its composite channels formed in one
-    call; then per realization the online solver runs, and the per-user
-    rates and the per-user effective rank of the composite channel are
-    recorded. Only one chunk's channels are held at a time, so memory does
-    not grow with the realization count, and the results equal those of
-    one stack of all realizations bit for bit. Solver failures exclude the
-    realization (counted); more than 1% exclusions is a hard failure.
-    Paired comparisons across beam sets reuse identical realization
-    indices, so differences are not seed noise.
+    call; then per realization the online solver runs and records the
+    per-user rates, and one stacked SVD gives the per-user effective ranks
+    of the chunk's solved composite channels. Only one chunk's channels are
+    held at a time, so memory does not grow with the realization count, and
+    the results equal those of one stack of all realizations bit for bit.
+    Solver failures exclude the realization (counted); more than 1%
+    exclusions is a hard failure. Paired comparisons across beam sets reuse
+    identical realization indices, so differences are not seed noise.
     """
     n_real = cfg.eval.n_realizations if n_realizations is None else n_realizations
     if isinstance(n_real, bool) or not isinstance(n_real, (int, np.integer)):
@@ -216,26 +226,26 @@ def evaluate_average_sum_rate(
         chunk = range(start, min(start + EVAL_CHUNK, n_real))
         cs = channel_mod.sample_channels(cfg, NAMESPACE_EVAL, chunk)
         h_chunk = channel_mod.composite_channel(cs.hbar, cs.s, cs.t, beams)
+        solved = []
         for idx, h in zip(chunk, h_chunk):
             try:
                 link = online_solve(cfg, h)
-                # dark composite channel (no direct path, zero beams): rank ratio
-                # is undefined, record 0 instead of discarding the realization
-                ranks = np.array(
-                    [
-                        effective_rank(h[i]) if np.any(h[i] != 0.0) else 0.0
-                        for i in range(cfg.ue.count)
-                    ]
-                )
             except (NumericalError, np.linalg.LinAlgError) as exc:
                 excluded.append(idx)
                 messages.append(f"realization {idx}: {exc}")
                 continue
+            solved.append(idx - start)
             rate_rows.append(link.rates)
-            rank_rows.append(ranks)
             ok_ids.append(idx)
             iterations.append(int(link.iterations))
             converged.append(bool(link.converged))
+        # A dark channel (no direct path, zero beams) has no rank ratio: it
+        # records 0 instead of losing its realization.
+        h_ok = h_chunk[solved]
+        lit = np.any(h_ok != 0.0, axis=(-2, -1))
+        ranks = np.zeros(lit.shape)
+        ranks[lit] = effective_rank(h_ok[lit])
+        rank_rows.append(ranks)
 
     if len(excluded) > MAX_EXCLUDED_FRACTION * n_real:
         raise NumericalError(
@@ -245,20 +255,10 @@ def evaluate_average_sum_rate(
         )
 
     per_ue = np.array(rate_rows)
-    ranks = np.array(rank_rows)
+    ranks = np.concatenate(rank_rows)
     sums = per_ue.sum(axis=1)
-    n_ok = len(ok_ids)
-    mean_rate = float(pairwise_mean(sums))
-    rank_mean_per_real = ranks.mean(axis=1)
-    mean_rank = float(pairwise_mean(rank_mean_per_real))
-    if n_ok > 1:
-        stderr_rate = float(np.sqrt(np.sum((sums - mean_rate) ** 2) / (n_ok - 1)) / np.sqrt(n_ok))
-        stderr_rank = float(
-            np.sqrt(np.sum((rank_mean_per_real - mean_rank) ** 2) / (n_ok - 1)) / np.sqrt(n_ok)
-        )
-    else:
-        stderr_rate = 0.0
-        stderr_rank = 0.0
+    mean_rate, stderr_rate = _mean_stderr(sums)
+    mean_rank, stderr_rank = _mean_stderr(ranks.mean(axis=1))
     return EvalResult(
         per_ue_rates=per_ue,
         sum_rates=sums,

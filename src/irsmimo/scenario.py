@@ -69,7 +69,9 @@ NAMESPACE_EVAL = 1
 NAMESPACE_INIT = 2
 
 WALLS = {
-    # wall id -> (normal, along-wall horizontal axis index)
+    # wall id -> (inward normal, along-wall horizontal axis index). The wall
+    # plane lies at 0 on the normal's axis if the normal points up that axis,
+    # else at the room's extent along it.
     "west": (np.array([1.0, 0.0, 0.0]), 1),
     "east": (np.array([-1.0, 0.0, 0.0]), 1),
     "south": (np.array([0.0, 1.0, 0.0]), 0),
@@ -414,7 +416,7 @@ def _validate(cfg: ScenarioConfig) -> None:
                 f"tiles_per_panel {cfg.irs.tiles_per_panel}"
             )
         _tile_grid(panel.n_h, panel.n_v, cfg.irs.tiles_per_panel, i)
-        wall_len = cfg.room.y if WALLS[panel.wall][1] == 1 else cfg.room.x
+        wall_len = (cfg.room.x, cfg.room.y)[WALLS[panel.wall][1]]
         half_w = (panel.n_h - 1) / 2.0 * cfg.wavelength / 2.0
         half_h = (panel.n_v - 1) / 2.0 * cfg.wavelength / 2.0
         if not (0 <= panel.center_along - half_w and panel.center_along + half_w <= wall_len):
@@ -515,42 +517,32 @@ def build_antenna_positions(cfg: ScenarioConfig) -> ArrayGeometry:
     base = np.array(bs_cfg.position, dtype=float)
     bs = np.array([base + np.array([0.0, y, z]) for z in dz for y in dy])
 
-    tiles = []
-    normals = []
-    panel_ids = []
+    room = (cfg.room.x, cfg.room.y)
     spacing = lam / 2.0
+    tiles = []
     for p_idx, panel in enumerate(cfg.irs.panels):
         normal, h_axis = WALLS[panel.wall]
-        if panel.wall == "west":
-            origin = np.array([0.0, panel.center_along, panel.center_height])
-        elif panel.wall == "east":
-            origin = np.array([cfg.room.x, panel.center_along, panel.center_height])
-        elif panel.wall == "south":
-            origin = np.array([panel.center_along, 0.0, panel.center_height])
-        else:  # north
-            origin = np.array([panel.center_along, cfg.room.y, panel.center_height])
+        n_axis = 1 - h_axis
+        origin = np.zeros(3)
+        origin[h_axis] = panel.center_along
+        origin[n_axis] = 0.0 if normal[n_axis] > 0 else room[n_axis]
+        origin[2] = panel.center_height
         h_vec = np.zeros(3)
         h_vec[h_axis] = 1.0
-        v_vec = np.array([0.0, 0.0, 1.0])
         oh = (np.arange(panel.n_h) - (panel.n_h - 1) / 2.0) * spacing
         ov = (np.arange(panel.n_v) - (panel.n_v - 1) / 2.0) * spacing
+        grid = origin + oh[:, None] * h_vec + ov[:, None, None] * np.array([0.0, 0.0, 1.0])
+        # The (n_v, n_h) grid cut into g_v x g_h tiles of t_v x t_h elements;
+        # the tiles, and the elements within each tile, run row by row.
         g_h, g_v = _tile_grid(panel.n_h, panel.n_v, cfg.irs.tiles_per_panel, p_idx)
-        t_h = panel.n_h // g_h
-        t_v = panel.n_v // g_v
-        for bv in range(g_v):
-            for bh in range(g_h):
-                elems = []
-                for iv in range(bv * t_v, (bv + 1) * t_v):
-                    for ih in range(bh * t_h, (bh + 1) * t_h):
-                        elems.append(origin + oh[ih] * h_vec + ov[iv] * v_vec)
-                tiles.append(np.array(elems))
-                normals.append(normal)
-                panel_ids.append(p_idx)
+        t_h, t_v = panel.n_h // g_h, panel.n_v // g_v
+        tiles.append(grid.reshape(g_v, t_v, g_h, t_h, 3).swapaxes(1, 2).reshape(-1, t_v * t_h, 3))
+    tile_panel = np.repeat(np.arange(cfg.n_irs), cfg.irs.tiles_per_panel)
     return ArrayGeometry(
         bs=bs,
-        tiles=np.array(tiles),
-        tile_normals=np.array(normals),
-        tile_panel=np.array(panel_ids, dtype=int),
+        tiles=np.concatenate(tiles),
+        tile_normals=np.array([WALLS[cfg.irs.panels[i].wall][0] for i in tile_panel]),
+        tile_panel=tile_panel,
     )
 
 

@@ -202,14 +202,16 @@ def online_wmmse(
     h: np.ndarray,
     sigma2: float,
     p_budget,
-    alpha=None,
-    tol: float = 1e-6,
-    max_iters: int = 500,
+    *,
+    alpha,
+    tol: float,
+    max_iters: int,
 ) -> LinkVariables:
     """Run the WMMSE block coordinate descent to convergence for fixed channels.
 
     Stops when the relative objective decrease falls below tol or max_iters is
-    reached. A single final receiver/weight refresh at the final precoders
+    reached; `metrics.online_solve` passes the config's rate weights, tol and
+    max_iters. A single final receiver/weight refresh at the final precoders
     precedes the rate computation, so the reported rates coincide with
     sum_i alpha_i log det(W_i) (rate-MMSE duality).
 
@@ -234,9 +236,7 @@ def online_wmmse(
         raise ValueError("sigma2 must be positive")
     n_u = h.shape[0]
     p_budget = np.broadcast_to(np.asarray(p_budget, dtype=float), (n_u,)).copy()
-    alpha = (
-        np.ones(n_u) if alpha is None else np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()
-    )
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()
     v = initial_precoders(h, p_budget)
     hv = pair_products(h, v)
 

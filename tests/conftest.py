@@ -81,6 +81,10 @@ MALFORMED_BEAM_EDITS = [
     pytest.param("n_bits", 1.5, id="fractional-n_bits"),
     pytest.param("tiles", [[1.0, 2.0]], id="tiles-not-pairs"),
     pytest.param("tiles", "abc", id="string-tiles"),
+    pytest.param("tiles", [[[1.0, 0.0]] * 4, [[1.0, 0.0]] * 3], id="ragged-tiles"),
+    pytest.param("phase_indices", [[0, 1, 2, 17]], id="index-above-grid"),
+    pytest.param("phase_indices", [[0, 1, 2, -1]], id="negative-index"),
+    pytest.param("phase_indices", [[0, 1, 2]], id="indices-shorter-than-tiles"),
 ]
 
 

@@ -232,7 +232,8 @@ def verify_theorem1(
         grad_closed[m] = 2.0 * (m_bar @ beams[m] - u_bar)
 
     def theta2(b: np.ndarray) -> float:
-        return -frozen_sum_rate(hbar, s, t, b, v, sigma2, alpha)
+        hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, b), v)
+        return -frozen_sum_rate(hv, sigma2, alpha)
 
     grad_fd = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):

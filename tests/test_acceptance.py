@@ -187,7 +187,7 @@ def test_01_online_objective_never_increases():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         h = crandn(rng, 3, 2, 8)
-        out = wmmse.online_wmmse(h, 0.1, 1.5, max_iters=40)
+        out = wmmse.online_wmmse(h, 0.1, 1.5, alpha=1.0, tol=1e-6, max_iters=40)
         trace = np.array(out.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9), f"objective rose on instance {seed}"
     assert time.monotonic() - t0 < 30.0
@@ -312,7 +312,7 @@ def test_06_constraint_feasibility_every_update():
     beams0 = initial_beams(2, 4, BeamConstraint(mode="GC", rho_sq=4.0), rng)
     _, report = offline_optimize_channels(
         inst["hbar"], inst["s"], inst["t"],
-        sigma2=inst["sigma2"], p_budget=inst["p_budget"],
+        sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=1.0,
         constraint=BeamConstraint(mode="GC", rho_sq=4.0),
         beams0=beams0, eps=1e-9, max_iters=10,
     )
@@ -494,7 +494,7 @@ def test_13_array_factor_points_at_user():
     sample = scenario.draw_sample(cfg, 0, namespace=scenario.NAMESPACE_EVAL)
     cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
     h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beam_set.beams)
-    link = wmmse.online_wmmse(h, cfg.noise_power_w(), cfg.power_budgets_w())
+    link = metrics.online_solve(cfg, h)
     angles, gain = metrics.equivalent_array_factor(
         geometry, cfg, beam_set.beams, link.v[0][:, 0], 0, s=s
     )

@@ -119,7 +119,11 @@ def test_one_draw_and_synthesis_per_sample_and_realization(tiny_config, monkeypa
     assert len(calls) == 6
 
 
-def test_frozen_sum_rate_called_once_per_offline_iteration(tiny_config, monkeypatch):
+@pytest.mark.parametrize("overrides", [{}, LC], ids=["GC", "LC2"])
+def test_frozen_sum_rate_called_once_per_offline_iteration(tiny_config_dict, monkeypatch, overrides):
+    # LC projects its final beams through `_mean_sum_rate`, not the hooked name,
+    # so it adds no call.
+    cfg = scenario.config_from_dict(scenario.apply_overrides(tiny_config_dict, overrides))
     calls = []
     original = irs_opt.frozen_sum_rate
 
@@ -128,7 +132,7 @@ def test_frozen_sum_rate_called_once_per_offline_iteration(tiny_config, monkeypa
         return original(*args, **kwargs)
 
     monkeypatch.setattr(irs_opt, "frozen_sum_rate", counted)
-    _, report = irs_opt.offline_optimize(tiny_config)
+    _, report = irs_opt.offline_optimize(cfg)
     assert report.iterations > 0
     assert len(calls) == report.iterations
 

@@ -369,7 +369,7 @@ class TestOfflineOptimizer:
         beams0 = initial_beams(2, 4, BeamConstraint(mode="GC", rho_sq=4.0), np.random.default_rng(1))
         _, report = offline_optimize_channels(
             inst["hbar"], inst["s"], inst["t"],
-            sigma2=inst["sigma2"], p_budget=inst["p_budget"],
+            sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=1.0,
             constraint=BeamConstraint(mode="GC", rho_sq=4.0),
             beams0=beams0, eps=0.01, max_iters=300,
         )
@@ -385,7 +385,7 @@ class TestOfflineOptimizer:
         beams0 = initial_beams(2, 4, constraint, np.random.default_rng(2))
         beams, report = offline_optimize_channels(
             inst["hbar"], inst["s"], inst["t"],
-            sigma2=inst["sigma2"], p_budget=inst["p_budget"],
+            sigma2=inst["sigma2"], p_budget=inst["p_budget"], alpha=1.0,
             constraint=constraint, beams0=beams0, eps=1e-9, max_iters=10,
         )
         _, idx = quantize_lc(beams.ravel(), 2)

@@ -194,10 +194,21 @@ class TestGeometry:
         assert geo.tile_normals.shape == (4, 3)
         assert list(geo.tile_panel) == [0, 0, 1, 1]
 
-    def test_west_wall_elements_sit_on_plane(self, tiny_config):
-        geo = build_antenna_positions(tiny_config)
-        assert np.all(geo.tiles[:, :, 0] == 0.0)
-        assert np.all(geo.tile_normals == np.array([1.0, 0.0, 0.0]))
+    @pytest.mark.parametrize(
+        "wall, axis, plane",
+        [("west", 0, 0.0), ("east", 0, 12.0), ("south", 1, 0.0), ("north", 1, 12.0)],
+    )
+    def test_wall_elements_sit_on_plane(self, wall, axis, plane):
+        data = tiny_scenario_dict()
+        for panel in data["irs"]["panels"]:
+            panel["wall"] = wall
+        geo = build_antenna_positions(config_from_dict(data))
+        assert np.all(geo.tiles[:, :, axis] == plane)
+        # A unit step along the normal from each tile's center lands inside
+        # the 12 m x 12 m room.
+        assert np.allclose(np.linalg.norm(geo.tile_normals, axis=1), 1.0)
+        inside = geo.tiles.mean(axis=1)[:, :2] + geo.tile_normals[:, :2]
+        assert np.all((inside > 0.0) & (inside < 12.0))
 
     def test_element_spacing_is_half_wavelength(self, tiny_config):
         geo = build_antenna_positions(tiny_config)

@@ -204,27 +204,27 @@ class TestOnlineWmmse:
     def test_objective_trace_monotone(self):
         for seed in range(5):
             h, _ = random_links(seed, n_u=3, l_ant=2, m_ant=8)
-            out = wmmse.online_wmmse(h, 0.1, 1.5, max_iters=60)
+            out = wmmse.online_wmmse(h, 0.1, 1.5, alpha=1.0, tol=1e-6, max_iters=60)
             trace = np.array(out.objective_trace)
             assert np.all(np.diff(trace) <= 1e-9)
 
     def test_rate_weight_duality_at_convergence(self):
         h, _ = random_links(11, n_u=3, l_ant=2, m_ant=8)
-        out = wmmse.online_wmmse(h, 0.05, 2.0, tol=1e-10, max_iters=400)
+        out = wmmse.online_wmmse(h, 0.05, 2.0, alpha=1.0, tol=1e-10, max_iters=400)
         rates_nats = out.rates * np.log(2.0)
         for i in range(3):
             assert rates_nats[i] == pytest.approx(logdet_hpd(herm(out.w[i])), rel=1e-6)
 
     def test_reported_rates_match_user_rate(self):
         h, _ = random_links(12)
-        out = wmmse.online_wmmse(h, 0.2, 1.0)
+        out = wmmse.online_wmmse(h, 0.2, 1.0, alpha=1.0, tol=1e-6, max_iters=500)
         for i in range(3):
             direct = user_rate(h[i], out.v, 0.2, i) / np.log(2.0)
             assert out.rates[i] == pytest.approx(direct, rel=1e-12)
 
     def test_converges_flag_and_tolerance(self):
         h, _ = random_links(13)
-        out = wmmse.online_wmmse(h, 0.1, 1.0, tol=1e-8, max_iters=500)
+        out = wmmse.online_wmmse(h, 0.1, 1.0, alpha=1.0, tol=1e-8, max_iters=500)
         assert out.converged
         assert out.iterations < 500
         tail = out.objective_trace[-2:]
@@ -233,21 +233,21 @@ class TestOnlineWmmse:
     def test_beats_isotropic_baseline(self):
         h, _ = random_links(14, n_u=3, l_ant=2, m_ant=8)
         sigma2 = 0.1
-        out = wmmse.online_wmmse(h, sigma2, 2.0)
+        out = wmmse.online_wmmse(h, sigma2, 2.0, alpha=1.0, tol=1e-6, max_iters=500)
         v_iso = wmmse.initial_precoders(h, np.full(3, 2.0))
         base = wmmse.user_rates(wmmse.pair_products(h, v_iso), sigma2).sum()
         assert out.rates.sum() * np.log(2.0) >= base - 1e-9
 
     def test_zero_channels_give_zero_rates(self):
         h = np.zeros((2, 2, 4), dtype=complex)
-        out = wmmse.online_wmmse(h, 1.0, 1.0, max_iters=5)
+        out = wmmse.online_wmmse(h, 1.0, 1.0, alpha=1.0, tol=1e-6, max_iters=5)
         assert np.allclose(out.rates, 0.0, atol=1e-12)
 
     def test_rejects_nonfinite_channels(self):
         h, _ = random_links(15)
         h[0, 0, 0] = np.nan
         with pytest.raises(NumericalError):
-            wmmse.online_wmmse(h, 0.1, 1.0)
+            wmmse.online_wmmse(h, 0.1, 1.0, alpha=1.0, tol=1e-6, max_iters=500)
 
     def test_warm_mu_search_matches_cold_start_loop(self, tiny_config):
         cfg = tiny_config
@@ -296,8 +296,8 @@ class TestOnlineWmmse:
 
     def test_alpha_weights_shift_rates(self):
         h, _ = random_links(17, n_u=2, l_ant=2, m_ant=6)
-        even = wmmse.online_wmmse(h, 0.1, 1.0, alpha=np.array([1.0, 1.0]))
-        tilted = wmmse.online_wmmse(h, 0.1, 1.0, alpha=np.array([5.0, 1.0]))
+        even = wmmse.online_wmmse(h, 0.1, 1.0, alpha=np.array([1.0, 1.0]), tol=1e-6, max_iters=500)
+        tilted = wmmse.online_wmmse(h, 0.1, 1.0, alpha=np.array([5.0, 1.0]), tol=1e-6, max_iters=500)
         assert tilted.rates[0] >= even.rates[0] - 1e-9
 
 
