@@ -197,6 +197,7 @@ class TestGeometry:
     @pytest.mark.parametrize(
         "wall, axis, plane",
         [("west", 0, 0.0), ("east", 0, 12.0), ("south", 1, 0.0), ("north", 1, 12.0)],
+        ids=["west", "east", "south", "north"],
     )
     def test_wall_elements_sit_on_plane(self, wall, axis, plane):
         data = tiny_scenario_dict()
