@@ -18,10 +18,10 @@ Tile updates run sequentially (the cross-tile coupling inside u_m is
 refreshed after each tile), which makes every block update an exact
 minimizer and the frozen-sample objective monotonically non-increasing.
 The per-tile statistics come from `_tile_statistics`, which forms them as
-batched matrix products with the users folded into the rows. Its
-per-sample M and u lie side by side in the rows of one `_tile_workspace`,
-so one tree pass of the pairwise mean averages both; allocated once per
-run, it is overwritten by every tile call. Allocated per call, these
+batched matrix products with the users folded into the rows, and
+averages them with numpy's mean over the samples, in sample order. Its
+per-sample stacks M, Psi and u live in one `_tile_workspace`, allocated
+once per run and overwritten by every tile call. Allocated per call, these
 megabyte stacks went back to the operating system when freed (glibc trims
 the heap top), so every tile call faulted them in again as zeroed pages.
 
@@ -54,8 +54,6 @@ from .numerics import (
     NumericalError,
     check_finite,
     herm,
-    pairwise_mean,
-    pairwise_mean_nodes,
     power_constrained_solve,
 )
 from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, BeamConstraint, ScenarioConfig
@@ -210,7 +208,7 @@ def frozen_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
 def _mean_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
     """mean_n sum_i alpha_i R_i (nats) from the pair products hv."""
     rates = wmmse.user_rates(hv, sigma2)
-    return float(pairwise_mean(np.einsum("i,ni->n", alpha, rates)))
+    return float(np.mean(np.einsum("i,ni->n", alpha, rates)))
 
 
 def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -235,22 +233,22 @@ def _tile_term(a_f: np.ndarray, cc: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _TileWorkspace:
     """The per-sample statistics of `_tile_statistics`, allocated once per run.
 
-    nodes (2 N_s - 1, P*P + P) is the `pairwise_mean_nodes` buffer: its first
-    N_s rows receive Phi, then M = Phi had Psi^T, and u beside it, so one
-    pass averages both; the rest the inner nodes. psi (N_s, P*P + P) receives
-    Psi = CC CC^H, then serves the mean as its scratch. Every call overwrites
-    both, so one workspace serves every tile and iteration.
+    m (N_s, P, P) receives Phi, then M = Phi had Psi^T; psi (N_s, P, P)
+    receives Psi = CC CC^H; u (N_s, P) receives u. Every call overwrites
+    all three, so one workspace serves every tile and iteration.
     """
 
-    nodes: np.ndarray
+    m: np.ndarray
     psi: np.ndarray
+    u: np.ndarray
 
 
 def _tile_workspace(n_s: int, p: int) -> _TileWorkspace:
     """A `_TileWorkspace` for N_s samples and P elements per tile."""
     return _TileWorkspace(
-        nodes=np.empty((2 * n_s - 1, p * p + p), dtype=complex),
-        psi=np.empty((n_s, p * p + p), dtype=complex),
+        m=np.empty((n_s, p, p), dtype=complex),
+        psi=np.empty((n_s, p, p), dtype=complex),
+        u=np.empty((n_s, p), dtype=complex),
     )
 
 
@@ -277,7 +275,6 @@ def _tile_statistics(
     `_tile_term`(A_m, CC_m, b) - Z_m.
     """
     n_s, n_u, _, l_ant, p_elem = t.shape
-    pp = p_elem * p_elem
     a_m = np.swapaxes(g.conj(), -1, -2) @ t[:, :, m]
     a_f = a_m.reshape(n_s, n_u * l_ant, p_elem)
     cc = s[m] @ _fold_users(v)
@@ -285,18 +282,15 @@ def _tile_statistics(
     z_m = _tile_term(a_f, cc, b_m)
     w_alpha = alpha[:, None, None] * w
     a_fc = a_f.conj()
-    # Phi, then M = Phi had Psi^T, in the M columns of the first N_s node rows.
-    m_stack = ws.nodes[:n_s, :pp].reshape(n_s, p_elem, p_elem)
-    psi = ws.psi[:, :pp].reshape(n_s, p_elem, p_elem)
-    np.matmul(np.swapaxes(a_fc, -1, -2), (w_alpha @ a_m).reshape(a_f.shape), out=m_stack)
-    np.matmul(cc, cc_h, out=psi)
-    m_stack *= np.swapaxes(psi, -1, -2)
-    # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m, then u in the u columns.
+    # Phi, then M = Phi had Psi^T in place; `ws.m *= ...` would assign to a
+    # field of the frozen dataclass.
+    np.matmul(np.swapaxes(a_fc, -1, -2), (w_alpha @ a_m).reshape(a_f.shape), out=ws.m)
+    np.matmul(cc, cc_h, out=ws.psi)
+    np.multiply(ws.m, np.swapaxes(ws.psi, -1, -2), out=ws.m)
+    # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m.
     inner = (cc_h - (ghv - z_m) @ cc_h).reshape(a_m.shape)
-    np.sum(a_fc * (w_alpha @ inner).reshape(a_f.shape), axis=1, out=ws.nodes[:n_s, pp:])
-    root = pairwise_mean_nodes(ws.nodes, ws.psi)
-    # u_bar is copied out: the next call overwrites the root.
-    return herm(root[:pp].reshape(p_elem, p_elem)), root[pp:].copy(), (a_f, cc, z_m)
+    np.sum(a_fc * (w_alpha @ inner).reshape(a_f.shape), axis=1, out=ws.u)
+    return herm(ws.m.mean(axis=0)), ws.u.mean(axis=0), (a_f, cc, z_m)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +375,7 @@ def offline_optimize_channels(
         # next iteration's digital step.
         h = channel_mod.composite_channel(hbar, s, t, beams)
         hv = wmmse.pair_products(h, v)
-        obj = float(pairwise_mean(wmmse.weighted_mse_objective(hv, g, w, alpha, sigma2)))
+        obj = float(np.mean(wmmse.weighted_mse_objective(hv, g, w, alpha, sigma2)))
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"

@@ -3,8 +3,8 @@
 Evaluation draws fresh network realizations from the evaluation stream
 namespace (never the training namespace), runs the online digital solver
 with the analog beams frozen, and aggregates the per-user rates. The
-reduction is deterministic: a fixed realization order and the
-recursive-halving mean, so reruns with the same seed are byte-identical.
+reduction is deterministic: numpy's mean, in realization order, so reruns
+with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import scenario as scenario_mod
-from .numerics import NumericalError, check_finite, pairwise_mean
+from .numerics import NumericalError, check_finite
 from .scenario import NAMESPACE_EVAL, ScenarioConfig
 from .wmmse import LinkVariables, online_wmmse
 
@@ -180,8 +180,8 @@ def online_solve(cfg: ScenarioConfig, h: np.ndarray) -> LinkVariables:
 
 
 def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
-    """The recursive-halving mean of x and its standard error (0 for one value)."""
-    mean = float(pairwise_mean(x))
+    """numpy's mean of x and its standard error (0 for one value)."""
+    mean = float(np.mean(x))
     n = len(x)
     if n < 2:
         return mean, 0.0

@@ -7,8 +7,6 @@ Monte-Carlo accumulation order upstream breaks exact symmetry at the last ulp).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = [
@@ -18,8 +16,6 @@ __all__ = [
     "check_hermitian",
     "logdet_hpd",
     "power_constrained_solve",
-    "pairwise_mean",
-    "pairwise_mean_nodes",
 ]
 
 HERMITIAN_RTOL = 1e-10
@@ -190,111 +186,3 @@ def power_constrained_solve(
     denom = eigvals + mu[..., None]
     x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
     return x, mu
-
-
-@functools.lru_cache(maxsize=64)
-def _halving_plan(n: int) -> tuple:
-    """Bottom-up schedule of the recursive-halving tree over n items.
-
-    A segment (start, size) with size > 1 splits into its first h = size // 2
-    items and the rest, so its height in the tree is ceil(log2(size)). Node
-    ids 0 .. n-1 are the items; the split segments follow, ordered by height
-    and, within a height, even sizes (equal halves) first, so the root comes
-    last and each height fills one contiguous id range. Returns one step per
-    height, (first, n_equal, left, right, h, size): the range start, its
-    number of equal splits, the child ids of its segments and the (h, size)
-    of its unequal ones; there is no step for n = 1. The ids run to
-    2n - 2, the root. The arrays are read-only, because every caller with
-    this n shares them.
-    """
-    segments, stack = [], [(0, n)]
-    while stack:
-        start, size = stack.pop()
-        if size > 1:
-            segments.append((start, size))
-            stack += [(start, size // 2), (start + size // 2, size - size // 2)]
-    segments.sort(key=lambda seg: ((seg[1] - 1).bit_length(), seg[1] % 2))
-    ids = {(k, 1): k for k in range(n)}
-    ids.update({seg: n + rank for rank, seg in enumerate(segments)})
-
-    def frozen(values, dtype) -> np.ndarray:
-        arr = np.array(values, dtype=dtype)
-        arr.setflags(write=False)
-        return arr
-
-    steps, first = [], n
-    for height in range(1, (n - 1).bit_length() + 1):
-        level = [seg for seg in segments if (seg[1] - 1).bit_length() == height]
-        odd = [size for _, size in level if size % 2]
-        steps.append((
-            first,
-            len(level) - len(odd),
-            frozen([ids[(start, size // 2)] for start, size in level], np.intp),
-            frozen([ids[(start + size // 2, size - size // 2)] for start, size in level], np.intp),
-            frozen([size // 2 for size in odd], float),
-            frozen(odd, float),
-        ))
-        first += len(level)
-    return tuple(steps)
-
-
-def pairwise_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the leading axis of a stack x (n, ...) by recursive halving.
-
-    Equal halves combine as (left + right) / 2, so the mean over 2n items is
-    bit-identical to the average of the two half means and the reduction is
-    order-independent by construction. Unequal splits combine with exact
-    sample-count weights, (left * h + right * (n - h)) / n.
-
-    The items are copied into a fresh node buffer and reduced there by
-    `pairwise_mean_nodes`, the one tree pass; a caller that reduces stacks
-    of one shape many times fills buffers of its own and calls that pass.
-    """
-    x = np.asarray(x)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("pairwise_mean of an empty axis")
-    if n == 1:
-        return x[0]
-    nodes = np.empty((2 * n - 1,) + x.shape[1:], dtype=np.result_type(x, 0.5))
-    nodes[:n] = x
-    return pairwise_mean_nodes(nodes, np.empty_like(nodes[:n]))
-
-
-def pairwise_mean_nodes(nodes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """`pairwise_mean` over axis 0 of the items nodes[:n], in place.
-
-    nodes holds 2n - 1 rows: the caller fills the first n with the items,
-    and the tree pass overwrites the other n - 1 with the inner nodes of
-    the halving tree. The tree is evaluated one height at a time
-    (`_halving_plan`): every node gets the same operations as in the
-    recursion, in one vectorized step for all nodes of a height. The
-    children of a height are gathered into scratch, n rows shaped and
-    typed like those of nodes, whose contents are overwritten; a height
-    has at most n / 2 nodes, so both sides fit. Returns the root, a view
-    of the last row of nodes.
-    """
-    if nodes.shape[0] % 2 == 0:
-        raise ValueError(f"a node buffer has an odd row count 2n - 1, got {nodes.shape[0]}")
-    n = (nodes.shape[0] + 1) // 2
-    tail = (1,) * (nodes.ndim - 1)
-    for first, n_equal, left, right, h, size in _halving_plan(n):
-        # The ids are in range; mode="clip" only spares take a copy of out.
-        k = left.size
-        lhs = nodes.take(left, axis=0, out=scratch[:k], mode="clip")
-        rhs = nodes.take(right, axis=0, out=scratch[k:2 * k], mode="clip")
-        mid = first + n_equal
-        out = nodes[first:mid]
-        np.add(lhs[:n_equal], rhs[:n_equal], out=out)
-        out *= 0.5
-        if h.size:
-            # Weights in the buffer's dtype, as the recursion's Python ints are cast.
-            h_w = h.reshape(-1, *tail).astype(nodes.dtype, copy=False)
-            size_w = size.reshape(-1, *tail).astype(nodes.dtype, copy=False)
-            lhs_u, rhs_u = lhs[n_equal:], rhs[n_equal:]
-            lhs_u *= h_w
-            rhs_u *= size_w - h_w
-            out = nodes[mid:mid + h.size]
-            np.add(lhs_u, rhs_u, out=out)
-            out /= size_w
-    return nodes[-1]

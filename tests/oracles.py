@@ -20,7 +20,7 @@ import numpy as np
 from irsmimo import channel as channel_mod
 from irsmimo import wmmse
 from irsmimo.irs_opt import _coupling, _tile_statistics, _tile_workspace, frozen_sum_rate
-from irsmimo.numerics import NumericalError, herm, pairwise_mean
+from irsmimo.numerics import NumericalError, herm
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,15 @@ def accumulate_quadratic(
 
 
 def mc_expectation(m_samples: np.ndarray, u_samples: np.ndarray) -> QuadraticStats:
-    """Average per-sample statistics into QuadraticStats.
-
-    Uses the recursive-halving mean, so the reduction is order-independent
-    and the mean over an even split equals the average of the half means
-    bit-exactly. Validates the Hermitian/PSD contract per tile.
-    """
+    """Average per-sample statistics into QuadraticStats with numpy's mean
+    over the samples. Validates the Hermitian/PSD contract per tile."""
     m_samples = np.asarray(m_samples)
     u_samples = np.asarray(u_samples)
     if m_samples.ndim == 3:  # single tile: (N_s, P, P)
         m_samples = m_samples[:, None]
         u_samples = u_samples[:, None]
-    m_bar = pairwise_mean(m_samples)
-    u_bar = pairwise_mean(u_samples)
+    m_bar = np.mean(m_samples, axis=0)
+    u_bar = np.mean(u_samples, axis=0)
     for k in range(m_bar.shape[0]):
         dev = np.linalg.norm(m_bar[k] - m_bar[k].conj().T)
         if dev > 1e-10 * max(np.linalg.norm(m_bar[k]), 1e-300):
@@ -170,7 +166,7 @@ def frozen_weighted_mse(
     h = channel_mod.composite_channel(hbar, s, t, beams)
     e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
     tr_we = np.real(np.einsum("nilk,nikl->ni", w, e))
-    return float(pairwise_mean(np.einsum("i,ni->n", alpha, tr_we)))
+    return float(np.mean(np.einsum("i,ni->n", alpha, tr_we)))
 
 
 def receivers_and_weights(

@@ -7,10 +7,14 @@ the benchmark fail: it would count zero work. These tests pin the hooks.
 `bench/checks.py` reads config and channel names of irsmimo
 (`cfg.solver.tile_order`, `cfg.rho_sq()`, `build_channel_set(..., s=)` and
 `ChannelSet.hbar/.s/.t`); running it here keeps those names in Tier-1.
+`bench/selftest.py`, the checks of those checks, runs here as a whole.
 """
 
 import importlib
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,8 @@ import yaml
 
 from irsmimo import channel, cli, irs_opt, metrics, scenario
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = REPO_ROOT / "bench"
 LC = {"constraint.mode": "LC", "constraint.n_bits": 2}
 
 
@@ -151,3 +156,17 @@ def test_benchmark_checks_accept_evaluate_output(checks, tiny_yaml, tmp_path):
     errors, n_excluded = checks.check_evaluate(outdir, scenario.load_config(tiny_yaml), 4)
     assert errors == []
     assert n_excluded == 0
+
+
+def test_benchmark_selftest_passes():
+    """`python bench/selftest.py`, run from the root of the checkout as its
+    docstring says, passes every check."""
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"\b0 failed\b", proc.stdout), proc.stdout

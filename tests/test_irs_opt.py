@@ -304,8 +304,9 @@ class TestBatchedKernels:
         n_s, p = hbar.shape[0], s.shape[1]
         fresh = sweep(lambda: irs_opt._tile_workspace(n_s, p))
         stale = irs_opt._tile_workspace(n_s, p)
-        stale.nodes.fill(np.nan)
+        stale.m.fill(np.nan)
         stale.psi.fill(np.nan)
+        stale.u.fill(np.nan)
         reused = sweep(lambda: stale)
         assert len(fresh) == cfg.k_total
         for m, (want, got) in enumerate(zip(fresh, reused)):
@@ -314,11 +315,10 @@ class TestBatchedKernels:
 
     def test_tile_statistics_allocate_no_per_tile_stack(self):
         """numpy reports its data buffers to tracemalloc. With the workspace,
-        one call peaks near 2.1 (N_s, P, P) stacks at desk shapes, about 1.0
-        of it numpy's iteration buffers for the Hadamard product on the
-        packed rows (three of 8192 entries, whatever N_s); forming Psi and
-        the product, or the mean's node buffer, per call again puts it
-        above 3."""
+        one call peaks near 1.85 (N_s, P, P) stacks at desk shapes (2.06
+        while M and u shared packed rows and the Hadamard product went
+        through numpy's iteration buffers); forming Psi and the product per
+        call again puts it above 3."""
         # Desk shapes: N_s = 100 draws, 2 users with 2 antennas, 8 BS
         # antennas, 8 tiles of 16 elements.
         inst = synthetic_instance(15, n_s=100, n_u=2, l=2, m=8, k=8, p=16)
@@ -328,7 +328,6 @@ class TestBatchedKernels:
         n_s, p = hbar.shape[0], s.shape[1]
         ws = irs_opt._tile_workspace(n_s, p)
         args = (g, w, v, s, t, ghv, beams[0], 0, inst["alpha"], ws)
-        irs_opt._tile_statistics(*args)  # fills the cached tree plan
         stack_bytes = n_s * p * p * np.dtype(complex).itemsize
         tracemalloc.start()
         try:

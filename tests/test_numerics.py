@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from irsmimo.numerics import (
     NumericalError,
@@ -11,8 +9,6 @@ from irsmimo.numerics import (
     check_hermitian,
     herm,
     logdet_hpd,
-    pairwise_mean,
-    pairwise_mean_nodes,
     power_constrained_solve,
 )
 
@@ -266,73 +262,3 @@ class TestPowerConstrainedSolve:
         a, b, budget = self.warm_cases()
         with pytest.raises(ValueError, match="mu0"):
             power_constrained_solve(a, b, budget, mu0=mu0)
-
-
-class TestPairwiseMean:
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
-    @settings(max_examples=100, deadline=None)
-    def test_agrees_with_plain_mean(self, values):
-        x = np.array(values)
-        assert pairwise_mean(x) == pytest.approx(float(np.mean(x)), rel=1e-12, abs=1e-9)
-
-    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_even_split_combines_half_means_bit_exactly(self, half, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(2 * half)
-        left = pairwise_mean(x[:half])
-        right = pairwise_mean(x[half:])
-        assert pairwise_mean(x) == 0.5 * (left + right)
-
-    def test_axis_and_complex(self):
-        rng = np.random.default_rng(7)
-        x = crandn(rng, 6, 3, 3)
-        got = pairwise_mean(x)
-        assert got.shape == (3, 3)
-        assert np.allclose(got, x.mean(axis=0), atol=1e-14)
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_level_wise_tree_equals_recursive_oracle(self, axis, dtype):
-        rng = np.random.default_rng(11)
-        for n in range(1, 131):
-            shape = (n, 3) if axis == 0 else (2, n)
-            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-            if dtype is complex:
-                x = x + 1j * rng.standard_normal(shape)
-            got = pairwise_mean(np.moveaxis(x, axis, 0))
-            want = recursive_pairwise_mean(x, axis=axis)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), f"n = {n}"
-            # The same tree on a caller-filled node buffer whose inner rows,
-            # like the scratch, start as NaN, so every inner node must be
-            # written.
-            items = np.moveaxis(x, axis, 0)
-            nodes = np.full((2 * n - 1,) + items.shape[1:], np.nan, dtype=want.dtype)
-            nodes[:n] = items
-            got_nodes = pairwise_mean_nodes(nodes, np.full_like(nodes[:n], np.nan))
-            assert got_nodes.dtype == want.dtype
-            assert np.array_equal(got_nodes, want), f"node buffer, n = {n}"
-
-    def test_node_buffer_rejects_even_row_count(self):
-        with pytest.raises(ValueError, match="2n - 1"):
-            pairwise_mean_nodes(np.zeros((4, 3)), np.zeros((2, 3)))
-
-
-def recursive_pairwise_mean(x, axis=0):
-    """Reference recursive-halving mean: equal halves as (left + right) / 2,
-    unequal splits with exact sample-count weights."""
-    x = np.moveaxis(np.asarray(x), axis, 0)
-
-    def reduce(block):
-        n = block.shape[0]
-        if n == 1:
-            return block[0]
-        h = n // 2
-        left = reduce(block[:h])
-        right = reduce(block[h:])
-        if 2 * h == n:
-            return 0.5 * (left + right)
-        return (left * h + right * (n - h)) / n
-
-    return reduce(x)
