@@ -10,7 +10,9 @@ stack S (K, P, M) and the IRS-UE stack T (N_u, K, L, P) are one call each.
 One composite kernel, `composite_channel`, serves one realization and a
 stack of realizations alike. `sample_channels` is the one path from a config
 to channels: the offline training draws, the evaluation realizations and the
-array-factor realization all come from it.
+array-factor realization all come from it. It stores T in tile-folded memory
+order (`tile_folded`), so the (K*P) fold [T_i1 ... T_iK] that the composite
+channel and the offline tile sweep both multiply by (`fold_tiles`) is a view.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "composite_channel",
     "build_channel_set",
     "sample_channels",
+    "tile_folded",
+    "fold_tiles",
     "bs_irs_channels",
 ]
 
@@ -175,8 +179,9 @@ def build_channel_set(
 def sample_channels(cfg: ScenarioConfig, namespace: int, indices) -> ChannelSet:
     """The channel sets of draws `indices` of stream `namespace`, stacked on a
     leading axis: hbar (n, N_u, L, M) and t (n, N_u, K, L, P) around the one
-    shared S (K, P, M). Draws and synthesis go through the module names
-    `scenario.draw_sample` and `build_channel_set`, one call per index."""
+    shared S (K, P, M), with t in `tile_folded` memory order. Draws and
+    synthesis go through the module names `scenario.draw_sample` and
+    `build_channel_set`, one call per index."""
     geometry = scenario_mod.build_antenna_positions(cfg)
     s = bs_irs_channels(geometry, cfg)
     sets = [
@@ -184,8 +189,24 @@ def sample_channels(cfg: ScenarioConfig, namespace: int, indices) -> ChannelSet:
         for i in indices
     ]
     return ChannelSet(
-        hbar=np.array([cs.hbar for cs in sets]), s=s, t=np.array([cs.t for cs in sets])
+        hbar=np.array([cs.hbar for cs in sets]),
+        s=s,
+        t=tile_folded(np.array([cs.t for cs in sets])),
     )
+
+
+def tile_folded(t: np.ndarray) -> np.ndarray:
+    """The IRS-UE stack t (..., K, L, P) with its shape and values, laid out
+    in memory as (..., L, K, P), so that `fold_tiles` of it is a view: a
+    view of t when it is laid out so already, one copy otherwise."""
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(t, -3, -2)), -3, -2)
+
+
+def fold_tiles(t: np.ndarray) -> np.ndarray:
+    """The tile-folded T_i = [T_i1 ... T_iK] (..., L, K*P) of the IRS-UE stack
+    t (..., K, L, P): a view of a `tile_folded` stack, a copy otherwise."""
+    *lead, k_tiles, l_ant, p_elem = t.shape
+    return np.swapaxes(t, -3, -2).reshape(*lead, l_ant, k_tiles * p_elem)
 
 
 def composite_channel(
@@ -195,7 +216,8 @@ def composite_channel(
 
     hbar (..., N_u, L, M), s (K, P, M) and t (..., N_u, K, L, P) share any
     leading axes (one realization, or a stack of samples); the result has
-    the shape of hbar. The tile sum is one matmul over the folded (K*P) axis.
+    the shape of hbar. The tile sum is one matmul over the folded (K*P) axis
+    (`fold_tiles`, a view for the stacks of `sample_channels`).
     """
     beams = np.asarray(beams, dtype=complex)
     k_tiles, p_elem, _ = s.shape
@@ -204,7 +226,5 @@ def composite_channel(
             f"beam set shape {beams.shape} does not match channel tiling "
             f"(K={k_tiles}, P={p_elem})"
         )
-    *lead, _, l_ant, _ = t.shape
-    t_folded = np.swapaxes(t, -3, -2).reshape(*lead, l_ant, k_tiles * p_elem)
-    return hbar + t_folded @ (beams[:, :, None] * s).reshape(k_tiles * p_elem, -1)
+    return hbar + fold_tiles(t) @ (beams[:, :, None] * s).reshape(k_tiles * p_elem, -1)
 

@@ -17,13 +17,18 @@ trust-region problem per tile yields the beam update.
 Tile updates run sequentially (the cross-tile coupling inside u_m is
 refreshed after each tile), which makes every block update an exact
 minimizer and the frozen-sample objective monotonically non-increasing.
-The per-tile statistics come from `_tile_statistics`, which forms them as
-batched matrix products with the users folded into the rows, and
-averages them with numpy's mean over the samples, in sample order. Its
-per-sample stacks M, Psi and u live in one `_tile_workspace`, allocated
-once per run and overwritten by every tile call. Allocated per call, these
-megabyte stacks went back to the operating system when freed (glibc trims
-the heap top), so every tile call faulted them in again as zeroed pages.
+G, W and V are fixed through a sweep (the block structure of WMMSE in Shi,
+Razaviyayn, Luo & He, IEEE TSP 2011), so the factors G^H T_m and
+alpha W G^H T_m of all K tiles are formed once per sweep, as two products
+over the tile-folded T (`_tile_factors`). The per-tile statistics come from
+`_tile_statistics`, which reads views of those factors, forms C_m^T with
+one GEMM, and averages with numpy's mean over the samples, in sample order;
+the users are folded into the rows of every tile product. The factor
+stacks and the per-sample stacks M, Psi^T and u live in one
+`_tile_workspace`, allocated once per run and overwritten by every sweep
+and tile call. Allocated per call, these megabyte stacks went back to the
+operating system when freed (glibc trims the heap top), so every tile call
+faulted them in again as zeroed pages.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -224,73 +229,89 @@ def _fold_users(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, 1, 2).reshape(n_s, m_ant, n_u * l_ant)
 
 
-def _tile_term(a_f: np.ndarray, cc: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tile m's own term A_im diag(b) C_mj of `_coupling`, from the folded factors."""
-    return (a_f * b) @ cc
+def _precoder_rows(v: np.ndarray) -> np.ndarray:
+    """[V]^T (N_s*N_u*L, M) from the precoders (N_s, N_u, M, L): row (n, j, l)
+    is column l of V_j of sample n, so [V]^T S_m^T is one GEMM."""
+    return np.swapaxes(v, -1, -2).reshape(-1, v.shape[-2])
 
 
 @dataclass(frozen=True)
 class _TileWorkspace:
-    """The per-sample statistics of `_tile_statistics`, allocated once per run.
+    """The stacks of one tile sweep, allocated once per run.
 
-    m (N_s, P, P) receives Phi, then M = Phi had Psi^T; psi (N_s, P, P)
-    receives Psi = CC CC^H; u (N_s, P) receives u. Every call overwrites
-    all three, so one workspace serves every tile and iteration.
+    a (N_s, N_u, L, K*P) receives A = G^H T (`_tile_factors`) and x the
+    same shape X = alpha W A, once per sweep; tile m reads columns
+    m*P .. (m+1)*P - 1 of both. m (N_s, P, P) receives Phi, then
+    M = Phi had Psi^T; psi (N_s, P, P) receives Psi^T; u (N_s, P) receives
+    u (`_tile_statistics`). Every call overwrites what it writes, so one
+    workspace serves every tile and iteration.
     """
 
+    a: np.ndarray
+    x: np.ndarray
     m: np.ndarray
     psi: np.ndarray
     u: np.ndarray
 
 
-def _tile_workspace(n_s: int, p: int) -> _TileWorkspace:
-    """A `_TileWorkspace` for N_s samples and P elements per tile."""
+def _tile_workspace(fold_shape: tuple[int, ...], p: int) -> _TileWorkspace:
+    """A `_TileWorkspace` for the tile fold shape (N_s, N_u, L, K*P) of T
+    (`channel.fold_tiles`) and P elements per tile."""
+    n_s = fold_shape[0]
     return _TileWorkspace(
+        a=np.empty(fold_shape, dtype=complex),
+        x=np.empty(fold_shape, dtype=complex),
         m=np.empty((n_s, p, p), dtype=complex),
         psi=np.empty((n_s, p, p), dtype=complex),
         u=np.empty((n_s, p), dtype=complex),
     )
 
 
+def _tile_factors(
+    g: np.ndarray, w: np.ndarray, t_fold: np.ndarray, alpha: np.ndarray, ws: _TileWorkspace
+) -> None:
+    """The beam-independent factors of every tile at fixed (G, W), into ws:
+    A_i = G_i^H T_i and X_i = alpha_i W_i A_i, with T_i = [T_i1 ... T_iK]
+    the tile fold t_fold (N_s, N_u, L, K*P) (`channel.fold_tiles`)."""
+    np.matmul(np.swapaxes(g.conj(), -1, -2), t_fold, out=ws.a)
+    np.matmul(alpha[:, None, None] * w, ws.a, out=ws.x)
+
+
 def _tile_statistics(
-    g: np.ndarray,
-    w: np.ndarray,
-    v: np.ndarray,
-    s: np.ndarray,
-    t: np.ndarray,
+    ws: _TileWorkspace,
+    m: int,
+    v_rows: np.ndarray,
+    s_m: np.ndarray,
     ghv: np.ndarray,
     b_m: np.ndarray,
-    m: int,
-    alpha: np.ndarray,
-    ws: _TileWorkspace,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
-    with ghv = G_i^H H_i V_j at the current beams (see `_coupling`). The
-    per-sample statistics are formed in the workspace ws (`_tile_workspace`).
+    from the factors A and X in ws (`_tile_factors`), the precoder rows
+    v_rows (`_precoder_rows`), the tile's BS link s_m (P, M) and
+    ghv = G_i^H H_i V_j at the current beams (see `_coupling`). The
+    per-sample statistics are formed in ws.
 
-    Also returns the tile factors (A_m, CC_m, Z_m): A_m = [A_1m; ...; A_Num]
-    (N_s, N_u*L, P) with A_im = G_i^H T_im, CC_m = [C_m1 ... C_mNu]
-    (N_s, P, N_u*L) with C_mj = S_m V_j, and Z_m = `_tile_term`(A_m, CC_m,
-    b_m), tile m's own term of ghv. Replacing b_m by b changes ghv by
-    `_tile_term`(A_m, CC_m, b) - Z_m.
+    Also returns (A_m, C_m, R): A_m = [A_1m; ...; A_Num] (N_s, N_u*L, P),
+    a view of ws.a, C_m = [C_m1 ... C_mNu] (N_s, P, N_u*L) with
+    C_mj = S_m V_j, and R = ghv - A_m diag(b_m) C_m, ghv without tile m's
+    own term. At beam b for tile m, ghv is R + A_m diag(b) C_m.
     """
-    n_s, n_u, _, l_ant, p_elem = t.shape
-    a_m = np.swapaxes(g.conj(), -1, -2) @ t[:, :, m]
-    a_f = a_m.reshape(n_s, n_u * l_ant, p_elem)
-    cc = s[m] @ _fold_users(v)
-    cc_h = np.swapaxes(cc.conj(), -1, -2)
-    z_m = _tile_term(a_f, cc, b_m)
-    w_alpha = alpha[:, None, None] * w
-    a_fc = a_f.conj()
-    # Phi, then M = Phi had Psi^T in place; `ws.m *= ...` would assign to a
-    # field of the frozen dataclass.
-    np.matmul(np.swapaxes(a_fc, -1, -2), (w_alpha @ a_m).reshape(a_f.shape), out=ws.m)
-    np.matmul(cc, cc_h, out=ws.psi)
-    np.multiply(ws.m, np.swapaxes(ws.psi, -1, -2), out=ws.m)
-    # C_mi^H - sum_j R_ij C_mj^H with R = ghv - Z_m.
-    inner = (cc_h - (ghv - z_m) @ cc_h).reshape(a_m.shape)
-    np.sum(a_fc * (w_alpha @ inner).reshape(a_f.shape), axis=1, out=ws.u)
-    return herm(ws.m.mean(axis=0)), ws.u.mean(axis=0), (a_f, cc, z_m)
+    n_s, p_elem = ws.u.shape
+    cols = slice(m * p_elem, (m + 1) * p_elem)
+    a_m = ws.a[..., cols].reshape(n_s, -1, p_elem)
+    x_m = ws.x[..., cols].reshape(a_m.shape)
+    c_t = (v_rows @ s_m.T).reshape(a_m.shape)
+    c_m = np.swapaxes(c_t, -1, -2)
+    r = ghv - (a_m * b_m) @ c_m
+    c_tc = c_t.conj()
+    # Phi = A^H X, then M = Phi had Psi^T in place, with Psi^T = conj(C) C^T;
+    # `ws.m *= ...` would assign to a field of the frozen dataclass.
+    np.matmul(np.swapaxes(a_m.conj(), -1, -2), x_m, out=ws.m)
+    np.matmul(np.swapaxes(c_tc, -1, -2), c_t, out=ws.psi)
+    np.multiply(ws.m, ws.psi, out=ws.m)
+    # u = diag(X^H (I - R) C^H), alpha W being Hermitian.
+    np.sum(x_m.conj() * (c_tc - r @ c_tc), axis=1, out=ws.u)
+    return herm(ws.m.mean(axis=0)), ws.u.mean(axis=0), (a_m, c_m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +350,9 @@ def offline_optimize_channels(
     check_finite(hbar, "hbar")
     check_finite(s, "s")
     check_finite(t, "t")
+    # One fold of T per run: a view for the stacks of `channel.sample_channels`.
+    t = channel_mod.tile_folded(t)
+    t_fold = channel_mod.fold_tiles(t)
     n_u = hbar.shape[1]
     k_tiles, p_elem, _ = s.shape
     rho_sq = constraint.resolved_rho_sq(p_elem) if constraint.mode == "GC" else float(p_elem)
@@ -344,7 +368,7 @@ def offline_optimize_channels(
     hv = wmmse.pair_products(h, v)
 
     report = OptReport(eps=float(eps))
-    ws = _tile_workspace(hbar.shape[0], p_elem)
+    ws = _tile_workspace(t_fold.shape, p_elem)
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
@@ -354,15 +378,16 @@ def offline_optimize_channels(
         v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
 
         # Tile updates in order, the cached cross coupling refreshed after
-        # each tile.
+        # each tile. G, W and V stay fixed through the sweep, so the factors
+        # that no beam enters are formed once, for all tiles.
+        _tile_factors(g, w, t_fold, alpha, ws)
+        v_rows = _precoder_rows(v)
         ghv = _coupling(g, h, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
-            m_bar, u_bar, (a_f, cc, z_m) = _tile_statistics(
-                g, w, v, s, t, ghv, beams[m], m, alpha, ws
-            )
+            m_bar, u_bar, (a_m, c_m, r) = _tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
             new_beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-            ghv += _tile_term(a_f, cc, new_beams[m]) - z_m
+            ghv = r + (a_m * new_beams[m]) @ c_m
         beams, beams_prev = new_beams, beams
 
         violation = gc_violation(beams, rho_sq)

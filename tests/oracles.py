@@ -1,8 +1,9 @@
 """Test oracles of the offline optimizer: the per-sample tile statistics and
 the gradient identity check.
 
-The product path (`irs_opt._tile_statistics`) forms each tile's averaged
-quadratic (M_m, u_m) as batched products over the sample stack. The forms
+The product path (`irs_opt._tile_factors` once per sweep, then
+`irs_opt._tile_statistics` per tile) forms each tile's averaged quadratic
+(M_m, u_m) as batched products over the sample stack. The forms
 here build the same quadratic one sample, one user pair and one tile at a
 time from the shorthand factors A, C, D and F, so the tests can check the
 batched kernels against an independent derivation. `verify_theorem1` checks
@@ -19,7 +20,14 @@ import numpy as np
 
 from irsmimo import channel as channel_mod
 from irsmimo import wmmse
-from irsmimo.irs_opt import _coupling, _tile_statistics, _tile_workspace, frozen_sum_rate
+from irsmimo.irs_opt import (
+    _coupling,
+    _precoder_rows,
+    _tile_factors,
+    _tile_statistics,
+    _tile_workspace,
+    frozen_sum_rate,
+)
 from irsmimo.numerics import NumericalError, herm
 
 
@@ -221,10 +229,13 @@ def verify_theorem1(
         w = stale_w
 
     ghv = _coupling(g, channel_mod.composite_channel(hbar, s, t, beams), v)
-    ws = _tile_workspace(hbar.shape[0], p_elem)
+    t_fold = channel_mod.fold_tiles(t)
+    ws = _tile_workspace(t_fold.shape, p_elem)
+    _tile_factors(g, w, t_fold, alpha, ws)
+    v_rows = _precoder_rows(v)
     grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):
-        m_bar, u_bar, _ = _tile_statistics(g, w, v, s, t, ghv, beams[m], m, alpha, ws)
+        m_bar, u_bar, _ = _tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
         grad_closed[m] = 2.0 * (m_bar @ beams[m] - u_bar)
 
     def theta2(b: np.ndarray) -> float:

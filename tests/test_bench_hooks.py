@@ -143,6 +143,29 @@ def test_frozen_sum_rate_called_once_per_offline_iteration(tiny_config_dict, mon
 
 
 @pytest.mark.parametrize("overrides", [{}, LC], ids=["GC", "LC2"])
+def test_every_tile_update_reaches_the_counted_names(tiny_config_dict, monkeypatch, overrides):
+    # The traced benchmark counts `irs_opt.update_b` and the mu searches
+    # through `irs_opt.power_constrained_solve`: one beam update per tile and
+    # iteration, and one search per beam update.
+    cfg = scenario.config_from_dict(scenario.apply_overrides(tiny_config_dict, overrides))
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("update_b", "power_constrained_solve"):
+        monkeypatch.setattr(irs_opt, name, counting(name, getattr(irs_opt, name)))
+    _, report = irs_opt.offline_optimize(cfg)
+    assert report.iterations > 0
+    assert calls.count("update_b") == cfg.k_total * report.iterations
+    assert calls.count("power_constrained_solve") == calls.count("update_b")
+
+
+@pytest.mark.parametrize("overrides", [{}, LC], ids=["GC", "LC2"])
 def test_benchmark_checks_accept_optimize_output(checks, tiny_yaml, tmp_path, overrides):
     outdir = _cli_output(checks, tmp_path / "opt", tiny_yaml, "optimize", overrides)
     cfg = scenario.load_config(tiny_yaml, overrides=overrides)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ import pytest
 from irsmimo import channel as ch
 from irsmimo.scenario import (
     NAMESPACE_EVAL,
+    NAMESPACE_TRAIN,
     build_antenna_positions,
     config_from_dict,
     draw_sample,
+    load_config,
 )
 from conftest import tiny_scenario_dict
 
@@ -230,3 +234,32 @@ class TestChannelSet:
             one = ch.build_channel_set(sample, geo, tiny_config, s=s)
             assert np.array_equal(stack.hbar[pos], one.hbar)
             assert np.array_equal(stack.t[pos], one.t)
+
+    def test_sample_channels_fold_t_without_a_copy(self, tiny_config, geo):
+        """t keeps its (n, N_u, K, L, P) shape and values but is laid out
+        tile-folded, so its (K*P) fold is a view and the composite channel
+        of a desk-size stack allocates less than one T stack."""
+        indices = [3, 0, 2]
+        stack = ch.sample_channels(tiny_config, NAMESPACE_EVAL, indices)
+        s = ch.bs_irs_channels(geo, tiny_config)
+        per_index = np.array([
+            ch.build_channel_set(
+                draw_sample(tiny_config, idx, namespace=NAMESPACE_EVAL), geo, tiny_config, s=s
+            ).t
+            for idx in indices
+        ])
+        assert stack.t.shape == per_index.shape == (3, 2, 4, 2, 8)
+        assert np.array_equal(stack.t, per_index)
+        assert np.shares_memory(ch.fold_tiles(stack.t), stack.t)
+        assert np.shares_memory(ch.tile_folded(stack.t), stack.t)
+
+        desk = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.yaml")
+        train = ch.sample_channels(desk, NAMESPACE_TRAIN, range(desk.solver.n_samples))
+        beams = np.ones(train.s.shape[:2], dtype=complex)
+        tracemalloc.start()
+        try:
+            ch.composite_channel(train.hbar, train.s, train.t, beams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < train.t.nbytes, f"peak {peak / train.t.nbytes:.2f} T stacks"

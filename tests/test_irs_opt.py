@@ -234,16 +234,23 @@ class TestQuadraticModel:
 class TestBatchedKernels:
     """The sample-stack kernels of the offline loop against per-sample forms."""
 
+    @staticmethod
+    def _sweep_state(g, w, v, t, alpha, p):
+        """The offline loop's state at the start of a tile sweep: a workspace
+        with the tile factors formed, and the precoder rows."""
+        t_fold = channel.fold_tiles(t)
+        ws = irs_opt._tile_workspace(t_fold.shape, p)
+        irs_opt._tile_factors(g, w, t_fold, alpha, ws)
+        return ws, irs_opt._precoder_rows(v)
+
     def test_tile_statistics_match_per_sample_reference(self):
         inst = synthetic_instance(12, n_s=4, n_u=3, l=2, m=4, k=3, p=5)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
-        ws = irs_opt._tile_workspace(hbar.shape[0], s.shape[1])
+        ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], s.shape[1])
         for m in range(beams.shape[0]):
-            m_bar, u_bar, _ = irs_opt._tile_statistics(
-                g, w, v, s, t, ghv, beams[m], m, inst["alpha"], ws
-            )
+            m_bar, u_bar, _ = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
             pairs = [
                 accumulate_quadratic(g[n], w[n], v[n], hbar[n], s, t[n], beams, m, inst["alpha"])
                 for n in range(hbar.shape[0])
@@ -252,25 +259,44 @@ class TestBatchedKernels:
             np.testing.assert_allclose(m_bar, ref.m_bar[0], rtol=1e-12, atol=0)
             np.testing.assert_allclose(u_bar, ref.u_bar[0], rtol=1e-12, atol=0)
 
+    def test_tile_factor_views_equal_per_tile_products(self):
+        """At the desk tiling, the factors formed once per sweep for all
+        tiles are bit for bit the per-tile products G_i^H T_im and
+        alpha_i W_i G_i^H T_im. (With 5 elements per tile, OpenBLAS rounds
+        the narrow per-tile product differently in the last bit.)"""
+        inst = synthetic_instance(16, n_s=4, n_u=2, l=2, m=8, k=8, p=16)
+        hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
+        alpha, p = inst["alpha"], s.shape[1]
+        g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
+        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
+        ws, v_rows = self._sweep_state(g, w, v, t, alpha, p)
+        g_h = np.swapaxes(g.conj(), -1, -2)
+        for m in range(beams.shape[0]):
+            a_want = g_h @ t[:, :, m]
+            x_want = (alpha[:, None, None] * w) @ a_want
+            _, _, (a_m, _, _) = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            x_m = ws.x[..., m * p : (m + 1) * p]
+            assert np.shares_memory(a_m, ws.a)
+            assert np.array_equal(a_m, a_want.reshape(a_m.shape)), f"A, tile {m}"
+            assert np.array_equal(x_m, x_want), f"X, tile {m}"
+
     def test_sequential_refresh_matches_recomputed_coupling(self):
         inst = synthetic_instance(13, n_s=3, n_u=3, l=2, m=4, k=3, p=5)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
-        ws = irs_opt._tile_workspace(hbar.shape[0], s.shape[1])
+        ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], s.shape[1])
         for m in range(beams.shape[0]):
-            _, _, (a_m, cc, z_m) = irs_opt._tile_statistics(
-                g, w, v, s, t, ghv, beams[m], m, inst["alpha"], ws
-            )
+            _, _, (a_m, c_m, r) = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
             beams[m] = crandn(inst["rng"], beams.shape[1])
-            ghv += irs_opt._tile_term(a_m, cc, beams[m]) - z_m
+            ghv = r + (a_m * beams[m]) @ c_m
             fresh = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
             np.testing.assert_allclose(ghv, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
 
     def test_reused_workspace_carries_no_stale_state(self, tiny_config):
-        """One workspace reused across the tiles of a sweep, NaN before the
-        first, gives the bits of a fresh workspace per tile: every call
-        writes every row it reads."""
+        """One workspace reused across the tiles of a sweep, NaN before its
+        factors are formed, gives the bits of a fresh workspace per tile:
+        every call writes every row it reads."""
         cfg = tiny_config
         geometry = scenario.build_antenna_positions(cfg)
         s = channel.bs_irs_channels(geometry, cfg)
@@ -286,27 +312,30 @@ class TestBatchedKernels:
         g, w = receivers_and_weights(hbar, s, t, beams0, v, cfg.noise_power_w())
         alpha = cfg.alpha()
         rho_sq = cfg.rho_sq()
+        p = s.shape[1]
 
         def sweep(workspace_for_tile):
             # One sequential tile sweep of the offline loop.
             beams = beams0.copy()
             ghv = irs_opt._coupling(g, h, v)
+            v_rows = irs_opt._precoder_rows(v)
             out = []
             for m in range(beams.shape[0]):
-                m_bar, u_bar, (a_m, cc, z_m) = irs_opt._tile_statistics(
-                    g, w, v, s, t, ghv, beams[m], m, alpha, workspace_for_tile()
+                m_bar, u_bar, (a_m, c_m, r) = irs_opt._tile_statistics(
+                    workspace_for_tile(), m, v_rows, s[m], ghv, beams[m]
                 )
                 beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-                ghv += irs_opt._tile_term(a_m, cc, beams[m]) - z_m
+                ghv = r + (a_m * beams[m]) @ c_m
                 out.append((m_bar, u_bar, ghv.copy()))
             return out
 
-        n_s, p = hbar.shape[0], s.shape[1]
-        fresh = sweep(lambda: irs_opt._tile_workspace(n_s, p))
-        stale = irs_opt._tile_workspace(n_s, p)
-        stale.m.fill(np.nan)
-        stale.psi.fill(np.nan)
-        stale.u.fill(np.nan)
+        fresh = sweep(lambda: self._sweep_state(g, w, v, t, alpha, p)[0])
+        t_fold = channel.fold_tiles(t)
+        stale = irs_opt._tile_workspace(t_fold.shape, p)
+        for stack in (stale.a, stale.x, stale.m, stale.psi, stale.u):
+            stack.fill(np.nan)
+        # As in the loop: the factors once, before the sweep.
+        irs_opt._tile_factors(g, w, t_fold, alpha, stale)
         reused = sweep(lambda: stale)
         assert len(fresh) == cfg.k_total
         for m, (want, got) in enumerate(zip(fresh, reused)):
@@ -315,10 +344,10 @@ class TestBatchedKernels:
 
     def test_tile_statistics_allocate_no_per_tile_stack(self):
         """numpy reports its data buffers to tracemalloc. With the workspace,
-        one call peaks near 1.85 (N_s, P, P) stacks at desk shapes (2.06
-        while M and u shared packed rows and the Hadamard product went
-        through numpy's iteration buffers); forming Psi and the product per
-        call again puts it above 3."""
+        one call peaks near 1.32 (N_s, P, P) stacks at desk shapes (1.85
+        while each call formed its own A and X factors, 2.06 while M and u
+        shared packed rows); forming Psi and the product per call again puts
+        it above 3."""
         # Desk shapes: N_s = 100 draws, 2 users with 2 antennas, 8 BS
         # antennas, 8 tiles of 16 elements.
         inst = synthetic_instance(15, n_s=100, n_u=2, l=2, m=8, k=8, p=16)
@@ -326,8 +355,8 @@ class TestBatchedKernels:
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
         n_s, p = hbar.shape[0], s.shape[1]
-        ws = irs_opt._tile_workspace(n_s, p)
-        args = (g, w, v, s, t, ghv, beams[0], 0, inst["alpha"], ws)
+        ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], p)
+        args = (ws, 0, v_rows, s[0], ghv, beams[0])
         stack_bytes = n_s * p * p * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
