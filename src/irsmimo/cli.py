@@ -2,7 +2,7 @@
 
 Every command materializes its artifacts under one output directory named
 from the content hashes of its inputs, together with a manifest that records
-the config hash, seed, and tool version. Reruns with identical inputs
+every parsed argument, the config hash, seed and tool version. Reruns with identical inputs
 rewrite identical numerical artifacts (beam sets, CSVs, summaries); only
 timestamps and timing fields differ.
 
@@ -64,20 +64,10 @@ def _load_config(path: str, overrides: dict) -> ScenarioConfig:
     return scenario_mod.load_config(path, overrides=overrides)
 
 
-def _output_root(explicit: str | None) -> Path:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(OUTPUT_ROOT_ENV)
-    if env:
-        return Path(env)
-    return Path("runs")
-
-
 def _resolve_outdir(args, default_name: str) -> Path:
-    if getattr(args, "outdir", None):
-        out = Path(args.outdir)
-    else:
-        out = _output_root(getattr(args, "output_root", None)) / default_name
+    """-o, else default_name under --output-root, $IRSMIMO_OUTPUT_ROOT or ./runs."""
+    root = args.output_root or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
+    out = Path(args.outdir) if args.outdir else Path(root) / default_name
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -104,13 +94,15 @@ def _platform_facts() -> dict:
     }
 
 
-def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int, started: str,
-                    args_record: dict, beams_hash: str = "") -> None:
+def _write_manifest(outdir: Path, args, cfg_hash: str, seed: int, started: str,
+                    beams_hash: str = "", **results) -> None:
+    """manifest.json: every parsed argument, the run's identity and platform,
+    and the command's results as top-level keys."""
     _write_json(
         outdir / "manifest.json",
         {
             "format_version": MANIFEST_VERSION,
-            "command": command,
+            "command": args.command,
             "config_hash": cfg_hash,
             "seed": seed,
             "output_dir": str(outdir),
@@ -118,8 +110,9 @@ def _write_manifest(outdir: Path, command: str, cfg_hash: str, seed: int, starte
             "started_utc": started,
             "finished_utc": _utc_now(),
             "beams_hash": beams_hash,
-            "args": args_record,
+            "args": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
             "platform": _platform_facts(),
+            **results,
         },
     )
 
@@ -176,15 +169,7 @@ def cmd_optimize(args) -> int:
 
     beam_set, report = irs_opt.offline_optimize(cfg)
     beams_hash = _write_optimize_artifacts(outdir, cfg, cfg_hash, beam_set, report)
-    _write_manifest(
-        outdir,
-        "optimize",
-        cfg_hash,
-        cfg.seed,
-        started,
-        {"config": str(args.config), "override": list(args.override or [])},
-        beams_hash=beams_hash,
-    )
+    _write_manifest(outdir, args, cfg_hash, cfg.seed, started, beams_hash)
     print(f"optimize: {report.iterations} iterations, converged={report.converged}")
     print(f"optimize: wrote {outdir / 'beams.json'}")
     return EXIT_OK
@@ -213,21 +198,7 @@ def cmd_evaluate(args) -> int:
         irs_opt.save_beams(outdir / "beams_random.json", beam_set)
 
     result = _evaluate_and_write(outdir, cfg, beam_set.beams, args.realizations, beams_hash)
-    _write_manifest(
-        outdir,
-        "evaluate",
-        cfg_hash,
-        cfg.seed,
-        started,
-        {
-            "config": str(args.config),
-            "beams": str(args.beams),
-            "realizations": args.realizations,
-            "force": bool(args.force),
-            "override": list(args.override or []),
-        },
-        beams_hash=beams_hash,
-    )
+    _write_manifest(outdir, args, cfg_hash, cfg.seed, started, beams_hash)
     print(
         f"evaluate: mean sum-rate {result.mean_sum_rate:.6g} "
         f"± {result.stderr_sum_rate:.3g} bits/s/Hz over "
@@ -258,48 +229,30 @@ def cmd_array_factor(args) -> int:
         "seed": cfg.seed,
         "realization": args.realization,
     }
-    n_written = 0
-    for i in range(cfg.ue.count):
-        for c in range(cfg.ue.n_antennas):
-            v_col = link.v[i][:, c]
-            bs_pattern = metrics.array_factor(geometry.bs, v_col, cfg.wavelength, angles)
-            peak = float(np.max(bs_pattern))
-            if peak > 0.0:
-                with np.errstate(divide="ignore"):
-                    bs_db = np.maximum(10.0 * np.log10(bs_pattern / peak), metrics.DB_FLOOR)
-                metrics.write_array_factor_csv(
-                    outdir / f"af_bs_ue{i}_s{c}.csv",
-                    angles,
-                    bs_db,
-                    {**meta_base, "emitter": "bs", "ue": i, "stream": c},
-                )
-                n_written += 1
-            for k in range(cfg.k_total):
-                grid, gain_db = metrics.equivalent_array_factor(
-                    geometry, cfg, beam_set.beams, v_col, k, angles_deg=angles, s=cset.s
-                )
-                metrics.write_array_factor_csv(
-                    outdir / f"af_tile{k}_ue{i}_s{c}.csv",
-                    grid,
-                    gain_db,
-                    {**meta_base, "emitter": f"tile{k}", "ue": i, "stream": c},
-                )
-                n_written += 1
+    n_written = n_skipped = 0
+    for i, c in itertools.product(range(cfg.ue.count), range(cfg.ue.n_antennas)):
+        v_col = link.v[i][:, c]
+        patterns = {"bs": metrics.array_factor(geometry.bs, v_col, cfg.wavelength, angles)}
+        for k in range(cfg.k_total):
+            patterns[f"tile{k}"] = metrics.tile_pattern(
+                geometry, cfg, beam_set.beams, v_col, k, cset.s, angles
+            )
+        for emitter, pattern in patterns.items():
+            gain_db = metrics.pattern_db(pattern)
+            if gain_db is None:  # no direction to normalize to: no profile
+                n_skipped += 1
+                continue
+            metrics.write_array_factor_csv(
+                outdir / f"af_{emitter}_ue{i}_s{c}.csv",
+                angles,
+                gain_db,
+                {**meta_base, "emitter": emitter, "ue": i, "stream": c},
+            )
+            n_written += 1
     _write_manifest(
-        outdir,
-        "array-factor",
-        cfg_hash,
-        cfg.seed,
-        started,
-        {
-            "config": str(args.config),
-            "beams": str(args.beams),
-            "realization": args.realization,
-            "override": list(args.override or []),
-        },
-        beams_hash=beams_hash,
+        outdir, args, cfg_hash, cfg.seed, started, beams_hash, skipped_profiles=n_skipped
     )
-    print(f"array-factor: wrote {n_written} profiles to {outdir}")
+    print(f"array-factor: wrote {n_written} profiles to {outdir} ({n_skipped} identically zero)")
     return EXIT_OK
 
 
@@ -373,11 +326,9 @@ def cmd_sweep(args) -> int:
             overrides.update(point.get("overrides") or {})
         label = "-".join(str(point["label"]) for point in combo)
         try:
-            cfg = _load_config(str(base_path), overrides)
-        except (ConfigError, ValueError) as exc:
-            configs.append((label, combo, None, str(exc)))
-            continue
-        configs.append((label, combo, cfg, None))
+            configs.append((label, combo, _load_config(str(base_path), overrides), None))
+        except ValueError as exc:
+            configs.append((label, combo, None, exc))
 
     # Constant-total-area bookkeeping: every buildable grid point must keep
     # the same total IRS element count (element area is fixed by the cell
@@ -391,8 +342,7 @@ def cmd_sweep(args) -> int:
     include_baseline = spec.get("include_random_baseline", False)
     n_real = spec.get("realizations")
     rows = []
-    failures = 0
-    for label, combo, cfg, build_error in configs:
+    for label, combo, cfg, error in configs:
         row = {
             "label": label,
             **{axes[i]["name"]: combo[i]["label"] for i in range(len(axes))},
@@ -400,43 +350,38 @@ def cmd_sweep(args) -> int:
             "status": "ok",
             "error": "",
         }
-        if build_error is not None:
-            failures += 1
-            row["status"] = "failed"
-            row["error"] = build_error.replace("\n", " ")
-            rows.append(row)
-            print(f"sweep point {label}: failed")
-            continue
-        point_dir = outdir / f"point-{label}"
-        point_dir.mkdir(parents=True, exist_ok=True)
-        cfg_hash = scenario_mod.config_hash(cfg)
-        row["config_hash"] = cfg_hash[:12]
-        try:
-            beam_set, report = irs_opt.offline_optimize(cfg)
-            beams_hash = _write_optimize_artifacts(point_dir, cfg, cfg_hash, beam_set, report)
-            result = _evaluate_and_write(point_dir, cfg, beam_set.beams, n_real, beams_hash)
-            row.update(
-                {
-                    "mean_sum_rate": f"{result.mean_sum_rate:.12g}",
-                    "stderr_sum_rate": f"{result.stderr_sum_rate:.12g}",
-                    "mean_eff_rank": f"{result.mean_eff_rank:.12g}",
-                    "stderr_eff_rank": f"{result.stderr_eff_rank:.12g}",
-                    "n_excluded": result.n_excluded,
-                    "opt_iterations": report.iterations,
-                }
-            )
-            if include_baseline:
-                base_set = irs_opt.random_beam_set(cfg)
-                base_hash = irs_opt.beam_set_digest(base_set)
-                base_result = _evaluate_and_write(
-                    point_dir, cfg, base_set.beams, n_real, base_hash, suffix="_random"
+        if cfg is not None:
+            point_dir = outdir / f"point-{label}"
+            point_dir.mkdir(parents=True, exist_ok=True)
+            cfg_hash = scenario_mod.config_hash(cfg)
+            row["config_hash"] = cfg_hash[:12]
+            try:
+                beam_set, report = irs_opt.offline_optimize(cfg)
+                beams_hash = _write_optimize_artifacts(point_dir, cfg, cfg_hash, beam_set, report)
+                result = _evaluate_and_write(point_dir, cfg, beam_set.beams, n_real, beams_hash)
+                row.update(
+                    {
+                        "mean_sum_rate": f"{result.mean_sum_rate:.12g}",
+                        "stderr_sum_rate": f"{result.stderr_sum_rate:.12g}",
+                        "mean_eff_rank": f"{result.mean_eff_rank:.12g}",
+                        "stderr_eff_rank": f"{result.stderr_eff_rank:.12g}",
+                        "n_excluded": result.n_excluded,
+                        "opt_iterations": report.iterations,
+                    }
                 )
-                row["baseline_mean_sum_rate"] = f"{base_result.mean_sum_rate:.12g}"
-                row["baseline_stderr_sum_rate"] = f"{base_result.stderr_sum_rate:.12g}"
-        except (ConfigError, NumericalError, IOError, ValueError) as exc:
-            failures += 1
+                if include_baseline:
+                    base_set = irs_opt.random_beam_set(cfg)
+                    base_hash = irs_opt.beam_set_digest(base_set)
+                    base_result = _evaluate_and_write(
+                        point_dir, cfg, base_set.beams, n_real, base_hash, suffix="_random"
+                    )
+                    row["baseline_mean_sum_rate"] = f"{base_result.mean_sum_rate:.12g}"
+                    row["baseline_stderr_sum_rate"] = f"{base_result.stderr_sum_rate:.12g}"
+            except (NumericalError, IOError, ValueError) as exc:
+                error = exc
+        if error is not None:
             row["status"] = "failed"
-            row["error"] = str(exc).replace("\n", " ")
+            row["error"] = str(error).replace("\n", " ")
         rows.append(row)
         print(f"sweep point {label}: {row['status']}")
 
@@ -459,14 +404,8 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow({col: row.get(col, "") for col in columns})
-    _write_manifest(
-        outdir,
-        "sweep",
-        sweep_hash,
-        -1,
-        started,
-        {"spec": str(args.spec), "points": len(rows), "failures": failures},
-    )
+    failures = sum(row["status"] == "failed" for row in rows)
+    _write_manifest(outdir, args, sweep_hash, -1, started, points=len(rows), failures=failures)
     print(f"sweep: {len(rows) - failures}/{len(rows)} points succeeded; wrote {outdir}")
     return EXIT_OK
 
@@ -522,16 +461,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error (validation): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (IOError, OSError) as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error (validation): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - safety net

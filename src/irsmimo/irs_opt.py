@@ -492,8 +492,10 @@ def load_beams(path) -> IrsBeamSet:
     """Load a beam-set file; LC beams re-materialize from their grid indices
     so entries are bit-identical to the canonical grid points. Raises
     IOError, naming the key, for a missing key, a mode other than GC or LC,
-    an LC n_bits not an integer >= 1, ill-typed or ragged tiles, or LC
-    phase_indices off the 2^n_bits grid or not shaped like tiles."""
+    an LC n_bits not an integer >= 1, ill-typed or ragged tiles, LC
+    phase_indices off the 2^n_bits grid or not shaped like tiles, a rho_sq
+    that is neither a positive number nor null (as in the config's
+    constraint.rho_sq), or a config_hash that is not a string."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -513,8 +515,12 @@ def load_beams(path) -> IrsBeamSet:
     try:
         tiles = check(tuple[tuple[tuple[float, float], ...], ...], doc["tiles"], "tiles")
         idx = check(tuple[tuple[int, ...], ...] | None, doc.get("phase_indices"), "phase_indices")
+        rho_sq = check(float | None, doc["rho_sq"], "rho_sq")
+        config_hash = check(str, doc.get("config_hash", ""), "config_hash")
     except scenario_mod.ConfigError as exc:
         raise IOError(f"beam-set {exc}") from exc
+    if rho_sq is not None and not rho_sq > 0:
+        raise IOError(f"beam-set rho_sq: expected a positive number or null, got {rho_sq!r}")
     lengths = [len(tile) for tile in tiles]
     if len(set(lengths)) > 1:
         raise IOError(f"beam-set tiles: expected tiles of one length, got lengths {lengths}")
@@ -529,6 +535,6 @@ def load_beams(path) -> IrsBeamSet:
         beams=beams,
         mode=mode,
         n_bits=n_bits,
-        rho_sq=doc["rho_sq"],
-        config_hash=doc.get("config_hash", ""),
+        rho_sq=rho_sq,
+        config_hash=config_hash,
     )

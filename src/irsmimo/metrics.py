@@ -25,6 +25,8 @@ __all__ = [
     "EvalResult",
     "effective_rank",
     "array_factor",
+    "pattern_db",
+    "tile_pattern",
     "equivalent_array_factor",
     "default_direction_grid",
     "online_solve",
@@ -129,6 +131,29 @@ def default_direction_grid() -> np.ndarray:
     return np.arange(0.0, 360.0, 0.5)
 
 
+def pattern_db(pattern: np.ndarray) -> np.ndarray | None:
+    """A linear power pattern in dB, normalized to its maximum and floored at
+    DB_FLOOR; None for a pattern that is identically zero."""
+    peak = float(np.max(pattern))
+    if peak <= 0.0:
+        return None
+    with np.errstate(divide="ignore"):
+        return np.maximum(10.0 * np.log10(pattern / peak), DB_FLOOR)
+
+
+def tile_pattern(
+    geometry: scenario_mod.ArrayGeometry, cfg: ScenarioConfig, beams: np.ndarray,
+    v_col: np.ndarray, tile: int, s: np.ndarray, angles_deg: np.ndarray,
+) -> np.ndarray:
+    """Linear power pattern of the virtual array formed at IRS tile `tile`,
+    excited by e = diag(b_k) S_k v: the tile's beam b_k, its slice S_k = s[tile]
+    of the BS-IRS stack s (K, P, M) and the BS precoder column v. Invariant to
+    a global phase rotation of b_k (only |.|^2 of the sum enters)."""
+    e = np.asarray(beams)[tile] * (np.asarray(s)[tile] @ np.asarray(v_col, dtype=complex))
+    normal, q = geometry.tile_normals[tile], cfg.channel.cell_q
+    return array_factor(geometry.tiles[tile], e, cfg.wavelength, angles_deg, normal=normal, q=q)
+
+
 def equivalent_array_factor(
     geometry: scenario_mod.ArrayGeometry,
     cfg: ScenarioConfig,
@@ -138,32 +163,14 @@ def equivalent_array_factor(
     s: np.ndarray,
     angles_deg: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Radiation pattern of the virtual array formed at IRS tile `tile`.
-
-    The excitation combines the BS precoder column, the BS-to-tile channel
-    S_k = s[tile] of the BS-IRS stack s (K, P, M) and the tile's beam:
-    e = diag(b_k) S_k v. Gains are in dB, normalized to the grid maximum,
-    floored at -300 dB. Invariant to a global phase rotation of b_k (only
-    |.|^2 of the sum enters).
-    """
+    """`tile_pattern` over angles_deg (default: `default_direction_grid`) in
+    dB, as `pattern_db` gives it. Raises ValueError for an empty grid or a
+    pattern that is identically zero."""
     angles = default_direction_grid() if angles_deg is None else np.asarray(angles_deg, float)
-    if angles.size == 0:
-        raise ValueError("equivalent_array_factor: empty direction grid")
-    e = np.asarray(beams)[tile] * (np.asarray(s)[tile] @ np.asarray(v_col, dtype=complex))
-    pattern = array_factor(
-        geometry.tiles[tile],
-        e,
-        cfg.wavelength,
-        angles,
-        normal=geometry.tile_normals[tile],
-        q=cfg.channel.cell_q,
-    )
-    peak = float(np.max(pattern))
-    if peak <= 0.0:
+    gain_db = pattern_db(tile_pattern(geometry, cfg, beams, v_col, tile, s, angles))
+    if gain_db is None:
         raise ValueError("equivalent_array_factor: pattern is identically zero")
-    with np.errstate(divide="ignore"):
-        gain_db = 10.0 * np.log10(pattern / peak)
-    return angles, np.maximum(gain_db, DB_FLOOR)
+    return angles, gain_db
 
 
 def online_solve(cfg: ScenarioConfig, h: np.ndarray) -> LinkVariables:

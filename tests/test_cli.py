@@ -298,6 +298,47 @@ class TestArrayFactorCommand:
         assert gains.max() == pytest.approx(0.0, abs=1e-9)
         assert gains.min() >= metrics.DB_FLOOR - 1e-9
 
+    def test_identically_zero_profiles_are_skipped(self, smoke_config, tmp_path):
+        # A BS on the panel's wall lights no tile (S_k = 0), so each tile
+        # profile is identically zero; the BS profiles are not.
+        out = tmp_path / "af"
+        rc = cli.main(
+            ["array-factor", "-c", str(smoke_config), "-b", "random",
+             "--override", "bs.position=[0.0, 3.0, 2.0]", "-o", str(out)]
+        )
+        assert rc == cli.EXIT_OK
+        assert len(list(out.glob("af_bs_ue*.csv"))) == 2
+        assert not list(out.glob("af_tile*.csv"))
+        assert json.loads((out / "manifest.json").read_text())["skipped_profiles"] == 2
+
+
+class TestManifestRecord:
+    # The array-factor case passes --force, so its record must hold force: true.
+    @pytest.mark.parametrize(
+        "command",
+        [["optimize"], ["evaluate", "-b", "random", "-n", "1"],
+         ["array-factor", "-b", "random", "--force"], ["sweep"]],
+        ids=lambda command: command[0],
+    )
+    def test_args_are_the_parsed_namespace(self, smoke_config, tmp_path, command):
+        if command == ["sweep"]:
+            spec = tmp_path / "sweep.yaml"
+            spec.write_text(yaml.safe_dump({
+                "base_config": str(smoke_config), "realizations": 1,
+                "axes": [{"name": "case", "points": [{"label": "base"}]}],
+            }))
+            source = ["-s", str(spec)]
+        else:
+            source = ["-c", str(smoke_config), "--override", "seed=5"]
+        out = tmp_path / "out"
+        argv = ["--output-root", str(tmp_path / "root"), *command, *source, "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert manifest["command"] == parsed.pop("command")
+        del parsed["func"]
+        assert manifest["args"] == parsed
+
 
 class TestNegativeIndexRejected:
     """A negative seed or realization index fails validation before the
@@ -426,6 +467,8 @@ class TestSweepCommand:
         body = rows[2:]
         statuses = {r.split(",")[1]: r.split(",")[3] for r in body}
         assert statuses == {"good": "ok", "bad": "failed"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["points"], manifest["failures"]) == (2, 1)
 
     @pytest.mark.parametrize(
         "key, value",

@@ -139,6 +139,14 @@ class TestEquivalentArrayFactor:
         assert np.max(gain) == pytest.approx(0.0, abs=1e-12)
         assert np.all(gain >= metrics.DB_FLOOR - 1e-12)
 
+    def test_zero_pattern_rejected(self, tiny_config, setup):
+        geo, beams, v_col, s = setup
+        beams[2] = 0.0
+        pattern = metrics.tile_pattern(geo, tiny_config, beams, v_col, 2, s, np.arange(0.0, 360.0))
+        assert not pattern.any() and metrics.pattern_db(pattern) is None
+        with pytest.raises(ValueError, match="identically zero"):
+            metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 2, s=s)
+
     def test_default_grid_spacing(self, tiny_config, setup):
         geo, beams, v_col, s = setup
         angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0, s=s)
