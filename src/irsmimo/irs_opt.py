@@ -18,17 +18,24 @@ Tile updates run sequentially (the cross-tile coupling inside u_m is
 refreshed after each tile), which makes every block update an exact
 minimizer and the frozen-sample objective monotonically non-increasing.
 G, W and V are fixed through a sweep (the block structure of WMMSE in Shi,
-Razaviyayn, Luo & He, IEEE TSP 2011), so the factors G^H T_m and
-alpha W G^H T_m of all K tiles are formed once per sweep, as two products
-over the tile-folded T (`_tile_factors`). The per-tile statistics come from
-`_tile_statistics`, which reads views of those factors, forms C_m^T with
-one GEMM, and averages with numpy's mean over the samples, in sample order;
-the users are folded into the rows of every tile product. The factor
-stacks and the per-sample stacks M, Psi^T and u live in one
+Razaviyayn, Luo & He, IEEE TSP 2011), so the factors A = G^H T_m and
+X = alpha W G^H T_m of all K tiles are formed once per sweep, as two
+products over the tile-folded T (`_tile_factors`). `_tile_statistics`
+reads views of those factors, forms C_m^T with one GEMM, and stacks the
+face-splitting (row-wise Khatri-Rao) products K_m = A_m * C_m^T and
+Z_m = X_m * C_m^T of all samples, with the users folded into the rows.
+Over that stack the sample mean of M_m is the one GEMM K_m^H Z_m / N_s,
+u_m is one GEMV, and the coupling refresh after a tile update is the GEMV
+K_m (b_new - b_m). The factor and face-splitting stacks live in one
 `_tile_workspace`, allocated once per run and overwritten by every sweep
 and tile call. Allocated per call, these megabyte stacks went back to the
 operating system when freed (glibc trims the heap top), so every tile call
 faulted them in again as zeroed pages.
+
+Each iteration ends with the next iteration's receivers G and weights W at
+the new beams. By rate-MMSE duality (Christensen et al., IEEE TWC 2008)
+log det W_i is user i's rate there, so `frozen_sum_rate` reads the
+training rate from W without forming the rates again.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -59,6 +66,7 @@ from .numerics import (
     NumericalError,
     check_finite,
     herm,
+    logdet_hpd,
     power_constrained_solve,
 )
 from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, BeamConstraint, ScenarioConfig
@@ -82,6 +90,10 @@ __all__ = [
 ]
 
 BEAMS_FORMAT_VERSION = 1
+
+# Largest ||b_k||^2 - rho_sq that the offline loop and a loaded GC beam set
+# may show (rounding of the boundary solutions).
+GC_SLACK = 1e-9
 
 
 @dataclass
@@ -202,12 +214,14 @@ def update_b(
 # Sample-stack evaluators and tile statistics
 
 
-def frozen_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
-    """The training rate of one offline iteration: `_mean_sum_rate` of the
-    pair products hv at the iteration's beams and frozen precoders. Only
-    the loop calls it, once per iteration, so a wrapper on this name counts
-    iterations; the LC projection calls `_mean_sum_rate` itself."""
-    return _mean_sum_rate(hv, sigma2, alpha)
+def frozen_sum_rate(w: np.ndarray, alpha: np.ndarray) -> float:
+    """The training rate of one offline iteration, mean_n sum_i alpha_i
+    log det W_i (nats), from the MMSE weights w (N_s, N_u, L, L) at the
+    iteration's beams and precoders: by rate-MMSE duality this is
+    `_mean_sum_rate` there. Only the loop calls it, once per iteration, so
+    a wrapper on this name counts iterations; the LC projection calls
+    `_mean_sum_rate` itself."""
+    return float(np.mean(np.einsum("i,ni->n", alpha, logdet_hpd(w))))
 
 
 def _mean_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
@@ -241,29 +255,28 @@ class _TileWorkspace:
 
     a (N_s, N_u, L, K*P) receives A = G^H T (`_tile_factors`) and x the
     same shape X = alpha W A, once per sweep; tile m reads columns
-    m*P .. (m+1)*P - 1 of both. m (N_s, P, P) receives Phi, then
-    M = Phi had Psi^T; psi (N_s, P, P) receives Psi^T; u (N_s, P) receives
-    u (`_tile_statistics`). Every call overwrites what it writes, so one
+    m*P .. (m+1)*P - 1 of both. k (N_s*(N_u*L)^2, P) receives tile m's
+    face-splitting stack K_m and z_conj the same shape conj(Z_m)
+    (`_tile_statistics`). Every call overwrites what it writes, so one
     workspace serves every tile and iteration.
     """
 
     a: np.ndarray
     x: np.ndarray
-    m: np.ndarray
-    psi: np.ndarray
-    u: np.ndarray
+    k: np.ndarray
+    z_conj: np.ndarray
 
 
 def _tile_workspace(fold_shape: tuple[int, ...], p: int) -> _TileWorkspace:
     """A `_TileWorkspace` for the tile fold shape (N_s, N_u, L, K*P) of T
     (`channel.fold_tiles`) and P elements per tile."""
-    n_s = fold_shape[0]
+    n_s, n_u, l_ant, _ = fold_shape
+    stack = (n_s * (n_u * l_ant) ** 2, p)
     return _TileWorkspace(
         a=np.empty(fold_shape, dtype=complex),
         x=np.empty(fold_shape, dtype=complex),
-        m=np.empty((n_s, p, p), dtype=complex),
-        psi=np.empty((n_s, p, p), dtype=complex),
-        u=np.empty((n_s, p), dtype=complex),
+        k=np.empty(stack, dtype=complex),
+        z_conj=np.empty(stack, dtype=complex),
     )
 
 
@@ -284,34 +297,39 @@ def _tile_statistics(
     s_m: np.ndarray,
     ghv: np.ndarray,
     b_m: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
     from the factors A and X in ws (`_tile_factors`), the precoder rows
     v_rows (`_precoder_rows`), the tile's BS link s_m (P, M) and
-    ghv = G_i^H H_i V_j at the current beams (see `_coupling`). The
-    per-sample statistics are formed in ws.
+    ghv = G_i^H H_i V_j at the current beams (see `_coupling`).
 
-    Also returns (A_m, C_m, R): A_m = [A_1m; ...; A_Num] (N_s, N_u*L, P),
-    a view of ws.a, C_m = [C_m1 ... C_mNu] (N_s, P, N_u*L) with
-    C_mj = S_m V_j, and R = ghv - A_m diag(b_m) C_m, ghv without tile m's
-    own term. At beam b for tile m, ghv is R + A_m diag(b) C_m.
+    With A_m = [A_1m; ...; A_Num] and X_m (N_s, N_u*L, P) read from ws and
+    C_m^T = [V]^T S_m^T, one sample's M = (A_m^H X_m) had (conj(C_m) C_m^T)
+    is K^H Z for the face-splitting products K[(r, s), p] =
+    A_m[r, p] C_m^T[s, p] and Z[(r, s), p] = X_m[r, p] C_m^T[s, p], and
+    its u = Z^H vec(I - R), where R = ghv - A_m diag(b_m) C_m drops tile
+    m's own term, so vec R = vec ghv - K b_m. Stacked over the samples in
+    sample order into ws.k and ws.z_conj, the sample means are
+    M_m = K^H Z / N_s and u_m = Z^H vec(I - ghv) / N_s + M_m b_m.
+
+    Also returns the K stack (N_s*(N_u*L)^2, P), ws.k: at beam b for
+    tile m, vec ghv becomes vec ghv + K (b - b_m).
     """
-    n_s, p_elem = ws.u.shape
+    n_s, rows, _ = ghv.shape
+    p_elem = s_m.shape[0]
     cols = slice(m * p_elem, (m + 1) * p_elem)
-    a_m = ws.a[..., cols].reshape(n_s, -1, p_elem)
-    x_m = ws.x[..., cols].reshape(a_m.shape)
-    c_t = (v_rows @ s_m.T).reshape(a_m.shape)
-    c_m = np.swapaxes(c_t, -1, -2)
-    r = ghv - (a_m * b_m) @ c_m
-    c_tc = c_t.conj()
-    # Phi = A^H X, then M = Phi had Psi^T in place, with Psi^T = conj(C) C^T;
-    # `ws.m *= ...` would assign to a field of the frozen dataclass.
-    np.matmul(np.swapaxes(a_m.conj(), -1, -2), x_m, out=ws.m)
-    np.matmul(np.swapaxes(c_tc, -1, -2), c_t, out=ws.psi)
-    np.multiply(ws.m, ws.psi, out=ws.m)
-    # u = diag(X^H (I - R) C^H), alpha W being Hermitian.
-    np.sum(x_m.conj() * (c_tc - r @ c_tc), axis=1, out=ws.u)
-    return herm(ws.m.mean(axis=0)), ws.u.mean(axis=0), (a_m, c_m, r)
+    a_m = ws.a[..., cols].reshape(n_s, rows, 1, p_elem)
+    x_m = ws.x[..., cols].reshape(n_s, rows, 1, p_elem)
+    c_t = (v_rows @ s_m.T).reshape(n_s, 1, rows, p_elem)
+    np.multiply(a_m, c_t, out=ws.k.reshape(n_s, rows, rows, p_elem))
+    # conj(Z), so that K^H Z and Z^H y read both stacks through transposed
+    # views: the GEMM gives conj(M) and the GEMV u, and no stack is copied.
+    z_conj = ws.z_conj.reshape(n_s, rows, rows, p_elem)
+    np.multiply(x_m, c_t, out=z_conj)
+    np.conjugate(z_conj, out=z_conj)
+    m_bar = herm((ws.k.T @ ws.z_conj).conj() / n_s)
+    u_bar = ws.z_conj.T @ (np.eye(rows) - ghv).reshape(-1) / n_s + m_bar @ b_m
+    return m_bar, u_bar, ws.k
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +355,8 @@ def offline_optimize_channels(
     t (N_s, N_u, K, L, P). One BCD pass per outer iteration: a single
     (G, W, V) step per sample, then one constrained update of every tile's
     beam; stops when the concatenated beam change Delta falls below eps.
+    An iteration ends with the (G, W) step at its new beams, which the next
+    iteration's precoders use and whose weights give its training rate.
 
     An LC constraint runs the loop on its GC relaxation, the ball
     ||b_k||^2 <= P that holds the unit-modulus set, and projects the final
@@ -369,12 +389,14 @@ def offline_optimize_channels(
 
     report = OptReport(eps=float(eps))
     ws = _tile_workspace(t_fold.shape, p_elem)
+    # The receivers and weights at the starting beams; every iteration ends
+    # with those at its new beams, which the next one starts from.
+    g = wmmse.update_receivers(hv, sigma2)
+    w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
-        # One BCD step of the digital variables at the current beams.
-        g = wmmse.update_receivers(hv, sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        # The precoder step of the digital variables at the current beams.
         v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
 
         # Tile updates in order, the cached cross coupling refreshed after
@@ -385,14 +407,14 @@ def offline_optimize_channels(
         ghv = _coupling(g, h, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
-            m_bar, u_bar, (a_m, c_m, r) = _tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            m_bar, u_bar, k_m = _tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
             new_beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-            ghv = r + (a_m * new_beams[m]) @ c_m
+            ghv += (k_m @ (new_beams[m] - beams[m])).reshape(ghv.shape)
         beams, beams_prev = new_beams, beams
 
         violation = gc_violation(beams, rho_sq)
         report.max_gc_violation = max(report.max_gc_violation, violation)
-        if violation > 1e-9:
+        if violation > GC_SLACK:
             raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
@@ -405,7 +427,9 @@ def offline_optimize_channels(
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
-        rate = frozen_sum_rate(hv, sigma2, alpha)
+        g = wmmse.update_receivers(hv, sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        rate = frozen_sum_rate(w, alpha)
 
         report.iterations += 1
         report.delta_history.append(delta)
@@ -495,7 +519,9 @@ def load_beams(path) -> IrsBeamSet:
     an LC n_bits not an integer >= 1, ill-typed or ragged tiles, LC
     phase_indices off the 2^n_bits grid or not shaped like tiles, a rho_sq
     that is neither a positive number nor null (as in the config's
-    constraint.rho_sq), or a config_hash that is not a string."""
+    constraint.rho_sq; null means P), GC tiles that break
+    ||b_k||^2 <= rho_sq by more than GC_SLACK, or a config_hash that is
+    not a string."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -531,6 +557,10 @@ def load_beams(path) -> IrsBeamSet:
         if not all(0 <= i < 2**n_bits for row in idx for i in row):
             raise IOError(f"beam-set phase_indices: expected integers in [0, {2**n_bits})")
         beams = lc_grid_point(np.array(idx, dtype=int), n_bits)
+    if mode == "GC" and beams.size:
+        excess = gc_violation(beams, float(lengths[0]) if rho_sq is None else rho_sq)
+        if excess > GC_SLACK:
+            raise IOError(f"beam-set tiles: a tile's squared norm exceeds rho_sq by {excess:.3g}")
     return IrsBeamSet(
         beams=beams,
         mode=mode,

@@ -3,13 +3,14 @@ the gradient identity check.
 
 The product path (`irs_opt._tile_factors` once per sweep, then
 `irs_opt._tile_statistics` per tile) forms each tile's averaged quadratic
-(M_m, u_m) as batched products over the sample stack. The forms
-here build the same quadratic one sample, one user pair and one tile at a
-time from the shorthand factors A, C, D and F, so the tests can check the
-batched kernels against an independent derivation. `verify_theorem1` checks
-the closed-form beam gradient against finite differences of the averaged
-weighted sum-rate. No optimize, evaluate, sweep or array-factor run uses
-them, so they live beside the tests that import them.
+(M_m, u_m) as one GEMM and one GEMV over face-splitting stacks of all
+samples. The forms here build the same quadratic one sample, one user pair
+and one tile at a time from the shorthand factors A, C, D and F, so the
+tests can check the batched kernels against an independent derivation.
+`verify_theorem1` checks the closed-form beam gradient against finite
+differences of the averaged weighted sum-rate. No optimize, evaluate, sweep
+or array-factor run uses them, so they live beside the tests that import
+them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from irsmimo import channel as channel_mod
 from irsmimo import wmmse
 from irsmimo.irs_opt import (
     _coupling,
+    _mean_sum_rate,
     _precoder_rows,
     _tile_factors,
     _tile_statistics,
     _tile_workspace,
-    frozen_sum_rate,
 )
 from irsmimo.numerics import NumericalError, herm
 
@@ -240,7 +241,7 @@ def verify_theorem1(
 
     def theta2(b: np.ndarray) -> float:
         hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, b), v)
-        return -frozen_sum_rate(hv, sigma2, alpha)
+        return -_mean_sum_rate(hv, sigma2, alpha)
 
     grad_fd = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):

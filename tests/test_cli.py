@@ -230,6 +230,28 @@ class TestEvaluateCommand:
         assert rc == cli.EXIT_IO
         assert key in capsys.readouterr().err
 
+    def test_gc_tiles_outside_their_ball_are_io_error(self, tmp_path, capsys):
+        tiny = str(Path(__file__).resolve().parents[1] / "bench" / "tiny.yaml")
+        opt, lc, rand = tmp_path / "opt", tmp_path / "lc", tmp_path / "rand"
+        lc_args = ["--override", "constraint.mode=LC", "--override", "constraint.n_bits=2"]
+        assert cli.main(["optimize", "-c", tiny, "-o", str(opt)]) == cli.EXIT_OK
+        assert cli.main(["optimize", "-c", tiny, "-o", str(lc), *lc_args]) == cli.EXIT_OK
+        rc = cli.main(["evaluate", "-c", tiny, "-b", "random", "-n", "1", "-o", str(rand)])
+        assert rc == cli.EXIT_OK
+        for path in (opt / "beams.json", lc / "beams.json", rand / "beams_random.json"):
+            irs_opt.load_beams(path)
+        # Every tile times 10: ||b_k||^2 = 800 against rho_sq = 8, same config hash.
+        doc = json.loads((opt / "beams.json").read_text())
+        doc["tiles"] = [[[10 * re, 10 * im] for re, im in tile] for tile in doc["tiles"]]
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cli.main(
+            ["evaluate", "-c", tiny, "-b", str(scaled), "-n", "1", "-o", str(tmp_path / "ev")]
+        )
+        assert rc == cli.EXIT_IO
+        assert "tiles" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, smoke_config, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("synthetic blow-up")

@@ -244,7 +244,20 @@ class TestBatchedKernels:
         return ws, irs_opt._precoder_rows(v)
 
     def test_tile_statistics_match_per_sample_reference(self):
-        inst = synthetic_instance(12, n_s=4, n_u=3, l=2, m=4, k=3, p=5)
+        self._check_against_per_sample_reference(
+            synthetic_instance(12, n_s=4, n_u=3, l=2, m=4, k=3, p=5)
+        )
+
+    @pytest.mark.parametrize("n_u, l, p", [(3, 3, 4), (1, 2, 9)], ids=["nu3-l3-p4", "nu1-l2-p9"])
+    def test_tile_statistics_match_reference_where_rows_differ_from_p(self, n_u, l, p):
+        # (N_u L)^2 = 81 against P = 4, and 4 against 9: a face-splitting
+        # stack reshaped along the wrong axis fails here, while at desk shapes
+        # (N_u L)^2 = P = 16 it would go unseen.
+        self._check_against_per_sample_reference(
+            synthetic_instance(17, n_s=4, n_u=n_u, l=l, m=4, k=3, p=p)
+        )
+
+    def _check_against_per_sample_reference(self, inst):
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
@@ -274,10 +287,11 @@ class TestBatchedKernels:
         for m in range(beams.shape[0]):
             a_want = g_h @ t[:, :, m]
             x_want = (alpha[:, None, None] * w) @ a_want
-            _, _, (a_m, _, _) = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            a_m = ws.a[..., m * p : (m + 1) * p]
             x_m = ws.x[..., m * p : (m + 1) * p]
-            assert np.shares_memory(a_m, ws.a)
-            assert np.array_equal(a_m, a_want.reshape(a_m.shape)), f"A, tile {m}"
+            assert np.shares_memory(k_m, ws.k)
+            assert np.array_equal(a_m, a_want), f"A, tile {m}"
             assert np.array_equal(x_m, x_want), f"X, tile {m}"
 
     def test_sequential_refresh_matches_recomputed_coupling(self):
@@ -287,9 +301,10 @@ class TestBatchedKernels:
         ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
         ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], s.shape[1])
         for m in range(beams.shape[0]):
-            _, _, (a_m, c_m, r) = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
-            beams[m] = crandn(inst["rng"], beams.shape[1])
-            ghv = r + (a_m * beams[m]) @ c_m
+            _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            b_new = crandn(inst["rng"], beams.shape[1])
+            ghv += (k_m @ (b_new - beams[m])).reshape(ghv.shape)
+            beams[m] = b_new
             fresh = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
             np.testing.assert_allclose(ghv, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
 
@@ -321,18 +336,19 @@ class TestBatchedKernels:
             v_rows = irs_opt._precoder_rows(v)
             out = []
             for m in range(beams.shape[0]):
-                m_bar, u_bar, (a_m, c_m, r) = irs_opt._tile_statistics(
+                m_bar, u_bar, k_m = irs_opt._tile_statistics(
                     workspace_for_tile(), m, v_rows, s[m], ghv, beams[m]
                 )
-                beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-                ghv = r + (a_m * beams[m]) @ c_m
+                b_new = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
+                ghv += (k_m @ (b_new - beams[m])).reshape(ghv.shape)
+                beams[m] = b_new
                 out.append((m_bar, u_bar, ghv.copy()))
             return out
 
         fresh = sweep(lambda: self._sweep_state(g, w, v, t, alpha, p)[0])
         t_fold = channel.fold_tiles(t)
         stale = irs_opt._tile_workspace(t_fold.shape, p)
-        for stack in (stale.a, stale.x, stale.m, stale.psi, stale.u):
+        for stack in (stale.a, stale.x, stale.k, stale.z_conj):
             stack.fill(np.nan)
         # As in the loop: the factors once, before the sweep.
         irs_opt._tile_factors(g, w, t_fold, alpha, stale)
@@ -343,11 +359,12 @@ class TestBatchedKernels:
                 assert np.array_equal(a, b), f"tile {m}: {name}"
 
     def test_tile_statistics_allocate_no_per_tile_stack(self):
-        """numpy reports its data buffers to tracemalloc. With the workspace,
-        one call peaks near 1.32 (N_s, P, P) stacks at desk shapes (1.85
-        while each call formed its own A and X factors, 2.06 while M and u
-        shared packed rows); forming Psi and the product per call again puts
-        it above 3."""
+        """numpy reports its data buffers to tracemalloc. With the K and
+        conj(Z) stacks in the workspace, one call peaks near 0.89 (N_s, P, P)
+        stacks at desk shapes (1.32 with the Hadamard-product statistics,
+        1.85 while each call formed its own A and X factors, 2.06 while M and
+        u shared packed rows); forming K and conj(Z) per call puts it near
+        2.90."""
         # Desk shapes: N_s = 100 draws, 2 users with 2 antennas, 8 BS
         # antennas, 8 tiles of 16 elements.
         inst = synthetic_instance(15, n_s=100, n_u=2, l=2, m=8, k=8, p=16)
@@ -365,6 +382,18 @@ class TestBatchedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f} (N_s, P, P) stacks"
+
+    def test_frozen_sum_rate_is_mean_rate_at_mmse_weights(self):
+        """Rate-MMSE duality: at the MMSE receivers and weights of hv,
+        mean_n sum_i alpha_i log det W_i is the mean weighted sum rate."""
+        inst = synthetic_instance(18, n_s=5, n_u=3, l=2, m=4, k=3, p=5)
+        sigma2, alpha = inst["sigma2"], inst["alpha"]
+        h = channel.composite_channel(inst["hbar"], inst["s"], inst["t"], inst["beams"])
+        hv = wmmse.pair_products(h, inst["v"])
+        g = wmmse.update_receivers(hv, sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        want = irs_opt._mean_sum_rate(hv, sigma2, alpha)
+        assert irs_opt.frozen_sum_rate(w, alpha) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_composite_matches_per_sample_loop(self):
         inst = synthetic_instance(14, n_s=3, n_u=2, l=3, m=4, k=3, p=5)
@@ -511,6 +540,9 @@ class TestBeamPersistence:
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(6)
         beams = crandn(rng, 2, 3)
+        # Onto the sphere ||b_k||^2 = rho_sq: `load_beams` rejects GC tiles
+        # outside the ball.
+        beams *= np.sqrt(3.0) / np.linalg.norm(beams, axis=1, keepdims=True)
         bs = IrsBeamSet(beams=beams, mode="GC", n_bits=None, rho_sq=3.0, config_hash="")
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_beams(p1, bs)
