@@ -119,10 +119,13 @@ def _write_manifest(outdir: Path, args, cfg_hash: str, seed: int, started: str,
 
 def _resolve_beam_set(
     beams_arg: str, cfg: ScenarioConfig, cfg_hash: str, force: bool
-) -> tuple[irs_opt.IrsBeamSet, str]:
+) -> tuple[irs_opt.IrsBeamSet, str, bytes | None]:
+    """The beam set of -b, its beams_hash, and for -b random the encoded
+    file (which evaluate saves as beams_random.json), else None."""
     if beams_arg == "random":
         beam_set = irs_opt.random_beam_set(cfg)
-        return beam_set, irs_opt.beam_set_digest(beam_set)
+        data, digest = irs_opt.encode_beams(beam_set)
+        return beam_set, digest, data
     if not Path(beams_arg).exists():
         raise IOError(f"beam-set file not found: {beams_arg}")
     beam_set = irs_opt.load_beams(beams_arg)
@@ -137,7 +140,7 @@ def _resolve_beam_set(
             f"beam-set shape {beam_set.beams.shape} does not match config tiling "
             f"{(cfg.k_total, cfg.p_per_tile)}"
         )
-    return beam_set, _file_digest(beams_arg)
+    return beam_set, _file_digest(beams_arg), None
 
 
 def _write_optimize_artifacts(
@@ -149,8 +152,7 @@ def _write_optimize_artifacts(
 ) -> str:
     """Write beams.json and report.json for one optimize run; returns the
     SHA-256 of beams.json, which report.json also records."""
-    irs_opt.save_beams(outdir / "beams.json", beam_set)
-    beams_hash = _file_digest(outdir / "beams.json")
+    beams_hash = irs_opt.save_beams(outdir / "beams.json", beam_set)
     payload = report.to_dict()
     payload.update({"config_hash": cfg_hash, "seed": cfg.seed, "beams_hash": beams_hash})
     _write_json(outdir / "report.json", payload)
@@ -192,10 +194,10 @@ def cmd_evaluate(args) -> int:
     started = _utc_now()
     cfg = _load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
-    beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    beam_set, beams_hash, random_file = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
     outdir = _resolve_outdir(args, f"evaluate-{cfg_hash[:12]}-{beams_hash[:12]}")
-    if args.beams == "random":
-        irs_opt.save_beams(outdir / "beams_random.json", beam_set)
+    if random_file is not None:
+        (outdir / "beams_random.json").write_bytes(random_file)
 
     result = _evaluate_and_write(outdir, cfg, beam_set.beams, args.realizations, beams_hash)
     _write_manifest(outdir, args, cfg_hash, cfg.seed, started, beams_hash)
@@ -212,7 +214,7 @@ def cmd_array_factor(args) -> int:
     started = _utc_now()
     cfg = _load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
-    beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    beam_set, beams_hash, _ = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
     if args.realization < 0:
         raise ConfigError(f"--realization must be a non-negative integer, got {args.realization}")
     outdir = _resolve_outdir(args, f"array-factor-{cfg_hash[:12]}-{beams_hash[:12]}")

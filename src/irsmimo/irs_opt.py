@@ -85,6 +85,7 @@ __all__ = [
     "save_beams",
     "load_beams",
     "beam_doc",
+    "encode_beams",
     "beam_set_digest",
     "gc_violation",
 ]
@@ -498,18 +499,24 @@ def beam_doc(beam_set: IrsBeamSet) -> dict:
     }
 
 
-def _beam_file_bytes(beam_set: IrsBeamSet) -> bytes:
-    return (json.dumps(beam_doc(beam_set), indent=1) + "\n").encode("utf-8")
+def encode_beams(beam_set: IrsBeamSet) -> tuple[bytes, str]:
+    """The bytes `save_beams` writes for the beam set, and their SHA-256."""
+    data = (json.dumps(beam_doc(beam_set), indent=1) + "\n").encode("utf-8")
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def beam_set_digest(beam_set: IrsBeamSet) -> str:
     """SHA-256 of the bytes `save_beams` writes for the beam set."""
-    return hashlib.sha256(_beam_file_bytes(beam_set)).hexdigest()
+    return encode_beams(beam_set)[1]
 
 
-def save_beams(path, beam_set: IrsBeamSet) -> None:
-    """Versioned JSON dump with per-tile (re, im) pairs and constraint metadata."""
-    Path(path).write_bytes(_beam_file_bytes(beam_set))
+def save_beams(path, beam_set: IrsBeamSet) -> str:
+    """Versioned JSON dump with per-tile (re, im) pairs and constraint
+    metadata. Returns the SHA-256 of the bytes written, the beam set's
+    `beam_set_digest`."""
+    data, digest = encode_beams(beam_set)
+    Path(path).write_bytes(data)
+    return digest
 
 
 def load_beams(path) -> IrsBeamSet:

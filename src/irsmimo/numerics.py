@@ -72,7 +72,7 @@ def logdet_hpd(mats: np.ndarray) -> np.ndarray:
 
 
 def power_constrained_solve(
-    a: np.ndarray, b: np.ndarray, budget, mu0=None
+    a: np.ndarray, b: np.ndarray, budget, mu0=None, *, gram_cols: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest mu >= 0 with ||(A + mu I)^-1 B||_F^2 <= budget, on stacks.
 
@@ -92,6 +92,24 @@ def power_constrained_solve(
     (More & Sorensen, "Computing a Trust Region Step", 1983) rise from the
     lower end to the root without passing it. An entry stops at its first
     step that does not move it up, so no entry depends on the others.
+
+    gram_cols=m declares A = F F^H the Gram of a factor F (..., n, m) and
+    bounds the power of F^H X instead of X. It serves callers that solve an
+    m-dimensional problem in the row space of F: by the push-through
+    identity (F^H F + mu I)^-1 F^H B = F^H (F F^H + mu I)^-1 B, the m x m
+    problem with matrix F^H F and right-hand sides F^H B is this n x n one,
+    and F^H X is its solution (the caller forms F^H X). Since
+    ||F^H U e_k||^2 = lam_k, its power is p(mu) with each row power
+    weighted by its eigenvalue, r_k = lam_k |(U^H B)_k|^2: the same
+    rational function, so bracket, Newton rise and residual check are
+    unchanged. F^H removes two null spaces exactly, and B's parts on them
+    are dropped, because a rounded null eigenvalue of 1e-16 lam_max would
+    otherwise read as a power |(U^H B)_k|^2 / lam_k at mu = 0: the zero
+    rows of F (zero diagonal entries of A, as for a user whose channel is
+    zero), and with n > m the n - m smallest eigenvalues, which are null
+    by shape and set to 0. A rank deficiency that neither shows is left to
+    rounding, as the m x m search left the rounded null space of F^H F:
+    its eigenvalues read as weak directions.
 
     mu0 (optional, broadcasting to the leading axes) warm-starts the search
     from previous multipliers, for callers whose root moves little between
@@ -127,11 +145,20 @@ def power_constrained_solve(
     if (budget <= 0).any():
         raise ValueError(f"power budget must be positive, got {budget}")
 
-    eigvals, eigvecs = np.linalg.eigh(herm(a))
+    a = herm(a)
+    eigvals, eigvecs = np.linalg.eigh(a)
     # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
     eigvals = np.maximum(eigvals, 0.0)
+    if gram_cols is not None:
+        b = np.where(a.diagonal(axis1=-2, axis2=-1)[..., None] != 0.0, b, 0.0)
     bt = eigvecs.conj().swapaxes(-1, -2) @ b
     row_power = (np.abs(bt) ** 2).sum(axis=-1)
+    if gram_cols is not None:
+        n_null = a.shape[-1] - gram_cols
+        if n_null > 0:  # eigh sorts ascending: the null space comes first
+            eigvals[..., :n_null] = 0.0
+            bt[..., :n_null, :] = 0.0
+        row_power = eigvals * row_power
     eig_safe = np.where(row_power > 0.0, eigvals, 1.0)  # zero-power rows read 1
 
     def power(mu):

@@ -22,6 +22,18 @@ per precoder iterate and shares them: in the online solver the objective,
 the next iteration's receivers and weights, and the final rates all use
 one set. The precoder update takes the channels themselves.
 
+The precoder step solves in the space of the N_u*L streams, not of the M
+BS antennas. Its Gram K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j has rank
+at most N_u*L: with the Cholesky factors W_j = R_j R_j^H and the rows
+B_j = sqrt(alpha_j) R_j^H G_j^H H_j stacked into B (N_u*L, M), K = B^H B
+and every right-hand side is B^H times a stream-space block. The
+push-through identity (Henderson & Searle, SIAM Review 1981)
+(B^H B + mu I)^-1 B^H = B^H (B B^H + mu I)^-1 then moves the regularized
+inverse of Shi, Razaviyayn, Luo & He (IEEE TSP 2011) onto the
+N_u*L x N_u*L Gram B B^H, whose eigensystem the mu search reads: 4 x 4
+instead of 8 x 8 at desk shapes. With N_u*L >= M the result is the same,
+but that Gram is no smaller than K.
+
 `online_wmmse` runs the updates to convergence on one realization; its
 objective trace is non-increasing, and a measured increase beyond 1e-9
 raises. Rates are computed in nats internally and reported in bits.
@@ -143,18 +155,46 @@ def update_precoders(
     K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
     multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible).
 
+    Solved in the N_u*L-dimensional stream space: with the Cholesky factors
+    W_j = R_j R_j^H and the stacked rows B_j = sqrt(alpha_j) R_j^H G_j^H H_j,
+    B (..., N_u*L, M), K = B^H B and user i's right-hand side is B^H Y_i,
+    Y_i (N_u*L, L) holding sqrt(alpha_i) R_i^H in block i and zeros
+    elsewhere. The push-through identity gives
+    V_i = (B^H B + mu_i I)^-1 B^H Y_i = B^H (B B^H + mu_i I)^-1 Y_i, so the
+    mu search eigendecomposes the N_u*L x N_u*L Gram B B^H and measures
+    the power through B^H (`numerics.power_constrained_solve` with
+    gram_cols=M). With N_u*L < M that Gram is smaller than K; with
+    N_u*L >= M it is not, and the result is the same V. A user whose rows
+    B_i vanish (a zero channel or receiver) has B^H Y_i = 0 and gets
+    V_i = 0 and mu_i = 0, as in the M-dimensional solve.
+
     Returns V (..., N_u, M, L) and mu (..., N_u). One batched mu search
-    covers the whole stack, with one eigendecomposition of K per channel set
-    shared by its users. mu0 (..., N_u), typically the previous iterate's
-    mu, warm-starts that search; the search first brings a start above
-    the root down to or below it, so the multipliers are the same smallest
-    ones to rounding."""
-    hh = h.conj().swapaxes(-1, -2)
-    gw = g @ w
-    gwg = gw @ g.conj().swapaxes(-1, -2)
-    k_mat = herm(np.einsum("j,...jmr->...mr", alpha, hh @ gwg @ h))
-    rhs = alpha[:, None, None] * (hh @ gw)
-    return power_constrained_solve(k_mat[..., None, :, :], rhs, p_budget, mu0=mu0)
+    covers the whole stack, with one eigendecomposition of B B^H per
+    channel set shared by its users. mu0 (..., N_u), typically the previous
+    iterate's mu, warm-starts that search; the search first brings a start
+    above the root down to or below it, so the multipliers are the same
+    smallest ones to rounding. Raises NumericalError if a weight is not
+    positive definite."""
+    *lead, n_u, l_ant, m_ant = h.shape
+    try:
+        chol = np.linalg.cholesky(w)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"update_precoders: weight not positive definite ({exc})") from exc
+    rh = np.sqrt(alpha)[:, None, None] * chol.conj().swapaxes(-1, -2)
+    b = (rh @ g.conj().swapaxes(-1, -2) @ h).reshape(*lead, n_u * l_ant, m_ant)
+    bh = b.conj().swapaxes(-1, -2)
+    y = np.zeros((*lead, n_u * n_u, l_ant, l_ant), dtype=complex)
+    y[..., :: n_u + 1, :, :] = rh  # the diagonal blocks (i, i)
+    # The kernel symmetrizes A itself; b @ bh is exactly Hermitian in practice,
+    # which keeps its Hermitian check on the fast path.
+    x, mu = power_constrained_solve(
+        (b @ bh)[..., None, :, :],
+        y.reshape(*lead, n_u, n_u * l_ant, l_ant),
+        p_budget,
+        mu0=mu0,
+        gram_cols=m_ant,
+    )
+    return bh[..., None, :, :] @ x, mu
 
 
 def weighted_mse_objective(

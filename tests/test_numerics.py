@@ -249,6 +249,98 @@ class TestPowerConstrainedSolve:
             assert np.array_equal(x[s], x_s)
             assert np.array_equal(mu[s], mu_s)
 
+    @staticmethod
+    def gram_cases(m):
+        """Gram stacks A = F F^H for gram_cols=m, F (5, 4, m): two interior
+        slices, two boundary ones and a zero factor; slices 2 and 4 have a
+        zero row. With m < 4 the Gram is also singular by shape. B has
+        components on every null space."""
+        rng = np.random.default_rng(11 + m)
+        f = crandn(rng, 5, 4, m)
+        f[3] = 0.0
+        f[2, 1] = f[4, 2] = 0.0
+        b = crandn(rng, 5, 4, 2)
+        limit = np.sum(np.abs(np.linalg.pinv(f) @ b) ** 2, axis=(-2, -1))  # the power at mu = 0
+        budget = np.where(limit > 0.0, limit, 1.0) * np.array([2.0, 0.3, 0.05, 2.0, 1.5])
+        return herm(f @ f.conj().swapaxes(-1, -2)), b, budget, f
+
+    @staticmethod
+    def bisection_root(f, b, budget):
+        """Smallest mu >= 0 with ||F^H (F F^H + mu I)^-1 b||_F^2 <= budget,
+        by bisection on solves formed directly; the power at mu = 0 is its
+        limit through the pseudo-inverse of F F^H."""
+        a = f @ f.conj().T
+        eye = np.eye(a.shape[0])
+
+        def power(mu):
+            if mu == 0.0:
+                x = np.linalg.pinv(a, hermitian=True) @ b
+            else:
+                x = np.linalg.solve(a + mu * eye, b)
+            return np.sum(np.abs(f.conj().T @ x) ** 2)
+
+        if power(0.0) <= budget:
+            return 0.0
+        lo, hi = 0.0, np.linalg.norm(f) * np.linalg.norm(b) / np.sqrt(budget)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if power(mid) > budget else (lo, mid)
+        return hi
+
+    def check_gram_solution(self, f, b, budget, x, mu):
+        """mu matches the bisection root, and F^H x is the m-dimensional
+        solution there and meets the budget."""
+        mu_ref = self.bisection_root(f, b, budget)
+        if mu_ref == 0.0:
+            assert mu == 0.0
+        else:
+            assert abs(mu - mu_ref) <= 1e-9 * mu_ref
+        a = f @ f.conj().T
+        x_ref = (
+            np.linalg.pinv(a, hermitian=True) @ b
+            if mu == 0.0
+            else np.linalg.solve(a + mu * np.eye(a.shape[0]), b)
+        )
+        fx, fx_ref = f.conj().T @ x, f.conj().T @ x_ref
+        assert np.linalg.norm(fx - fx_ref) <= 1e-9 * np.linalg.norm(fx_ref)
+        power = np.sum(np.abs(fx) ** 2)
+        assert power <= budget * (1.0 + 1e-8)
+        if mu > 0.0:
+            assert abs(power - budget) <= 1e-8 * budget
+
+    @pytest.mark.parametrize("m", [6, 3], ids=["wide", "tall"])
+    @pytest.mark.parametrize("start", ["cold", "warm", "broadcast"])
+    def test_gram_search_matches_bisection(self, start, m):
+        """gram_cols bounds ||F^H x||^2 for the cold, warm and broadcast
+        searches, with F wider than A (the precoder step's N_u*L < M) and
+        narrower; each slice also equals its single solve bit for bit."""
+        a, b, budget, f = self.gram_cases(m)
+        _, mu_cold = power_constrained_solve(a, b, budget, gram_cols=m)
+        assert (mu_cold > 0.0).tolist() == [False, True, True, False, False]
+        if start == "broadcast":
+            # One matrix per slice shared by three right-hand sides, as the
+            # precoder step shares B B^H among its users.
+            b = np.stack([b, 0.5 * b, 3.0 * b], axis=1)
+            budget = np.stack([budget, budget, budget], axis=1)
+            x, mu = power_constrained_solve(a[:, None], b, budget, gram_cols=m)
+            for s, u in np.ndindex(5, 3):
+                x_s, mu_s = power_constrained_solve(a[s], b[s, u], budget[s, u], gram_cols=m)
+                assert np.array_equal(x[s, u], x_s) and np.array_equal(mu[s, u], mu_s)
+                if s != 3:
+                    self.check_gram_solution(f[s], b[s, u], budget[s, u], x_s, mu_s)
+            assert (mu[:, 1] > 0.0).sum() < (mu[:, 2] > 0.0).sum()
+            return
+        mu0 = None if start == "cold" else np.array([3.0, 0.5, 2.0, 0.0, 1.0]) * (mu_cold + 0.1)
+        x, mu = power_constrained_solve(a, b, budget, mu0=mu0, gram_cols=m)
+        for s in range(5):
+            x_s, mu_s = power_constrained_solve(
+                a[s], b[s], budget[s], mu0=None if mu0 is None else mu0[s], gram_cols=m
+            )
+            assert np.array_equal(x[s], x_s) and np.array_equal(mu[s], mu_s)
+            if s != 3:
+                self.check_gram_solution(f[s], b[s], budget[s], x_s, mu_s)
+        assert mu[3] == 0.0 and np.all(f[3].conj().T @ x[3] == 0.0)
+
     @pytest.mark.parametrize(
         "mu0",
         [

@@ -200,6 +200,69 @@ class TestBlocks:
         assert np.allclose(proj, v[0], atol=1e-12)
 
 
+def m_space_precoders(h, g, w, alpha, mu):
+    """V_i = alpha_i (K + mu_i I)^-1 H_i^H G_i W_i formed in the M-dimensional
+    space, K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j; at mu_i = 0 the
+    minimum-norm solution (pseudo-inverse), the limit mu_i -> 0."""
+    n_u, _, m_ant = h.shape
+    hgw = [h[j].conj().T @ g[j] @ w[j] for j in range(n_u)]
+    k_mat = sum(alpha[j] * hgw[j] @ g[j].conj().T @ h[j] for j in range(n_u))
+    out = []
+    for i in range(n_u):
+        rhs = alpha[i] * hgw[i]
+        if mu[i] > 0.0:
+            out.append(np.linalg.solve(k_mat + mu[i] * np.eye(m_ant), rhs))
+        else:
+            out.append(np.linalg.pinv(k_mat, hermitian=True) @ rhs)
+    return np.array(out)
+
+
+class TestStreamSpacePrecoders:
+    """`update_precoders` solves in the N_u*L-dimensional stream space; V
+    must be the M-dimensional solution at the returned mu, within budget."""
+
+    @pytest.mark.parametrize(
+        "n_u, l_ant, m_ant, zero_user, budget, interior",
+        [
+            (2, 2, 8, None, 0.5, False),  # N_u*L < M
+            (3, 2, 6, None, 0.5, False),  # N_u*L = M, the random_links shape
+            (3, 2, 8, 1, 0.5, False),  # user 1's channel is zero: B is rank-deficient
+            (2, 2, 8, None, 1e6, True),  # budget large enough that mu = 0
+            (3, 4, 8, None, 0.5, False),  # N_u*L > M: B B^H is singular by shape
+            (3, 4, 8, None, 1e6, True),
+        ],
+        ids=["narrow", "square", "zero_user", "mu_zero", "tall", "tall_mu_zero"],
+    )
+    def test_equals_m_space_solution_within_budget(
+        self, n_u, l_ant, m_ant, zero_user, budget, interior
+    ):
+        h, rng = random_links(23, n_u=n_u, l_ant=l_ant, m_ant=m_ant)
+        if zero_user is not None:
+            h[zero_user] = 0.0
+        sigma2 = 0.2
+        alpha = np.linspace(1.0, 2.0, n_u)
+        budgets = budget * np.linspace(1.0, 1.5, n_u)
+        v0 = crandn(rng, n_u, m_ant, l_ant)
+        g = wmmse.update_receivers(wmmse.pair_products(h, v0), sigma2)
+        w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v0), g, sigma2))
+        v, mu = wmmse.update_precoders(h, g, w, alpha, budgets)
+        expect = m_space_precoders(h, g, w, alpha, mu)
+        assert np.linalg.norm(v - expect) <= 1e-9 * np.linalg.norm(expect)
+        power = np.sum(np.abs(v) ** 2, axis=(-2, -1))
+        assert np.all(power <= budgets * (1.0 + 1e-8))
+        on_boundary = mu > 0.0
+        assert np.all(np.abs(power - budgets)[on_boundary] <= 1e-8 * budgets[on_boundary])
+        if interior:
+            assert np.all(mu == 0.0)
+        else:
+            served = np.ones(n_u, dtype=bool)
+            if zero_user is not None:
+                served[zero_user] = False
+                assert mu[zero_user] == 0.0
+                assert np.linalg.norm(v[zero_user]) <= 1e-12 * np.linalg.norm(v)
+            assert np.all(mu[served] > 0.0)
+
+
 class TestOnlineWmmse:
     def test_objective_trace_monotone(self):
         for seed in range(5):
