@@ -28,7 +28,7 @@ from .irs_opt import (
     offline_optimize_channels,
     save_beams,
 )
-from .metrics import EvalResult, effective_rank, equivalent_array_factor, evaluate_average_sum_rate
+from .metrics import EvalResult, effective_rank, evaluate_average_sum_rate
 
 __all__ = [
     "__version__",
@@ -51,6 +51,5 @@ __all__ = [
     "save_beams",
     "EvalResult",
     "effective_rank",
-    "equivalent_array_factor",
     "evaluate_average_sum_rate",
 ]

@@ -6,6 +6,9 @@ every parsed argument, the config hash, seed and tool version. Reruns with ident
 rewrite identical numerical artifacts (beam sets, CSVs, summaries); only
 timestamps and timing fields differ.
 
+This module owns the run-artifact formats (`_write_json`, `_write_csv`);
+only the beam-set file, which is read back as well, belongs to `irs_opt`.
+
 Exit codes: 0 success, 2 validation, 3 numerical failure, 4 I/O failure,
 1 unexpected error.
 """
@@ -20,6 +23,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 MANIFEST_VERSION = 1
+EVAL_CSV_VERSION = 1
 OUTPUT_ROOT_ENV = "IRSMIMO_OUTPUT_ROOT"
 
 
@@ -54,14 +59,8 @@ def _parse_overrides(pairs: list[str] | None) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"override {pair!r} has an empty key path")
-        overrides[key] = scenario_mod.load_yaml(raw)
+        overrides[key] = scenario_mod.load_yaml(raw, f"override {pair!r}")
     return overrides
-
-
-def _load_config(path: str, overrides: dict) -> ScenarioConfig:
-    if not Path(path).exists():
-        raise IOError(f"config file not found: {path}")
-    return scenario_mod.load_config(path, overrides=overrides)
 
 
 def _resolve_outdir(args, default_name: str) -> Path:
@@ -80,6 +79,16 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, meta: dict, header: list[str], rows) -> None:
+    """`# key=value` lines for meta in its order, then the header and the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _platform_facts() -> dict:
@@ -119,15 +128,11 @@ def _write_manifest(outdir: Path, args, cfg_hash: str, seed: int, started: str,
 
 def _resolve_beam_set(
     beams_arg: str, cfg: ScenarioConfig, cfg_hash: str, force: bool
-) -> tuple[irs_opt.IrsBeamSet, str, bytes | None]:
-    """The beam set of -b, its beams_hash, and for -b random the encoded
-    file (which evaluate saves as beams_random.json), else None."""
+) -> tuple[irs_opt.IrsBeamSet, str]:
+    """The beam set of -b and its beams_hash, the SHA-256 of its file."""
     if beams_arg == "random":
         beam_set = irs_opt.random_beam_set(cfg)
-        data, digest = irs_opt.encode_beams(beam_set)
-        return beam_set, digest, data
-    if not Path(beams_arg).exists():
-        raise IOError(f"beam-set file not found: {beams_arg}")
+        return beam_set, irs_opt.encode_beams(beam_set)[1]
     beam_set = irs_opt.load_beams(beams_arg)
     if beam_set.config_hash and beam_set.config_hash != cfg_hash and not force:
         raise ConfigError(
@@ -140,7 +145,7 @@ def _resolve_beam_set(
             f"beam-set shape {beam_set.beams.shape} does not match config tiling "
             f"{(cfg.k_total, cfg.p_per_tile)}"
         )
-    return beam_set, _file_digest(beams_arg), None
+    return beam_set, _file_digest(beams_arg)
 
 
 def _write_optimize_artifacts(
@@ -153,7 +158,7 @@ def _write_optimize_artifacts(
     """Write beams.json and report.json for one optimize run; returns the
     SHA-256 of beams.json, which report.json also records."""
     beams_hash = irs_opt.save_beams(outdir / "beams.json", beam_set)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload.update({"config_hash": cfg_hash, "seed": cfg.seed, "beams_hash": beams_hash})
     _write_json(outdir / "report.json", payload)
     return beams_hash
@@ -165,7 +170,7 @@ def _write_optimize_artifacts(
 
 def cmd_optimize(args) -> int:
     started = _utc_now()
-    cfg = _load_config(args.config, _parse_overrides(args.override))
+    cfg = scenario_mod.load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
     outdir = _resolve_outdir(args, f"optimize-{cfg_hash[:12]}")
 
@@ -181,23 +186,40 @@ def _evaluate_and_write(
     outdir: Path, cfg: ScenarioConfig, beams: np.ndarray, n_realizations: int | None,
     beams_hash: str, suffix: str = "",
 ) -> metrics.EvalResult:
-    """Evaluate one beam set and write eval{suffix}.csv and summary{suffix}.json."""
+    """Evaluate one beam set and write summary{suffix}.json and eval{suffix}.csv,
+    where an excluded realization keeps its row, status 'excluded'."""
     result = metrics.evaluate_average_sum_rate(
         cfg, beams, n_realizations=n_realizations, beams_hash=beams_hash
     )
-    metrics.write_eval_csv(outdir / f"eval{suffix}.csv", result)
-    metrics.write_summary_json(outdir / f"summary{suffix}.json", result)
+    n_u = result.per_ue_rates.shape[-1]  # 0 for an empty array
+    values = np.column_stack([result.per_ue_rates, result.sum_rates, result.eff_ranks])
+    ok = dict(zip(result.realization_ids, values))
+    rows = [
+        [rid, *(f"{x:.12g}" for x in ok[rid]), "ok"] if rid in ok
+        else [rid, *[""] * (2 * n_u + 1), "excluded"]
+        for rid in sorted([*ok, *result.excluded_ids])
+    ]
+    meta = {"format_version": EVAL_CSV_VERSION} | {
+        key: getattr(result, key)
+        for key in ("config_hash", "beams_hash", "seed", "n_realizations", "n_excluded")
+    }
+    header = (
+        ["realization"] + [f"rate_ue{i}" for i in range(n_u)] + ["sum_rate"]
+        + [f"eff_rank_ue{i}" for i in range(n_u)] + ["status"]
+    )
+    _write_csv(outdir / f"eval{suffix}.csv", meta, header, rows)
+    _write_json(outdir / f"summary{suffix}.json", metrics.summary_dict(result))
     return result
 
 
 def cmd_evaluate(args) -> int:
     started = _utc_now()
-    cfg = _load_config(args.config, _parse_overrides(args.override))
+    cfg = scenario_mod.load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
-    beam_set, beams_hash, random_file = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
     outdir = _resolve_outdir(args, f"evaluate-{cfg_hash[:12]}-{beams_hash[:12]}")
-    if random_file is not None:
-        (outdir / "beams_random.json").write_bytes(random_file)
+    if args.beams == "random":
+        irs_opt.save_beams(outdir / "beams_random.json", beam_set)
 
     result = _evaluate_and_write(outdir, cfg, beam_set.beams, args.realizations, beams_hash)
     _write_manifest(outdir, args, cfg_hash, cfg.seed, started, beams_hash)
@@ -212,9 +234,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_array_factor(args) -> int:
     started = _utc_now()
-    cfg = _load_config(args.config, _parse_overrides(args.override))
+    cfg = scenario_mod.load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
-    beam_set, beams_hash, _ = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
     if args.realization < 0:
         raise ConfigError(f"--realization must be a non-negative integer, got {args.realization}")
     outdir = _resolve_outdir(args, f"array-factor-{cfg_hash[:12]}-{beams_hash[:12]}")
@@ -244,11 +266,11 @@ def cmd_array_factor(args) -> int:
             if gain_db is None:  # no direction to normalize to: no profile
                 n_skipped += 1
                 continue
-            metrics.write_array_factor_csv(
+            _write_csv(
                 outdir / f"af_{emitter}_ue{i}_s{c}.csv",
-                angles,
-                gain_db,
-                {**meta_base, "emitter": emitter, "ue": i, "stream": c},
+                dict(sorted({**meta_base, "emitter": emitter, "ue": i, "stream": c}.items())),
+                ["angle_deg", "gain_db"],
+                ([f"{a:.6g}", f"{g:.9g}"] for a, g in zip(angles, gain_db)),
             )
             n_written += 1
     _write_manifest(
@@ -259,8 +281,6 @@ def cmd_array_factor(args) -> int:
 
 
 def _load_sweep_spec(path: str) -> dict:
-    if not Path(path).exists():
-        raise IOError(f"sweep spec not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         spec = scenario_mod.load_yaml(fh)
     if not isinstance(spec, dict):
@@ -328,7 +348,7 @@ def cmd_sweep(args) -> int:
             overrides.update(point.get("overrides") or {})
         label = "-".join(str(point["label"]) for point in combo)
         try:
-            configs.append((label, combo, _load_config(str(base_path), overrides), None))
+            configs.append((label, combo, scenario_mod.load_config(base_path, overrides), None))
         except ValueError as exc:
             configs.append((label, combo, None, exc))
 
@@ -372,8 +392,7 @@ def cmd_sweep(args) -> int:
                     }
                 )
                 if include_baseline:
-                    base_set = irs_opt.random_beam_set(cfg)
-                    base_hash = irs_opt.beam_set_digest(base_set)
+                    base_set, base_hash = _resolve_beam_set("random", cfg, cfg_hash, False)
                     base_result = _evaluate_and_write(
                         point_dir, cfg, base_set.beams, n_real, base_hash, suffix="_random"
                     )
@@ -400,12 +419,12 @@ def cmd_sweep(args) -> int:
     if include_baseline:
         columns += ["baseline_mean_sum_rate", "baseline_stderr_sum_rate"]
     columns.append("error")
-    with open(outdir / "sweep_summary.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# sweep_hash={sweep_hash}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({col: row.get(col, "") for col in columns})
+    _write_csv(
+        outdir / "sweep_summary.csv",
+        {"sweep_hash": sweep_hash},
+        columns,
+        ([row.get(col, "") for col in columns] for row in rows),
+    )
     failures = sum(row["status"] == "failed" for row in rows)
     _write_manifest(outdir, args, sweep_hash, -1, started, points=len(rows), failures=failures)
     print(f"sweep: {len(rows) - failures}/{len(rows)} points succeeded; wrote {outdir}")

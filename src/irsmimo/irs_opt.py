@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,6 @@ __all__ = [
     "load_beams",
     "beam_doc",
     "encode_beams",
-    "beam_set_digest",
     "gc_violation",
 ]
 
@@ -129,9 +128,6 @@ class OptReport:
     # LC only: the training rate (bits/s/Hz) at the returned grid beams; the
     # histories above belong to the GC relaxation the loop runs on.
     projected_sum_rate: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +501,10 @@ def encode_beams(beam_set: IrsBeamSet) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-def beam_set_digest(beam_set: IrsBeamSet) -> str:
-    """SHA-256 of the bytes `save_beams` writes for the beam set."""
-    return encode_beams(beam_set)[1]
-
-
 def save_beams(path, beam_set: IrsBeamSet) -> str:
     """Versioned JSON dump with per-tile (re, im) pairs and constraint
-    metadata. Returns the SHA-256 of the bytes written, the beam set's
-    `beam_set_digest`."""
+    metadata. Returns the SHA-256 of the bytes written, the digest that
+    `encode_beams` gives for the beam set."""
     data, digest = encode_beams(beam_set)
     Path(path).write_bytes(data)
     return digest
@@ -522,20 +513,23 @@ def save_beams(path, beam_set: IrsBeamSet) -> str:
 def load_beams(path) -> IrsBeamSet:
     """Load a beam-set file; LC beams re-materialize from their grid indices
     so entries are bit-identical to the canonical grid points. Raises
-    IOError, naming the key, for a missing key, a mode other than GC or LC,
-    an LC n_bits not an integer >= 1, ill-typed or ragged tiles, LC
-    phase_indices off the 2^n_bits grid or not shaped like tiles, a rho_sq
-    that is neither a positive number nor null (as in the config's
-    constraint.rho_sq; null means P), GC tiles that break
-    ||b_k||^2 <= rho_sq by more than GC_SLACK, or a config_hash that is
-    not a string."""
+    IOError for a file that is not a JSON beam-set object, and, naming the
+    key, for a missing key, a mode other than GC or LC, an LC n_bits not an
+    integer >= 1, ill-typed or ragged tiles, LC phase_indices off the
+    2^n_bits grid or not shaped like tiles, a rho_sq that is neither a
+    positive number nor null (as in the config's constraint.rho_sq; null
+    means P), GC tiles that break ||b_k||^2 <= rho_sq by more than
+    GC_SLACK, or a config_hash that is not a string."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise IOError(f"beam-set file is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != "irs-beam-set":
+        raise IOError("not a beam-set file")
     version = doc.get("format_version")
     if version != BEAMS_FORMAT_VERSION:
         raise IOError(f"unsupported beam-set format version {version!r}")
-    if doc.get("kind") != "irs-beam-set":
-        raise IOError("not a beam-set file")
     missing = [key for key in ("mode", "n_bits", "rho_sq", "tiles") if key not in doc]
     if missing:
         raise IOError(f"beam-set file lacks key(s) {', '.join(missing)}")

@@ -4,13 +4,12 @@ Evaluation draws fresh network realizations from the evaluation stream
 namespace (never the training namespace), runs the online digital solver
 with the analog beams frozen, and aggregates the per-user rates. The
 reduction is deterministic: numpy's mean, in realization order, so reruns
-with the same seed are byte-identical.
+with the same seed are byte-identical. The module only computes: `cli`
+writes its results to the run artifacts.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,17 +26,12 @@ __all__ = [
     "array_factor",
     "pattern_db",
     "tile_pattern",
-    "equivalent_array_factor",
     "default_direction_grid",
     "online_solve",
     "evaluate_average_sum_rate",
-    "write_eval_csv",
-    "write_array_factor_csv",
     "summary_dict",
-    "write_summary_json",
 ]
 
-EVAL_CSV_VERSION = 1
 MAX_EXCLUDED_FRACTION = 0.01
 DB_FLOOR = -300.0
 # Realizations drawn, synthesized and solved per chunk of an evaluation,
@@ -154,25 +148,6 @@ def tile_pattern(
     return array_factor(geometry.tiles[tile], e, cfg.wavelength, angles_deg, normal=normal, q=q)
 
 
-def equivalent_array_factor(
-    geometry: scenario_mod.ArrayGeometry,
-    cfg: ScenarioConfig,
-    beams: np.ndarray,
-    v_col: np.ndarray,
-    tile: int,
-    s: np.ndarray,
-    angles_deg: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`tile_pattern` over angles_deg (default: `default_direction_grid`) in
-    dB, as `pattern_db` gives it. Raises ValueError for an empty grid or a
-    pattern that is identically zero."""
-    angles = default_direction_grid() if angles_deg is None else np.asarray(angles_deg, float)
-    gain_db = pattern_db(tile_pattern(geometry, cfg, beams, v_col, tile, s, angles))
-    if gain_db is None:
-        raise ValueError("equivalent_array_factor: pattern is identically zero")
-    return angles, gain_db
-
-
 def online_solve(cfg: ScenarioConfig, h: np.ndarray) -> LinkVariables:
     """The online digital solve of composite channels h (N_u, L, M) under the
     config's noise power, power budgets, rate weights and stop rule."""
@@ -286,58 +261,6 @@ def evaluate_average_sum_rate(
     )
 
 
-def write_eval_csv(path, result: EvalResult) -> None:
-    """One row per realization; excluded realizations keep their id with
-    empty metric fields and status 'excluded'."""
-    n_u = result.per_ue_rates.shape[1] if result.per_ue_rates.size else 0
-    ok_lookup = {rid: pos for pos, rid in enumerate(result.realization_ids)}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# format_version={EVAL_CSV_VERSION}\n")
-        fh.write(f"# config_hash={result.config_hash}\n")
-        fh.write(f"# beams_hash={result.beams_hash}\n")
-        fh.write(f"# seed={result.seed}\n")
-        fh.write(f"# n_realizations={result.n_realizations}\n")
-        fh.write(f"# n_excluded={result.n_excluded}\n")
-        writer = csv.writer(fh)
-        header = (
-            ["realization"]
-            + [f"rate_ue{i}" for i in range(n_u)]
-            + ["sum_rate"]
-            + [f"eff_rank_ue{i}" for i in range(n_u)]
-            + ["status"]
-        )
-        writer.writerow(header)
-        for rid in sorted(set(result.realization_ids) | set(result.excluded_ids)):
-            if rid in ok_lookup:
-                pos = ok_lookup[rid]
-                row = (
-                    [rid]
-                    + [f"{x:.12g}" for x in result.per_ue_rates[pos]]
-                    + [f"{result.sum_rates[pos]:.12g}"]
-                    + [f"{x:.12g}" for x in result.eff_ranks[pos]]
-                    + ["ok"]
-                )
-            else:
-                row = [rid] + [""] * (2 * n_u + 1) + ["excluded"]
-            writer.writerow(row)
-
-
-def write_array_factor_csv(path, angles_deg: np.ndarray, gain_db: np.ndarray, meta: dict) -> None:
-    """(angle_deg, gain_dB) profile with hash metadata in comment lines."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["angle_deg", "gain_db"])
-        for a, g in zip(angles_deg, gain_db):
-            writer.writerow([f"{a:.6g}", f"{g:.9g}"])
-
-
-def _percentile(values: list[int], q: float) -> float:
-    """Linear-interpolation percentile of a possibly empty list (0 when empty)."""
-    return float(np.percentile(values, q)) if values else 0.0
-
-
 def summary_dict(result: EvalResult) -> dict:
     """JSON-able aggregate view of an EvalResult."""
     return {
@@ -353,15 +276,11 @@ def summary_dict(result: EvalResult) -> dict:
         "n_excluded": result.n_excluded,
         "n_capped": result.n_capped,
         "max_online_iterations": max(result.iterations, default=0),
-        "online_iterations_p50": _percentile(result.iterations, 50),
-        "online_iterations_p95": _percentile(result.iterations, 95),
+        # linear-interpolation percentiles, 0 for no solved realization
+        "online_iterations_p50": float(np.percentile(result.iterations or [0], 50)),
+        "online_iterations_p95": float(np.percentile(result.iterations or [0], 95)),
         "config_hash": result.config_hash,
         "beams_hash": result.beams_hash,
         "seed": result.seed,
     }
 
-
-def write_summary_json(path, result: EvalResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(result), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -338,9 +338,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
-def load_yaml(stream) -> Any:
-    """One YAML document from a string or a file, read with `YAML_LOADER`."""
-    return yaml.load(stream, Loader=YAML_LOADER)
+def load_yaml(stream, source: str | None = None) -> Any:
+    """One YAML document from a string or a file, read with `YAML_LOADER`; a
+    syntax error raises ConfigError naming source (default: the file's name)."""
+    try:
+        return yaml.load(stream, Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{source or getattr(stream, 'name', 'YAML')}: {exc}") from exc
 
 
 def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig:

@@ -251,9 +251,10 @@ def online_wmmse(
 
     Stops when the relative objective decrease falls below tol or max_iters is
     reached; `metrics.online_solve` passes the config's rate weights, tol and
-    max_iters. A single final receiver/weight refresh at the final precoders
-    precedes the rate computation, so the reported rates coincide with
-    sum_i alpha_i log det(W_i) (rate-MMSE duality).
+    max_iters. As in `irs_opt.offline_optimize_channels`, the receivers and
+    weights are formed before the loop and at the end of each iteration before
+    the stop test, so the returned G and W belong to the final precoders and
+    the rates coincide with sum_i alpha_i log det(W_i) (rate-MMSE duality).
 
     Each precoder update warm-starts its mu search from the previous
     iteration's multipliers (zeros at the first, which is the cold start),
@@ -261,9 +262,9 @@ def online_wmmse(
     Newton path only: the search still returns the smallest multiplier
     meeting each budget, so V agrees with a cold-started loop to rounding.
 
-    The pair products H_i V_j are formed once per precoder iterate: the
-    objective at the new precoders, the next iteration's receivers and
-    weights, and at the end the final refresh and the rates share them.
+    The pair products H_i V_j are formed once per precoder iterate and shared
+    by the objective, the receivers and weights that end the iteration, and
+    the rates.
 
     Raises NumericalError if the objective increases by more than 1e-9
     between iterations.
@@ -279,6 +280,8 @@ def online_wmmse(
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()
     v = initial_precoders(h, p_budget)
     hv = pair_products(h, v)
+    g = update_receivers(hv, sigma2)
+    w = update_weights(mse_matrices(hv, g, sigma2))
 
     trace: list[float] = []
     prev = np.inf
@@ -286,8 +289,6 @@ def online_wmmse(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        g = update_receivers(hv, sigma2)
-        w = update_weights(mse_matrices(hv, g, sigma2))
         v, mu = update_precoders(h, g, w, alpha, p_budget, mu0=mu)
         hv = pair_products(h, v)
         obj = float(weighted_mse_objective(hv, g, w, alpha, sigma2))
@@ -298,14 +299,13 @@ def online_wmmse(
                 f"online_wmmse: objective increased from {prev:.12e} to {obj:.12e}"
             )
         trace.append(obj)
+        g = update_receivers(hv, sigma2)
+        w = update_weights(mse_matrices(hv, g, sigma2))
         if np.isfinite(prev) and prev - obj <= tol * abs(prev):
             converged = True
             break
         prev = obj
 
-    # Final refresh so rates and weights satisfy the duality identity.
-    g = update_receivers(hv, sigma2)
-    w = update_weights(mse_matrices(hv, g, sigma2))
     return LinkVariables(
         v=v,
         g=g,

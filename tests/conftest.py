@@ -91,6 +91,14 @@ MALFORMED_BEAM_EDITS = [
 ]
 
 
+# Beam-set files that are not a JSON object at all; loading must fail with
+# an IOError too.
+MALFORMED_BEAM_TEXTS = [
+    pytest.param('{"format_version": 1, ', id="truncated-json"),
+    pytest.param("[1, 2]", id="json-list"),
+]
+
+
 def write_malformed_beams(path, key, value):
     """Save a 2-bit LC beam set of one 4-element tile (the tiling of the CLI
     tests' smoke config), apply one edit, and return the path."""

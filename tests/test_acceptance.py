@@ -495,8 +495,9 @@ def test_13_array_factor_points_at_user():
     cset = channel_mod.build_channel_set(sample, geometry, cfg, s=s)
     h = channel_mod.composite_channel(cset.hbar, cset.s, cset.t, beam_set.beams)
     link = metrics.online_solve(cfg, h)
-    angles, gain = metrics.equivalent_array_factor(
-        geometry, cfg, beam_set.beams, link.v[0][:, 0], 0, s=s
+    angles = metrics.default_direction_grid()
+    gain = metrics.pattern_db(
+        metrics.tile_pattern(geometry, cfg, beam_set.beams, link.v[0][:, 0], 0, s, angles)
     )
     peak = angles[int(np.argmax(gain))]
     tile_center = geometry.tiles[0].mean(axis=0)

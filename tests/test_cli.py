@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import MALFORMED_BEAM_EDITS, write_malformed_beams
+from conftest import MALFORMED_BEAM_EDITS, MALFORMED_BEAM_TEXTS, write_malformed_beams
 from irsmimo import cli, irs_opt, metrics, scenario
 from irsmimo.numerics import NumericalError
 
@@ -136,6 +137,23 @@ class TestOptimizeCommand:
         rc = cli.main(["optimize", "-c", str(smoke_config), "--override", "justakey"])
         assert rc == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("case", ["config", "override", "sweep spec"])
+    def test_yaml_syntax_error_is_validation_error(self, smoke_config, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        bad = tmp_path / "bad.yaml"
+        if case == "config":
+            bad.write_text("room: {x: 12\nbad: [\n")
+            argv, source = ["optimize", "-c", str(bad)], str(bad)
+        elif case == "override":
+            argv = ["optimize", "-c", str(smoke_config), "--override", "seed=[1,"]
+            source = "seed=[1,"
+        else:
+            bad.write_text("axes: [\n")
+            argv, source = ["sweep", "-s", str(bad)], str(bad)
+        assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_VALIDATION
+        assert source in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_embeds_hashes(self, smoke_config, tmp_path):
         out = tmp_path / "opt"
         cli.main(["optimize", "-c", str(smoke_config), "-o", str(out)])
@@ -229,6 +247,16 @@ class TestEvaluateCommand:
         )
         assert rc == cli.EXIT_IO
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", MALFORMED_BEAM_TEXTS)
+    def test_unparsable_beams_file_is_io_error(self, smoke_config, tmp_path, capsys, text):
+        path = tmp_path / "beams.json"
+        path.write_text(text)
+        rc = cli.main(
+            ["evaluate", "-c", str(smoke_config), "-b", str(path), "-n", "1", "--force"]
+        )
+        assert rc == cli.EXIT_IO
+        assert "beam-set" in capsys.readouterr().err
 
     def test_gc_tiles_outside_their_ball_are_io_error(self, tmp_path, capsys):
         tiny = str(Path(__file__).resolve().parents[1] / "bench" / "tiny.yaml")
@@ -410,6 +438,24 @@ class TestSweepCommand:
              "-o", str(ev), "-n", "2"]
         )
         assert (point / "eval.csv").read_bytes() == (ev / "eval.csv").read_bytes()
+
+    def test_random_baseline_matches_evaluate_random(self, smoke_config, tmp_path):
+        spec = self._write_sweep(
+            tmp_path, smoke_config,
+            {"axes": [{"name": "case", "points": [{"label": "base"}]}], "realizations": 2,
+             "include_random_baseline": True},
+        )
+        out, ev = tmp_path / "sweep", tmp_path / "ev"
+        assert cli.main(["sweep", "-s", str(spec), "-o", str(out)]) == cli.EXIT_OK
+        argv = ["evaluate", "-c", str(smoke_config), "-b", "random", "-n", "2", "-o", str(ev)]
+        assert cli.main(argv) == cli.EXIT_OK
+        point = out / "point-base"
+        assert (point / "eval_random.csv").read_bytes() == (ev / "eval.csv").read_bytes()
+        assert (point / "summary_random.json").read_bytes() == (ev / "summary.json").read_bytes()
+        lines = (out / "sweep_summary.csv").read_text().splitlines()
+        (row,) = csv.DictReader(lines[1:])
+        mean = json.loads((ev / "summary.json").read_text())["mean_sum_rate"]
+        assert row["baseline_mean_sum_rate"] == f"{mean:.12g}"
 
     def test_point_report_names_beams_hash(self, smoke_config, tmp_path):
         spec = self._write_sweep(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     MALFORMED_BEAM_EDITS,
+    MALFORMED_BEAM_TEXTS,
     crandn,
     synthetic_instance,
     tiny_scenario_dict,
@@ -25,7 +27,7 @@ from irsmimo import channel, irs_opt, scenario, wmmse
 from irsmimo.irs_opt import (
     BeamConstraint,
     IrsBeamSet,
-    beam_set_digest,
+    encode_beams,
     gc_violation,
     initial_beams,
     lc_grid_point,
@@ -475,7 +477,7 @@ class TestOfflineOptimizer:
 
     def test_lc_run_is_grid_projection_of_gc_run(self):
         gc_set, gc_report = offline_optimize(config_from_dict(tiny_scenario_dict()))
-        assert gc_report.to_dict()["projected_sum_rate"] is None
+        assert dataclasses.asdict(gc_report)["projected_sum_rate"] is None
         for n_bits in (1, 2, 3):
             cfg = config_from_dict(
                 tiny_scenario_dict(**{"constraint.mode": "LC", "constraint.n_bits": n_bits})
@@ -484,7 +486,7 @@ class TestOfflineOptimizer:
             assert lc_set.mode == "LC"
             assert np.array_equal(lc_set.beams, quantize_lc(gc_set.beams, n_bits)[0])
             assert lc_report.objective_history == gc_report.objective_history
-            assert lc_report.to_dict()["projected_sum_rate"] > 0.0
+            assert dataclasses.asdict(lc_report)["projected_sum_rate"] > 0.0
 
 
 class TestStationarityCheck:
@@ -548,14 +550,14 @@ class TestBeamPersistence:
         save_beams(p1, bs)
         save_beams(p2, bs)
         assert p1.read_bytes() == p2.read_bytes()
-        assert beam_set_digest(bs) == beam_set_digest(load_beams(p1))
+        assert encode_beams(bs)[1] == encode_beams(load_beams(p1))[1]
 
     def test_digest_tracks_content(self):
         rng = np.random.default_rng(7)
         beams = crandn(rng, 2, 3)
         a = IrsBeamSet(beams=beams, mode="GC", n_bits=None, rho_sq=3.0, config_hash="")
         b = IrsBeamSet(beams=beams * 1.001, mode="GC", n_bits=None, rho_sq=3.0, config_hash="")
-        assert beam_set_digest(a) != beam_set_digest(b)
+        assert encode_beams(a)[1] != encode_beams(b)[1]
 
     def test_version_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -578,6 +580,13 @@ class TestBeamPersistence:
     def test_malformed_file_rejected_naming_key(self, tmp_path, key, value):
         path = write_malformed_beams(tmp_path / "beams.json", key, value)
         with pytest.raises(IOError, match=key):
+            load_beams(path)
+
+    @pytest.mark.parametrize("text", MALFORMED_BEAM_TEXTS)
+    def test_unparsable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "beams.json"
+        path.write_text(text)
+        with pytest.raises(IOError, match="beam-set"):
             load_beams(path)
 
 

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import crandn, tiny_scenario_dict
-from irsmimo import metrics, wmmse
+from irsmimo import cli, irs_opt, metrics, wmmse
 from irsmimo.numerics import NumericalError
 from irsmimo.scenario import NAMESPACE_EVAL, build_antenna_positions, config_from_dict, draw_sample
 from irsmimo import channel as ch
@@ -117,6 +118,9 @@ class TestArrayFactor:
 
 
 class TestEquivalentArrayFactor:
+    """The equivalent array factor through a tile, in dB on the default grid:
+    `pattern_db(tile_pattern(...))`, the path of every CLI profile."""
+
     @pytest.fixture
     def setup(self, tiny_config):
         geo = build_antenna_positions(tiny_config)
@@ -125,17 +129,22 @@ class TestEquivalentArrayFactor:
         v_col = crandn(rng, 8)
         return geo, beams, v_col, ch.bs_irs_channels(geo, tiny_config)
 
+    @staticmethod
+    def gain_db(cfg, geo, beams, v_col, tile, s, angles=None):
+        angles = metrics.default_direction_grid() if angles is None else angles
+        return metrics.pattern_db(metrics.tile_pattern(geo, cfg, beams, v_col, tile, s, angles))
+
     def test_global_phase_invariance(self, tiny_config, setup):
         geo, beams, v_col, s = setup
-        angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 1, s=s)
+        gain = self.gain_db(tiny_config, geo, beams, v_col, 1, s)
         rotated = beams.copy()
         rotated[1] = rotated[1] * np.exp(1j * 1.234)
-        _, gain_rot = metrics.equivalent_array_factor(geo, tiny_config, rotated, v_col, 1, s=s)
+        gain_rot = self.gain_db(tiny_config, geo, rotated, v_col, 1, s)
         assert np.allclose(gain, gain_rot, atol=1e-9)
 
     def test_normalized_peak_is_zero_db(self, tiny_config, setup):
         geo, beams, v_col, s = setup
-        _, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0, s=s)
+        gain = self.gain_db(tiny_config, geo, beams, v_col, 0, s)
         assert np.max(gain) == pytest.approx(0.0, abs=1e-12)
         assert np.all(gain >= metrics.DB_FLOOR - 1e-12)
 
@@ -144,12 +153,12 @@ class TestEquivalentArrayFactor:
         beams[2] = 0.0
         pattern = metrics.tile_pattern(geo, tiny_config, beams, v_col, 2, s, np.arange(0.0, 360.0))
         assert not pattern.any() and metrics.pattern_db(pattern) is None
-        with pytest.raises(ValueError, match="identically zero"):
-            metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 2, s=s)
+        assert self.gain_db(tiny_config, geo, beams, v_col, 2, s) is None
 
     def test_default_grid_spacing(self, tiny_config, setup):
         geo, beams, v_col, s = setup
-        angles, gain = metrics.equivalent_array_factor(geo, tiny_config, beams, v_col, 0, s=s)
+        angles = metrics.default_direction_grid()
+        gain = self.gain_db(tiny_config, geo, beams, v_col, 0, s, angles)
         assert angles.shape == (720,)
         assert gain.shape == (720,)
         assert angles[1] - angles[0] == 0.5
@@ -157,15 +166,12 @@ class TestEquivalentArrayFactor:
     def test_empty_grid_rejected(self, tiny_config, setup):
         geo, beams, v_col, s = setup
         with pytest.raises(ValueError, match="empty"):
-            metrics.equivalent_array_factor(
-                geo, tiny_config, beams, v_col, 0, s=s, angles_deg=np.array([])
-            )
+            self.gain_db(tiny_config, geo, beams, v_col, 0, s, np.array([]))
 
     def test_zero_excitation_rejected(self, tiny_config, setup):
         geo, beams, v_col, s = setup
         dark = np.zeros_like(beams)
-        with pytest.raises(ValueError, match="zero"):
-            metrics.equivalent_array_factor(geo, tiny_config, dark, v_col, 0, s=s)
+        assert self.gain_db(tiny_config, geo, dark, v_col, 0, s) is None
 
 
 class TestEvaluate:
@@ -277,25 +283,21 @@ class TestEvaluate:
         assert type(out.n_realizations) is int
         assert out.realization_ids == [0, 1]
 
-    def test_capped_solves_reported(self, tmp_path):
+    def test_capped_solves_reported(self):
         cfg = config_from_dict(tiny_scenario_dict(**{"solver.max_online_iters": 1}))
         rng = np.random.default_rng(11)
         beams = np.exp(2j * np.pi * rng.random((4, 8)))
         out = metrics.evaluate_average_sum_rate(cfg, beams)
-        path = tmp_path / "summary.json"
-        metrics.write_summary_json(path, out)
-        doc = json.loads(path.read_text())
+        doc = metrics.summary_dict(out)
         assert doc["n_ok"] == cfg.eval.n_realizations
         assert doc["n_capped"] == doc["n_ok"]
         assert doc["max_online_iterations"] == 1
 
-    def test_online_iteration_percentiles_reported(self, tiny_config, tmp_path):
+    def test_online_iteration_percentiles_reported(self, tiny_config):
         rng = np.random.default_rng(12)
         beams = np.exp(2j * np.pi * rng.random((4, 8)))
         out = metrics.evaluate_average_sum_rate(tiny_config, beams)
-        path = tmp_path / "summary.json"
-        metrics.write_summary_json(path, out)
-        doc = json.loads(path.read_text())
+        doc = metrics.summary_dict(out)
         assert doc["online_iterations_p50"] == float(np.median(out.iterations))
         assert doc["online_iterations_p95"] == float(np.percentile(out.iterations, 95))
         assert min(out.iterations) <= doc["online_iterations_p50"]
@@ -348,17 +350,20 @@ class TestEvaluate:
 
 
 class TestWriters:
+    """The CLI's artifacts of an evaluation: eval.csv, summary.json and the
+    array-factor profiles."""
+
     @pytest.fixture
-    def result(self, tiny_config):
+    def result(self, tiny_config, tmp_path):
+        """An evaluation whose eval.csv and summary.json are in tmp_path."""
         rng = np.random.default_rng(10)
         beams = np.exp(2j * np.pi * rng.random((4, 8)))
-        return metrics.evaluate_average_sum_rate(tiny_config, beams, beams_hash="beef" * 16)
+        return cli._evaluate_and_write(tmp_path, tiny_config, beams, None, "beef" * 16)
 
     def test_eval_csv_layout(self, result, tmp_path):
         path = tmp_path / "eval.csv"
-        metrics.write_eval_csv(path, result)
         lines = path.read_text().splitlines()
-        assert lines[0] == f"# format_version={metrics.EVAL_CSV_VERSION}"
+        assert lines[0] == f"# format_version={cli.EVAL_CSV_VERSION}"
         assert lines[1] == f"# config_hash={result.config_hash}"
         assert lines[2] == f"# beams_hash={'beef' * 16}"
         header = lines[6].split(",")
@@ -372,7 +377,7 @@ class TestWriters:
         got = float(rows[0][3])
         assert got == pytest.approx(result.sum_rates[0], rel=1e-11)
 
-    def test_eval_csv_marks_excluded(self, result, tmp_path):
+    def test_eval_csv_marks_excluded(self, result, tiny_config, tmp_path, monkeypatch):
         gutted = dataclasses.replace(
             result,
             per_ue_rates=result.per_ue_rates[1:],
@@ -381,15 +386,15 @@ class TestWriters:
             realization_ids=result.realization_ids[1:],
             excluded_ids=[0],
         )
+        monkeypatch.setattr(metrics, "evaluate_average_sum_rate", lambda *args, **kw: gutted)
+        cli._evaluate_and_write(tmp_path, tiny_config, None, None, "")
         path = tmp_path / "eval.csv"
-        metrics.write_eval_csv(path, gutted)
         rows = list(csv.reader(path.read_text().splitlines()[7:]))
         assert rows[0] == ["0", "", "", "", "", "", "excluded"]
         assert rows[1][-1] == "ok"
 
     def test_summary_json(self, result, tmp_path):
         path = tmp_path / "summary.json"
-        metrics.write_summary_json(path, result)
         doc = json.loads(path.read_text())
         assert doc["mean_sum_rate"] == result.mean_sum_rate
         assert doc["n_ok"] == len(result.realization_ids)
@@ -397,18 +402,31 @@ class TestWriters:
         assert doc["n_excluded"] == 0
 
     def test_summary_bytes_deterministic(self, result, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        metrics.write_summary_json(p1, result)
-        metrics.write_summary_json(p2, result)
+        p1, p2 = tmp_path / "summary.json", tmp_path / "again.json"
+        cli._write_json(p2, metrics.summary_dict(result))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_array_factor_csv(self, tmp_path):
-        angles = np.array([0.0, 0.5, 1.0])
-        gain = np.array([-3.0, 0.0, -10.0])
-        path = tmp_path / "af.csv"
-        metrics.write_array_factor_csv(path, angles, gain, {"tile": 0, "beams_hash": "ff"})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# beams_hash=ff"
-        assert lines[1] == "# tile=0"
-        assert lines[2] == "angle_deg,gain_db"
-        assert lines[3] == "0,-3"
+    def test_array_factor_csv(self, tiny_config, tiny_config_dict, tmp_path):
+        config, out = tmp_path / "tiny.yaml", tmp_path / "af"
+        config.write_text(yaml.safe_dump(tiny_config_dict))
+        argv = ["array-factor", "-c", str(config), "-b", "random", "-o", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = (out / "af_tile0_ue0_s0.csv").read_text().splitlines()
+        assert [line.partition("=")[0] for line in lines[:7]] == [
+            "# beams_hash", "# config_hash", "# emitter", "# realization", "# seed", "# stream",
+            "# ue",
+        ]
+        assert lines[2] == "# emitter=tile0"
+        assert lines[7] == "angle_deg,gain_db"
+        # The rows are the tile's dB pattern at the online precoder column.
+        beams = irs_opt.random_beam_set(tiny_config).beams
+        cset = ch.sample_channels(tiny_config, NAMESPACE_EVAL, [0])
+        h = ch.composite_channel(cset.hbar, cset.s, cset.t, beams)
+        v_col = metrics.online_solve(tiny_config, h[0]).v[0][:, 0]
+        angles = metrics.default_direction_grid()
+        gain = metrics.pattern_db(
+            metrics.tile_pattern(build_antenna_positions(tiny_config), tiny_config, beams, v_col,
+                                 0, cset.s, angles)
+        )
+        assert lines[8:] == [f"{a:.6g},{g:.9g}" for a, g in zip(angles, gain)]
+        assert lines[8] == f"0,{gain[0]:.9g}"

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,34 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names what the module does not define: {missing}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "irsmimo").glob("*.py"))
+
+
+def _exported(path: Path) -> list[str]:
+    """The names a module's `__all__` lists, read from its source."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_every_exported_name_has_a_user_outside_the_tests():
+    """Each name in an `__all__` of the package is used by the package's code
+    (its own module included) or by the benchmark: public surface that only
+    tests reach is a second path to keep. An import or an `__all__` entry is
+    not a use; a name read as a variable or as an attribute is."""
+    used = set()
+    for path in SOURCES + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{path.stem}.{name}" for path in SOURCES for name in _exported(path)
+              if name not in used]
+    assert not unused, f"exported but used only by tests: {unused}"
