@@ -128,11 +128,14 @@ def _write_manifest(outdir: Path, args, cfg_hash: str, seed: int, started: str,
 
 def _resolve_beam_set(
     beams_arg: str, cfg: ScenarioConfig, cfg_hash: str, force: bool
-) -> tuple[irs_opt.IrsBeamSet, str]:
-    """The beam set of -b and its beams_hash, the SHA-256 of its file."""
+) -> tuple[irs_opt.IrsBeamSet, str, bytes | None]:
+    """The beam set of -b, its beams_hash (the SHA-256 of its file) and, for
+    the random beams, the file's bytes, so a caller that saves them writes
+    the encoding the hash was taken from (None for a beam-set file)."""
     if beams_arg == "random":
         beam_set = irs_opt.random_beam_set(cfg)
-        return beam_set, irs_opt.encode_beams(beam_set)[1]
+        data, digest = irs_opt.encode_beams(beam_set)
+        return beam_set, digest, data
     beam_set = irs_opt.load_beams(beams_arg)
     if beam_set.config_hash and beam_set.config_hash != cfg_hash and not force:
         raise ConfigError(
@@ -145,7 +148,7 @@ def _resolve_beam_set(
             f"beam-set shape {beam_set.beams.shape} does not match config tiling "
             f"{(cfg.k_total, cfg.p_per_tile)}"
         )
-    return beam_set, _file_digest(beams_arg)
+    return beam_set, _file_digest(beams_arg), None
 
 
 def _write_optimize_artifacts(
@@ -216,10 +219,10 @@ def cmd_evaluate(args) -> int:
     started = _utc_now()
     cfg = scenario_mod.load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
-    beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    beam_set, beams_hash, data = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
     outdir = _resolve_outdir(args, f"evaluate-{cfg_hash[:12]}-{beams_hash[:12]}")
-    if args.beams == "random":
-        irs_opt.save_beams(outdir / "beams_random.json", beam_set)
+    if data is not None:
+        (outdir / "beams_random.json").write_bytes(data)
 
     result = _evaluate_and_write(outdir, cfg, beam_set.beams, args.realizations, beams_hash)
     _write_manifest(outdir, args, cfg_hash, cfg.seed, started, beams_hash)
@@ -236,7 +239,7 @@ def cmd_array_factor(args) -> int:
     started = _utc_now()
     cfg = scenario_mod.load_config(args.config, _parse_overrides(args.override))
     cfg_hash = scenario_mod.config_hash(cfg)
-    beam_set, beams_hash = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
+    beam_set, beams_hash, _ = _resolve_beam_set(args.beams, cfg, cfg_hash, args.force)
     if args.realization < 0:
         raise ConfigError(f"--realization must be a non-negative integer, got {args.realization}")
     outdir = _resolve_outdir(args, f"array-factor-{cfg_hash[:12]}-{beams_hash[:12]}")
@@ -296,6 +299,7 @@ def _load_sweep_spec(path: str) -> dict:
         raise ConfigError(f"unknown sweep spec keys: {sorted(unknown)}")
     if "base_config" not in spec or "axes" not in spec:
         raise ConfigError("sweep spec needs base_config and axes")
+    scenario_mod._coerce(str, spec["base_config"], "base_config")
     n_real = scenario_mod._coerce(int | None, spec.get("realizations"), "realizations")
     if n_real is not None and n_real < 1:
         raise ConfigError(f"realizations: expected an integer >= 1 or null, got {n_real!r}")
@@ -392,7 +396,7 @@ def cmd_sweep(args) -> int:
                     }
                 )
                 if include_baseline:
-                    base_set, base_hash = _resolve_beam_set("random", cfg, cfg_hash, False)
+                    base_set, base_hash, _ = _resolve_beam_set("random", cfg, cfg_hash, False)
                     base_result = _evaluate_and_write(
                         point_dir, cfg, base_set.beams, n_real, base_hash, suffix="_random"
                     )

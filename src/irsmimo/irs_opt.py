@@ -35,7 +35,10 @@ faulted them in again as zeroed pages.
 Each iteration ends with the next iteration's receivers G and weights W at
 the new beams. By rate-MMSE duality (Christensen et al., IEEE TWC 2008)
 log det W_i is user i's rate there, so `frozen_sum_rate` reads the
-training rate from W without forming the rates again.
+training rate from the Cholesky factors of W, which `wmmse.update_weights`
+returns with W, without forming the rates again. The next iteration's
+precoder step and objective read the same factors, so each W is factored
+once.
 
 Every composite channel, on the sample stack or at perturbed beams, comes
 from `channel.composite_channel`, the kernel evaluation uses too.
@@ -66,7 +69,7 @@ from .numerics import (
     NumericalError,
     check_finite,
     herm,
-    logdet_hpd,
+    logdet_chol,
     power_constrained_solve,
 )
 from .scenario import NAMESPACE_INIT, NAMESPACE_TRAIN, BeamConstraint, ScenarioConfig
@@ -211,14 +214,15 @@ def update_b(
 # Sample-stack evaluators and tile statistics
 
 
-def frozen_sum_rate(w: np.ndarray, alpha: np.ndarray) -> float:
+def frozen_sum_rate(w_chol: np.ndarray, alpha: np.ndarray) -> float:
     """The training rate of one offline iteration, mean_n sum_i alpha_i
-    log det W_i (nats), from the MMSE weights w (N_s, N_u, L, L) at the
-    iteration's beams and precoders: by rate-MMSE duality this is
+    log det W_i (nats), from the Cholesky factors w_chol (N_s, N_u, L, L)
+    of the MMSE weights at the iteration's beams and precoders, as
+    `wmmse.update_weights` returns them: by rate-MMSE duality this is
     `_mean_sum_rate` there. Only the loop calls it, once per iteration, so
     a wrapper on this name counts iterations; the LC projection calls
     `_mean_sum_rate` itself."""
-    return float(np.mean(np.einsum("i,ni->n", alpha, logdet_hpd(w))))
+    return float(np.mean(np.einsum("i,ni->n", alpha, logdet_chol(w_chol))))
 
 
 def _mean_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
@@ -389,12 +393,12 @@ def offline_optimize_channels(
     # The receivers and weights at the starting beams; every iteration ends
     # with those at its new beams, which the next one starts from.
     g = wmmse.update_receivers(hv, sigma2)
-    w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+    w, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
         # The precoder step of the digital variables at the current beams.
-        v, _ = wmmse.update_precoders(h, g, w, alpha, p_budget)
+        v, _ = wmmse.update_precoders(h, g, w_chol, alpha, p_budget)
 
         # Tile updates in order, the cached cross coupling refreshed after
         # each tile. G, W and V stay fixed through the sweep, so the factors
@@ -419,14 +423,14 @@ def offline_optimize_channels(
         # next iteration's digital step.
         h = channel_mod.composite_channel(hbar, s, t, beams)
         hv = wmmse.pair_products(h, v)
-        obj = float(np.mean(wmmse.weighted_mse_objective(hv, g, w, alpha, sigma2)))
+        obj = float(np.mean(wmmse.weighted_mse_objective(hv, g, w, w_chol, alpha, sigma2)))
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
         g = wmmse.update_receivers(hv, sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
-        rate = frozen_sum_rate(w, alpha)
+        w, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        rate = frozen_sum_rate(w_chol, alpha)
 
         report.iterations += 1
         report.delta_history.append(delta)

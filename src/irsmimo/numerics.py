@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernels shared by every other module.
 
 All routines work on complex double-precision arrays, validate finiteness at
-the call boundary, and symmetrize Hermitian inputs before factorizing (the
-Monte-Carlo accumulation order upstream breaks exact symmetry at the last ulp).
+the call boundary, and symmetrize a Hermitian input that is not exactly equal
+to its conjugate transpose before factorizing (the Monte-Carlo accumulation
+order upstream breaks exact symmetry at the last ulp).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "check_finite",
     "check_hermitian",
     "logdet_hpd",
+    "logdet_chol",
     "power_constrained_solve",
 ]
 
@@ -41,16 +43,17 @@ def check_finite(a: np.ndarray, name: str = "array") -> None:
         raise NumericalError(f"{name} contains non-finite entries")
 
 
-def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN_RTOL) -> None:
+def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN_RTOL) -> bool:
     """Raise ValueError if A, or any matrix of a stack (..., n, n), deviates
     from its conjugate transpose by more than rtol (relative). An exactly
-    Hermitian input, as every `herm` output is, returns before the norms."""
+    Hermitian input, as every `herm` output is, returns True before the
+    norms; an input within the tolerance returns False."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     a_h = a.conj().swapaxes(-1, -2)
     if (a == a_h).all():
-        return
+        return True
     scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1e-300)
     dev = np.linalg.norm(a - a_h, axis=(-2, -1))
     if (dev > rtol * scale).any():
@@ -58,6 +61,7 @@ def check_hermitian(a: np.ndarray, name: str = "matrix", rtol: float = HERMITIAN
         raise ValueError(
             f"{name} is not Hermitian: ||A - A^H|| = {dev.flat[i]:.3e}, ||A|| = {scale.flat[i]:.3e}"
         )
+    return False
 
 
 def logdet_hpd(mats: np.ndarray) -> np.ndarray:
@@ -68,6 +72,13 @@ def logdet_hpd(mats: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(herm(mats))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"batched log det: matrix not positive definite ({exc})") from exc
+    return logdet_chol(chol)
+
+
+def logdet_chol(chol: np.ndarray) -> np.ndarray:
+    """log det(R R^H) = 2 sum_k log R_kk in nats, from a Cholesky factor R
+    or a stack (..., n, n) of them, for callers that keep the factor of a
+    matrix they also solve with."""
     return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
@@ -122,30 +133,40 @@ def power_constrained_solve(
     bit for bit; interior entries return 0 whatever their mu0.
 
     p is evaluated once per Newton point. p(0) and p at the warm start come
-    from one evaluation on the two stacked multiplier arrays, and the budget
-    residual is read from the last pass of the rise, which moves no entry
-    and so has evaluated p at the returned mu. A search costs one
-    evaluation plus one per pass. No evaluation masks: a zero-power row is
-    read at eigenvalue 1, where its term and slope are exactly +0 for mu >= 0.
+    from one evaluation on the two stacked multiplier arrays. When no
+    boundary entry starts above its root the first pass of the rise is at
+    that warm start, so it reads that evaluation instead of repeating it.
+    The budget residual is read from the last pass of the rise, which moves
+    no entry and so has evaluated p at the returned mu. A cold search costs
+    one evaluation plus one per pass, a warm one a pass less when it reuses.
+    No evaluation masks: a zero-power row is read at eigenvalue 1, where its
+    term and slope are exactly +0 for mu >= 0.
+
+    An A equal to its conjugate transpose is factorized as given: LAPACK
+    reads one triangle and the real part of the diagonal, so `herm` would
+    change no value it reads. An A Hermitian only to the tolerance of
+    `check_hermitian` is symmetrized first.
 
     Raises
     ------
     ValueError
-        If mu0 is negative, NaN or infinite, or does not broadcast to the
-        leading axes.
+        If A is not square or not Hermitian to the tolerance, if a budget is
+        not positive, or if mu0 is negative, NaN or infinite, or does not
+        broadcast to the leading axes.
     NumericalError
-        If a boundary power misses the budget by more than 1e-8 * budget.
+        If A or B has a non-finite entry, or if a boundary power misses the
+        budget by more than 1e-8 * budget.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     check_finite(a, "power_constrained_solve A")
     check_finite(b, "power_constrained_solve B")
-    check_hermitian(a, "power_constrained_solve A")
+    if not check_hermitian(a, "power_constrained_solve A"):
+        a = herm(a)
     budget = np.asarray(budget, dtype=float)
     if (budget <= 0).any():
         raise ValueError(f"power budget must be positive, got {budget}")
 
-    a = herm(a)
     eigvals, eigvecs = np.linalg.eigh(a)
     # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
     eigvals = np.maximum(eigvals, 0.0)
@@ -161,24 +182,18 @@ def power_constrained_solve(
         row_power = eigvals * row_power
     eig_safe = np.where(row_power > 0.0, eigvals, 1.0)  # zero-power rows read 1
 
-    def power(mu):
-        # p(mu) and -p'(mu) / 2
-        denom = eig_safe + mu[..., None]
-        terms = row_power / denom**2
-        return np.add.reduce(terms, axis=-1), np.add.reduce(terms / denom, axis=-1)
-
-    def newton(mu):
-        # p(mu) and the Newton iterate from mu on 1/sqrt(p) - 1/sqrt(P)
-        p, slope = power(mu)
-        return p, mu + p * (np.sqrt(p / budget) - 1.0) / slope
-
+    # Each evaluation forms the terms r_k / (lam_k + mu)^2, sums them to p(mu)
+    # and the terms over (lam_k + mu) to -p'(mu) / 2, and takes the Newton
+    # iterate mu + p (sqrt(p / P) - 1) / (-p'(mu) / 2) on 1/sqrt(p) - 1/sqrt(P).
     # x/0 and 0/0 arise only where p(0) = inf or B = 0, in steps the search discards.
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
         hi = np.sqrt(row_power.sum(axis=-1) / budget)
         floor = np.maximum(lo, 0.0)
+        warm = None  # (p, step) at mu, when the warm start evaluated them there
         if mu0 is None:
-            p0 = power(np.zeros(()))[0]
+            p0 = np.add.reduce(row_power / eig_safe**2, axis=-1)
+            moving = p0 > budget
             mu = floor
         else:
             mu0 = np.asarray(mu0, dtype=float)
@@ -192,14 +207,36 @@ def power_constrained_solve(
             if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
                 raise ValueError("mu0 must be finite and non-negative")
             mu = np.minimum(np.maximum(mu0, floor), hi)
-            (p0, p), (_, step) = newton(np.array([np.zeros_like(mu), mu]))
-            mu = np.where(p < budget, np.maximum(step, floor), mu)
-        moving = p0 > budget
+            mus = np.zeros((2, *mu.shape))
+            mus[1] = mu
+            denom = eig_safe + mus[..., None]
+            terms = row_power / denom**2
+            p0, p = np.add.reduce(terms, axis=-1)
+            step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(
+                terms[1] / denom[1], axis=-1
+            )
+            moving = p0 > budget
+            above = p < budget
+            if (above & moving).any():
+                mu = np.where(above, np.maximum(step, floor), mu)
+            else:
+                warm = p, step
         mu = np.where(moving, mu, 0.0)
         boundary = moving.copy()
         p = budget  # the residual stays 0 when no entry is on the boundary
         while moving.any():
-            p, step = newton(mu)
+            if warm is None:
+                denom = eig_safe + mu[..., None]
+                terms = row_power / denom**2
+                p = np.add.reduce(terms, axis=-1)
+                step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(
+                    terms / denom, axis=-1
+                )
+            else:
+                # Boundary entries sit where the warm start evaluated them;
+                # interior ones are not moving, so what this pass reads for
+                # them is discarded.
+                (p, step), warm = warm, None
             step = np.minimum(step, hi)
             moving &= step > mu
             mu = np.where(moving, step, mu)

@@ -22,6 +22,11 @@ per precoder iterate and shares them: in the online solver the objective,
 the next iteration's receivers and weights, and the final rates all use
 one set. The precoder update takes the channels themselves.
 
+The weight update factors each W_i = R_i R_i^H (Cholesky) once, where it
+forms W, and returns the factor with it: the precoder step solves with R,
+and the objective's log det W_i = 2 sum_k log (R_i)_kk reads it too, so no
+caller factors the same W again.
+
 The precoder step solves in the space of the N_u*L streams, not of the M
 BS antennas. Its Gram K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j has rank
 at most N_u*L: with the Cholesky factors W_j = R_j R_j^H and the rows
@@ -46,7 +51,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NumericalError, check_finite, herm, logdet_hpd, power_constrained_solve
+from .numerics import (
+    NumericalError,
+    check_finite,
+    herm,
+    logdet_chol,
+    logdet_hpd,
+    power_constrained_solve,
+)
 
 __all__ = [
     "LinkVariables",
@@ -133,20 +145,27 @@ def mse_matrices(hv: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
     return herm(e)
 
 
-def update_weights(e: np.ndarray) -> np.ndarray:
-    """MSE weights W_i = E_i^-1."""
+def update_weights(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MSE weights W_i = E_i^-1, exactly Hermitian, and their lower Cholesky
+    factors R_i (W_i = R_i R_i^H), which `update_precoders` and
+    `weighted_mse_objective` take. Raises NumericalError if an MSE matrix is
+    singular or a weight is not positive definite."""
     try:
         w = np.linalg.inv(e)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"update_weights: singular MSE matrix ({exc})") from exc
     check_finite(w, "weights")
-    return herm(w)
+    w = herm(w)
+    try:
+        return w, np.linalg.cholesky(w)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"update_weights: weight not positive definite ({exc})") from exc
 
 
 def update_precoders(
     h: np.ndarray,
     g: np.ndarray,
-    w: np.ndarray,
+    w_chol: np.ndarray,
     alpha: np.ndarray,
     p_budget: np.ndarray,
     mu0: np.ndarray | None = None,
@@ -156,7 +175,8 @@ def update_precoders(
     multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible).
 
     Solved in the N_u*L-dimensional stream space: with the Cholesky factors
-    W_j = R_j R_j^H and the stacked rows B_j = sqrt(alpha_j) R_j^H G_j^H H_j,
+    w_chol = R (W_j = R_j R_j^H, as `update_weights` returns them) and the
+    stacked rows B_j = sqrt(alpha_j) R_j^H G_j^H H_j,
     B (..., N_u*L, M), K = B^H B and user i's right-hand side is B^H Y_i,
     Y_i (N_u*L, L) holding sqrt(alpha_i) R_i^H in block i and zeros
     elsewhere. The push-through identity gives
@@ -173,20 +193,15 @@ def update_precoders(
     channel set shared by its users. mu0 (..., N_u), typically the previous
     iterate's mu, warm-starts that search; the search first brings a start
     above the root down to or below it, so the multipliers are the same
-    smallest ones to rounding. Raises NumericalError if a weight is not
-    positive definite."""
+    smallest ones to rounding."""
     *lead, n_u, l_ant, m_ant = h.shape
-    try:
-        chol = np.linalg.cholesky(w)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"update_precoders: weight not positive definite ({exc})") from exc
-    rh = np.sqrt(alpha)[:, None, None] * chol.conj().swapaxes(-1, -2)
+    rh = np.sqrt(alpha)[:, None, None] * w_chol.conj().swapaxes(-1, -2)
     b = (rh @ g.conj().swapaxes(-1, -2) @ h).reshape(*lead, n_u * l_ant, m_ant)
     bh = b.conj().swapaxes(-1, -2)
     y = np.zeros((*lead, n_u * n_u, l_ant, l_ant), dtype=complex)
     y[..., :: n_u + 1, :, :] = rh  # the diagonal blocks (i, i)
-    # The kernel symmetrizes A itself; b @ bh is exactly Hermitian in practice,
-    # which keeps its Hermitian check on the fast path.
+    # b @ bh is exactly Hermitian in practice, so the kernel neither forms
+    # norms to check it nor symmetrizes it.
     x, mu = power_constrained_solve(
         (b @ bh)[..., None, :, :],
         y.reshape(*lead, n_u, n_u * l_ant, l_ant),
@@ -201,14 +216,17 @@ def weighted_mse_objective(
     hv: np.ndarray,
     g: np.ndarray,
     w: np.ndarray,
+    w_chol: np.ndarray,
     alpha: np.ndarray,
     sigma2: float,
 ) -> np.ndarray:
     """Objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, one value per
-    channel set (shape (...)), from the pair products hv = `pair_products`(H, V)."""
+    channel set (shape (...)), from the pair products hv = `pair_products`(H, V)
+    and the weights with their Cholesky factors, as `update_weights` returns
+    them; log det W_i is read from the factor."""
     e = mse_matrices(hv, g, sigma2)
     tr_we = np.einsum("...ilk,...ikl->...i", w, e).real
-    return np.einsum("i,...i->...", alpha, tr_we - logdet_hpd(w))
+    return np.einsum("i,...i->...", alpha, tr_we - logdet_chol(w_chol))
 
 
 def user_rates(hv: np.ndarray, sigma2: float) -> np.ndarray:
@@ -264,7 +282,8 @@ def online_wmmse(
 
     The pair products H_i V_j are formed once per precoder iterate and shared
     by the objective, the receivers and weights that end the iteration, and
-    the rates.
+    the rates. Each W is factored once, by `update_weights`; the next
+    precoder step and the objective read that factor.
 
     Raises NumericalError if the objective increases by more than 1e-9
     between iterations.
@@ -281,7 +300,7 @@ def online_wmmse(
     v = initial_precoders(h, p_budget)
     hv = pair_products(h, v)
     g = update_receivers(hv, sigma2)
-    w = update_weights(mse_matrices(hv, g, sigma2))
+    w, w_chol = update_weights(mse_matrices(hv, g, sigma2))
 
     trace: list[float] = []
     prev = np.inf
@@ -289,9 +308,9 @@ def online_wmmse(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        v, mu = update_precoders(h, g, w, alpha, p_budget, mu0=mu)
+        v, mu = update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu)
         hv = pair_products(h, v)
-        obj = float(weighted_mse_objective(hv, g, w, alpha, sigma2))
+        obj = float(weighted_mse_objective(hv, g, w, w_chol, alpha, sigma2))
         if not np.isfinite(obj):
             raise NumericalError("online_wmmse: non-finite objective")
         if obj > prev + MONOTONE_TOL:
@@ -300,7 +319,7 @@ def online_wmmse(
             )
         trace.append(obj)
         g = update_receivers(hv, sigma2)
-        w = update_weights(mse_matrices(hv, g, sigma2))
+        w, w_chol = update_weights(mse_matrices(hv, g, sigma2))
         if np.isfinite(prev) and prev - obj <= tol * abs(prev):
             converged = True
             break

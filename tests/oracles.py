@@ -1,5 +1,5 @@
 """Test oracles of the offline optimizer: the per-sample tile statistics and
-the gradient identity check.
+the gradient identity check, and a reference form of the mu search.
 
 The product path (`irs_opt._tile_factors` once per sweep, then
 `irs_opt._tile_statistics` per tile) forms each tile's averaged quadratic
@@ -8,9 +8,11 @@ samples. The forms here build the same quadratic one sample, one user pair
 and one tile at a time from the shorthand factors A, C, D and F, so the
 tests can check the batched kernels against an independent derivation.
 `verify_theorem1` checks the closed-form beam gradient against finite
-differences of the averaged weighted sum-rate. No optimize, evaluate, sweep
-or array-factor run uses them, so they live beside the tests that import
-them.
+differences of the averaged weighted sum-rate.
+`reference_power_constrained_solve` keeps an earlier form of the mu
+search, which the current one must match bit for bit. No optimize,
+evaluate, sweep or array-factor run uses them, so they live beside the
+tests that import them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from irsmimo import channel as channel_mod
-from irsmimo import wmmse
+from irsmimo import numerics, wmmse
 from irsmimo.irs_opt import (
     _coupling,
     _mean_sum_rate,
@@ -29,7 +31,7 @@ from irsmimo.irs_opt import (
     _tile_statistics,
     _tile_workspace,
 )
-from irsmimo.numerics import NumericalError, herm
+from irsmimo.numerics import NumericalError, check_finite, check_hermitian, herm
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,8 @@ def receivers_and_weights(
     """MMSE receivers and W = E^-1 for the sample stack at the given beams."""
     hv = wmmse.pair_products(channel_mod.composite_channel(hbar, s, t, beams), v)
     g = wmmse.update_receivers(hv, sigma2)
-    return g, wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+    w, _ = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+    return g, w
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +270,92 @@ def verify_theorem1(
         "fd_step": fd_step,
         "stale_weights": stale_w is not None,
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference mu search
+
+
+def reference_power_constrained_solve(
+    a: np.ndarray, b: np.ndarray, budget, mu0=None, *, gram_cols: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mu search as it stood before it skipped re-symmetrizing an exactly
+    Hermitian A and reused the warm start's evaluation in the first pass of
+    the rise: `numerics.power_constrained_solve` must return the same bits."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    check_finite(a, "power_constrained_solve A")
+    check_finite(b, "power_constrained_solve B")
+    check_hermitian(a, "power_constrained_solve A")
+    budget = np.asarray(budget, dtype=float)
+    if (budget <= 0).any():
+        raise ValueError(f"power budget must be positive, got {budget}")
+
+    a = herm(a)
+    eigvals, eigvecs = np.linalg.eigh(a)
+    # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
+    eigvals = np.maximum(eigvals, 0.0)
+    if gram_cols is not None:
+        b = np.where(a.diagonal(axis1=-2, axis2=-1)[..., None] != 0.0, b, 0.0)
+    bt = eigvecs.conj().swapaxes(-1, -2) @ b
+    row_power = (np.abs(bt) ** 2).sum(axis=-1)
+    if gram_cols is not None:
+        n_null = a.shape[-1] - gram_cols
+        if n_null > 0:  # eigh sorts ascending: the null space comes first
+            eigvals[..., :n_null] = 0.0
+            bt[..., :n_null, :] = 0.0
+        row_power = eigvals * row_power
+    eig_safe = np.where(row_power > 0.0, eigvals, 1.0)  # zero-power rows read 1
+
+    def power(mu):
+        # p(mu) and -p'(mu) / 2
+        denom = eig_safe + mu[..., None]
+        terms = row_power / denom**2
+        return np.add.reduce(terms, axis=-1), np.add.reduce(terms / denom, axis=-1)
+
+    def newton(mu):
+        # p(mu) and the Newton iterate from mu on 1/sqrt(p) - 1/sqrt(P)
+        p, slope = power(mu)
+        return p, mu + p * (np.sqrt(p / budget) - 1.0) / slope
+
+    # x/0 and 0/0 arise only where p(0) = inf or B = 0, in steps the search discards.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
+        hi = np.sqrt(row_power.sum(axis=-1) / budget)
+        floor = np.maximum(lo, 0.0)
+        if mu0 is None:
+            p0 = power(np.zeros(()))[0]
+            mu = floor
+        else:
+            mu0 = np.asarray(mu0, dtype=float)
+            if mu0.shape != floor.shape:
+                try:
+                    mu0 = np.broadcast_to(mu0, floor.shape)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"mu0 shape {mu0.shape} does not broadcast to {floor.shape}"
+                    ) from exc
+            if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
+                raise ValueError("mu0 must be finite and non-negative")
+            mu = np.minimum(np.maximum(mu0, floor), hi)
+            (p0, p), (_, step) = newton(np.array([np.zeros_like(mu), mu]))
+            mu = np.where(p < budget, np.maximum(step, floor), mu)
+        moving = p0 > budget
+        mu = np.where(moving, mu, 0.0)
+        boundary = moving.copy()
+        p = budget  # the residual stays 0 when no entry is on the boundary
+        while moving.any():
+            p, step = newton(mu)
+            step = np.minimum(step, hi)
+            moving &= step > mu
+            mu = np.where(moving, step, mu)
+        # The last pass moved no entry, so p is the power at the returned mu.
+        residual = np.where(boundary, np.abs(p - budget), 0.0)
+    if (residual > numerics.POWER_RTOL * budget).any():
+        raise NumericalError(
+            f"power_constrained_solve: residual {np.max(residual / budget):.3e} exceeds "
+            f"{numerics.POWER_RTOL:g} * budget"
+        )
+    denom = eigvals + mu[..., None]
+    x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
+    return x, mu

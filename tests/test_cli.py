@@ -201,6 +201,23 @@ class TestEvaluateCommand:
         }
         assert hashes == {hashlib.sha256(saved.read_bytes()).hexdigest()}
 
+    def test_random_beams_encoded_once_and_file_is_the_hashed_bytes(
+        self, smoke_config, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = irs_opt.encode_beams
+
+        def counted(beam_set):
+            calls.append(1)
+            return original(beam_set)
+
+        monkeypatch.setattr(irs_opt, "encode_beams", counted)
+        out = tmp_path / "ev"
+        assert cli.main(["evaluate", "-c", str(smoke_config), "-b", "random", "-o", str(out)]) == 0
+        assert len(calls) == 1
+        digest = hashlib.sha256((out / "beams_random.json").read_bytes()).hexdigest()
+        assert json.loads((out / "manifest.json").read_text())["beams_hash"] == digest
+
     def test_evaluate_optimized_beams(self, smoke_config, tmp_path):
         opt = tmp_path / "opt"
         cli.main(["optimize", "-c", str(smoke_config), "-o", str(opt)])
@@ -593,6 +610,18 @@ class TestSweepCommand:
         )
         loaded = cli._load_sweep_spec(str(spec))
         assert {key: loaded[key] for key in extra} == extra
+
+    @pytest.mark.parametrize("base_config", [5, None, ["a.yaml"]])
+    def test_non_string_base_config_names_key(self, tmp_path, capsys, base_config):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(
+            {"base_config": base_config, "axes": [{"name": "a", "points": [{"label": "x"}]}]}
+        ))
+        assert cli.main(["sweep", "-s", str(path), "-o", str(tmp_path / "sweep")]) == (
+            cli.EXIT_VALIDATION
+        )
+        assert "base_config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_missing_spec_is_io_error(self, tmp_path):
         assert cli.main(["sweep", "-s", str(tmp_path / "nope.yaml")]) == cli.EXIT_IO

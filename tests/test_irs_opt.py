@@ -393,9 +393,9 @@ class TestBatchedKernels:
         h = channel.composite_channel(inst["hbar"], inst["s"], inst["t"], inst["beams"])
         hv = wmmse.pair_products(h, inst["v"])
         g = wmmse.update_receivers(hv, sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        _, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
         want = irs_opt._mean_sum_rate(hv, sigma2, alpha)
-        assert irs_opt.frozen_sum_rate(w, alpha) == pytest.approx(want, rel=1e-10, abs=0)
+        assert irs_opt.frozen_sum_rate(w_chol, alpha) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_composite_matches_per_sample_loop(self):
         inst = synthetic_instance(14, n_s=3, n_u=2, l=3, m=4, k=3, p=5)

@@ -8,11 +8,13 @@ from irsmimo.numerics import (
     check_finite,
     check_hermitian,
     herm,
+    logdet_chol,
     logdet_hpd,
     power_constrained_solve,
 )
 
 from conftest import crandn
+from oracles import reference_power_constrained_solve
 
 
 def random_psd(rng, n, jitter=0.1):
@@ -39,16 +41,17 @@ def test_check_hermitian_rejects_skew():
 
 
 def test_check_hermitian_exact_shortcut_keeps_tolerance():
-    """An exactly Hermitian stack returns early; a slice off by less than
-    rtol still passes and one off by more still raises, with its norms."""
+    """An exactly Hermitian stack returns True early; a slice off by less
+    than rtol still passes, returning False, and one off by more still
+    raises, with its norms."""
     rng = np.random.default_rng(2)
     a = herm(crandn(rng, 3, 4, 4))
-    check_hermitian(a, "a")
+    assert check_hermitian(a, "a") is True
     scale = np.linalg.norm(a[1])
     near = a.copy()
     near[1, 0, 2] += 1e-12 * scale
     assert not np.array_equal(near, near.conj().swapaxes(-1, -2))
-    check_hermitian(near, "near")
+    assert check_hermitian(near, "near") is False
     far = a.copy()
     far[1, 0, 2] += 1e-8 * scale
     dev = np.linalg.norm(far[1] - far[1].conj().T)
@@ -69,6 +72,15 @@ def test_logdet_psd_matches_slogdet(seed):
 def test_logdet_psd_rejects_indefinite():
     with pytest.raises(NumericalError):
         logdet_hpd(np.diag([1.0, -1.0]))
+
+
+def test_logdet_chol_is_logdet_hpd_bit_for_bit():
+    """The log det read from the factor of an exactly Hermitian matrix is
+    the one `logdet_hpd` forms: `herm` of it changes no bit."""
+    rng = np.random.default_rng(3)
+    stack = herm(np.linalg.inv(np.stack([random_psd(rng, 3) for _ in range(6)])))
+    assert np.array_equal(herm(stack), stack)
+    assert np.array_equal(logdet_chol(np.linalg.cholesky(stack)), logdet_hpd(stack))
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
@@ -354,3 +366,105 @@ class TestPowerConstrainedSolve:
         a, b, budget = self.warm_cases()
         with pytest.raises(ValueError, match="mu0"):
             power_constrained_solve(a, b, budget, mu0=mu0)
+
+
+class TestMatchesReferenceSearch:
+    """The mu search returns the bits of `reference_power_constrained_solve`,
+    its form before it skipped symmetrizing an exactly Hermitian A and let
+    the first pass of the rise reuse the warm start's evaluation, for cold
+    and warm starts on every shape its callers pass."""
+
+    @staticmethod
+    def plain(rng):
+        """(A, B, budget, gram_cols): six slices, two interior (one singular)
+        and four on the boundary (one singular, one the zero matrix)."""
+        a = np.stack([random_psd(rng, 4, jitter=j) for j in (1.0, 0.1, 0.01, 0.1, 0.1, 1.0)])
+        a[3] = np.diag([2.0, 1.0, 0.5, 0.0])
+        a[4] = 0.0
+        a[5] = np.diag([2.0, 1.0, 0.5, 0.0])
+        b = crandn(rng, 6, 4, 2)
+        b[0] *= 1e-3
+        b[5, 3] = 0.0
+        return a, b, np.array([10.0, 0.5, 1.0, 0.05, 2.0, 50.0]), None
+
+    @staticmethod
+    def gram(rng, m):
+        """Gram stacks F F^H of F (6, 4, m): a zero user row in slice 2, a
+        zero factor in slice 3, and with m < 4 more rows than columns."""
+        f = crandn(rng, 6, 4, m)
+        f[2, 1] = 0.0
+        f[3] = 0.0
+        b = crandn(rng, 6, 4, 2)
+        limit = np.sum(np.abs(np.linalg.pinv(f) @ b) ** 2, axis=(-2, -1))
+        budget = np.where(limit > 0.0, limit, 1.0) * np.array([2.0, 0.3, 0.05, 2.0, 0.5, 0.1])
+        return herm(f @ f.conj().swapaxes(-1, -2)), b, budget, m
+
+    @staticmethod
+    def gram_wide(rng):
+        return TestMatchesReferenceSearch.gram(rng, 6)
+
+    @staticmethod
+    def gram_tall(rng):
+        return TestMatchesReferenceSearch.gram(rng, 3)
+
+    @staticmethod
+    def precoder(rng):
+        """The precoder step's shape: one stream-space Gram B B^H per slice
+        shared by two users' right-hand sides, gram_cols = M = 8."""
+        f = crandn(rng, 3, 1, 4, 8)
+        y = crandn(rng, 3, 2, 4, 2)
+        budget = np.array([[0.05, 0.1], [1e3, 0.2], [0.05, 1e3]])
+        return f @ f.conj().swapaxes(-1, -2), y, budget, 8
+
+    @staticmethod
+    def beam(rng):
+        """The tile beam update's shape: one 16 x 16 matrix, one column, a
+        scalar budget, so mu is 0-d."""
+        return random_psd(rng, 16, jitter=0.01), crandn(rng, 16, 1), 0.5, None
+
+    @staticmethod
+    def rounded(rng):
+        """The plain stack with A Hermitian only to rounding."""
+        a, b, budget, _ = TestMatchesReferenceSearch.plain(rng)
+        a = a.copy()
+        a[:, 0, 2] *= 1.0 + 2.0**-50
+        a[:, 1, 1] += 1e-15j * a[:, 1, 1].real
+        assert not np.array_equal(a, a.conj().swapaxes(-1, -2))
+        return a, b, budget, None
+
+    @staticmethod
+    def starts(mu_cold):
+        """Warm starts against the cold multipliers: every boundary entry at
+        or below its root (the evaluation is reused), every one above, a mix,
+        and mu0 = 0; interior entries start anywhere."""
+        boundary = mu_cold > 0.0
+        interior = np.where(boundary, 0.0, 3.0)
+        mix = np.where(np.arange(mu_cold.size).reshape(mu_cold.shape) % 2 == 0, 0.5, 1.5)
+        return {
+            "below": 0.5 * mu_cold + interior,
+            "at_root": mu_cold + interior,
+            "above": 1.5 * mu_cold + interior,
+            "mix": mix * mu_cold + interior,
+            "zero": np.zeros_like(mu_cold),
+        }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "case", ["plain", "gram_wide", "gram_tall", "precoder", "beam", "rounded"]
+    )
+    def test_equals_reference_bit_for_bit(self, case, seed):
+        rng = np.random.default_rng([41, seed])
+        a, b, budget, gram_cols = getattr(self, case)(rng)
+        x_ref, mu_cold = reference_power_constrained_solve(a, b, budget, gram_cols=gram_cols)
+        x, mu = power_constrained_solve(a, b, budget, gram_cols=gram_cols)
+        assert np.array_equal(x, x_ref) and np.array_equal(mu, mu_cold)
+        assert np.any(mu_cold > 0.0)
+        if case != "beam":
+            assert np.any(mu_cold == 0.0)
+        for name, mu0 in self.starts(mu_cold).items():
+            x_ref, mu_ref = reference_power_constrained_solve(
+                a, b, budget, mu0=mu0, gram_cols=gram_cols
+            )
+            x, mu = power_constrained_solve(a, b, budget, mu0=mu0, gram_cols=gram_cols)
+            assert np.array_equal(x, x_ref), name
+            assert np.array_equal(mu, mu_ref), name

@@ -64,16 +64,18 @@ def kernel_loop_online_wmmse(h, sigma2, p_budget, alpha, tol, max_iters, warm_mu
     converged = False
     for iterations in range(1, max_iters + 1):
         g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
-        v, mu = wmmse.update_precoders(h, g, w, alpha, p_budget, mu0=mu if warm_mu else None)
-        obj = float(wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, alpha, sigma2))
+        w, w_chol = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
+        v, mu = wmmse.update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu if warm_mu else None)
+        obj = float(
+            wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2)
+        )
         trace.append(obj)
         if np.isfinite(prev) and prev - obj <= tol * abs(prev):
             converged = True
             break
         prev = obj
     g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
-    w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
+    w, _ = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
     rates = wmmse.user_rates(wmmse.pair_products(h, v), sigma2) / np.log(2.0)
     return rates, v, g, w, mu, trace, iterations, converged
 
@@ -151,18 +153,25 @@ class TestBlocks:
         v = crandn(rng, 3, 6, 2)
         g = wmmse.update_receivers(wmmse.pair_products(h, v), 0.4)
         e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.4)
-        w = wmmse.update_weights(e)
+        w, w_chol = wmmse.update_weights(e)
         for i in range(3):
             assert np.allclose(w[i] @ e[i], np.eye(2), atol=1e-10)
+            assert np.allclose(w_chol[i] @ w_chol[i].conj().T, w[i], rtol=1e-12, atol=0.0)
+            assert np.array_equal(w_chol[i], np.tril(w_chol[i]))
+
+    def test_weights_not_positive_definite_raise(self):
+        e = np.array([[[1.0, 0.0], [0.0, -2.0]]], dtype=complex)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            wmmse.update_weights(e)
 
     def test_precoders_meet_power_budgets(self):
         h, rng = random_links(7)
         v = crandn(rng, 3, 6, 2)
         g = wmmse.update_receivers(wmmse.pair_products(h, v), 0.2)
         e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.2)
-        w = wmmse.update_weights(e)
+        _, w_chol = wmmse.update_weights(e)
         budgets = np.array([1.0, 2.0, 0.5])
-        v_new, mu = wmmse.update_precoders(h, g, w, np.ones(3), budgets)
+        v_new, mu = wmmse.update_precoders(h, g, w_chol, np.ones(3), budgets)
         for i in range(3):
             power = float(np.real(np.trace(v_new[i] @ v_new[i].conj().T)))
             assert power <= budgets[i] + 1e-8 * budgets[i]
@@ -176,10 +185,14 @@ class TestBlocks:
         alpha = np.ones(3)
         g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
         e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
-        w = wmmse.update_weights(e)
-        before = wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, alpha, sigma2)
-        v_new, _ = wmmse.update_precoders(h, g, w, alpha, np.full(3, 2.0))
-        after = wmmse.weighted_mse_objective(wmmse.pair_products(h, v_new), g, w, alpha, sigma2)
+        w, w_chol = wmmse.update_weights(e)
+        before = wmmse.weighted_mse_objective(
+            wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2
+        )
+        v_new, _ = wmmse.update_precoders(h, g, w_chol, alpha, np.full(3, 2.0))
+        after = wmmse.weighted_mse_objective(
+            wmmse.pair_products(h, v_new), g, w, w_chol, alpha, sigma2
+        )
         assert after <= before + 1e-12
 
     def test_svd_init_uses_full_power(self):
@@ -244,8 +257,8 @@ class TestStreamSpacePrecoders:
         budgets = budget * np.linspace(1.0, 1.5, n_u)
         v0 = crandn(rng, n_u, m_ant, l_ant)
         g = wmmse.update_receivers(wmmse.pair_products(h, v0), sigma2)
-        w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v0), g, sigma2))
-        v, mu = wmmse.update_precoders(h, g, w, alpha, budgets)
+        w, w_chol = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v0), g, sigma2))
+        v, mu = wmmse.update_precoders(h, g, w_chol, alpha, budgets)
         expect = m_space_precoders(h, g, w, alpha, mu)
         assert np.linalg.norm(v - expect) <= 1e-9 * np.linalg.norm(expect)
         power = np.sum(np.abs(v) ** 2, axis=(-2, -1))
@@ -379,9 +392,13 @@ class TestBatching:
             out = []
             for _ in range(3):
                 g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
-                w = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
-                v, mu = wmmse.update_precoders(h, g, w, alpha, budgets)
-                obj = wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, alpha, sigma2)
+                w, w_chol = wmmse.update_weights(
+                    wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
+                )
+                v, mu = wmmse.update_precoders(h, g, w_chol, alpha, budgets)
+                obj = wmmse.weighted_mse_objective(
+                    wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2
+                )
                 out.append((g, w, v, mu, wmmse.user_rates(wmmse.pair_products(h, v), sigma2), obj))
             return out
 
