@@ -4,29 +4,30 @@ The offline problem minimizes the Monte-Carlo average of the weighted MSE
 objective over frozen random network draws, by block coordinate descent over
 the per-sample digital variables (G, W, V) and the shared per-tile analog
 beam vectors b_m. The digital step runs the WMMSE block updates of `wmmse`
-on the whole sample stack at once. Viewed as a function of one tile's beam with everything
-else fixed, the per-sample weighted MSE is an exact quadratic
+on the whole sample stack at once. Viewed as a function of one tile's beam
+with everything else fixed, the per-sample weighted MSE is an exact
+quadratic
 
-    f(b_m) = b_m^H M_m b_m - 2 Re(u_m^H b_m) + const,
+    f(b_m) = b_m^H M_m b_m - 2 Re(u_m^H b_m) + const.
 
-with M_m assembled from a Hadamard product of Hermitian PSD factors and u_m
-from diagonal extraction of the desired-signal and cross-interference terms.
 Averaging (M_m, u_m) over the frozen samples and solving the norm-ball
 trust-region problem per tile yields the beam update.
 
-Tile updates run sequentially (the cross-tile coupling inside u_m is
-refreshed after each tile), which makes every block update an exact
-minimizer and the frozen-sample objective monotonically non-increasing.
-G, W and V are fixed through a sweep (the block structure of WMMSE in Shi,
-Razaviyayn, Luo & He, IEEE TSP 2011), so the factors A = G^H T_m and
-X = alpha W G^H T_m of all K tiles are formed once per sweep, as two
-products over the tile-folded T (`_tile_factors`). `_tile_statistics`
-reads views of those factors, forms C_m^T with one GEMM, and stacks the
-face-splitting (row-wise Khatri-Rao) products K_m = A_m * C_m^T and
-Z_m = X_m * C_m^T of all samples, with the users folded into the rows.
-Over that stack the sample mean of M_m is the one GEMM K_m^H Z_m / N_s,
-u_m is one GEMV, and the coupling refresh after a tile update is the GEMV
-K_m (b_new - b_m). The factor and face-splitting stacks live in one
+Tile updates run sequentially (the residual that u_m reads is refreshed
+after each tile), which makes every block update an exact minimizer and the
+frozen-sample objective monotonically non-increasing. G, W and V are fixed
+through a sweep (the block structure of WMMSE in Shi, Razaviyayn, Luo & He,
+IEEE TSP 2011), so the sweep works in the whitened stream coordinates of
+the precoder step, where sum_i alpha_i tr(W_i E_i) = ||res||^2 +
+sigma2 ||Rg||^2 for the residual res = [Y] - B [V] (`wmmse.whitened_system`,
+`_residual`). The factor F = Rg T of all K tiles is formed once per sweep,
+as one product over the tile-folded T (`_tile_factors`). `_tile_statistics`
+forms C_m^T with one GEMM and stacks the face-splitting (row-wise
+Khatri-Rao) products K_m = F_m * C_m^T of all samples, with the users
+folded into the rows: the sample mean of M_m is the Gram of that stack over
+N_s, u_m is one GEMV against res, and the refresh after a tile update is
+the GEMV K_m (b_new - b_m). The residual the sweep leaves gives the
+iteration's objective. The factor and face-splitting stacks live in one
 `_tile_workspace`, allocated once per run and overwritten by every sweep
 and tile call. Allocated per call, these megabyte stacks went back to the
 operating system when freed (glibc trims the heap top), so every tile call
@@ -68,7 +69,6 @@ from . import wmmse
 from .numerics import (
     NumericalError,
     check_finite,
-    herm,
     logdet_chol,
     power_constrained_solve,
 )
@@ -231,64 +231,53 @@ def _mean_sum_rate(hv: np.ndarray, sigma2: float, alpha: np.ndarray) -> float:
     return float(np.mean(np.einsum("i,ni->n", alpha, rates)))
 
 
-def _coupling(g: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G_i^H H_i V_j over the sample stack, (N_s, N_u*L, N_u*L) with the users
-    i folded into the rows and j into the columns: block (i, j) is G_i^H H_i V_j."""
-    ghv = (np.swapaxes(g.conj(), -1, -2) @ h) @ _fold_users(v)[:, None]
-    return ghv.reshape(ghv.shape[0], -1, ghv.shape[-1])
-
-
-def _fold_users(v: np.ndarray) -> np.ndarray:
-    """[V_1 ... V_Nu] (N_s, M, N_u*L) from the precoders (N_s, N_u, M, L)."""
-    n_s, n_u, m_ant, l_ant = v.shape
-    return np.swapaxes(v, 1, 2).reshape(n_s, m_ant, n_u * l_ant)
-
-
 def _precoder_rows(v: np.ndarray) -> np.ndarray:
     """[V]^T (N_s*N_u*L, M) from the precoders (N_s, N_u, M, L): row (n, j, l)
     is column l of V_j of sample n, so [V]^T S_m^T is one GEMM."""
     return np.swapaxes(v, -1, -2).reshape(-1, v.shape[-2])
 
 
+def _residual(b: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The whitened residual [Y] - B [V] (N_s, N_u*L, N_u*L) of the rows b and
+    right-hand sides y of `wmmse.whitened_system`, with the users i folded
+    into the rows and j into the columns: block (i, j) is
+    delta_ij sqrt(alpha_i) R_i^H - Rg_i H_i V_j."""
+    n_s, rows, m_ant = b.shape
+    v_cols = np.swapaxes(v, 1, 2).reshape(n_s, m_ant, rows)  # [V_1 ... V_Nu]
+    return np.swapaxes(y, 1, 2).reshape(n_s, rows, rows) - b @ v_cols
+
+
 @dataclass(frozen=True)
 class _TileWorkspace:
     """The stacks of one tile sweep, allocated once per run.
 
-    a (N_s, N_u, L, K*P) receives A = G^H T (`_tile_factors`) and x the
-    same shape X = alpha W A, once per sweep; tile m reads columns
-    m*P .. (m+1)*P - 1 of both. k (N_s*(N_u*L)^2, P) receives tile m's
-    face-splitting stack K_m and z_conj the same shape conj(Z_m)
+    f (N_s, N_u, L, K*P) receives F = Rg T (`_tile_factors`) once per
+    sweep; tile m reads columns m*P .. (m+1)*P - 1. stack
+    (N_s*(N_u*L)^2, P) receives tile m's face-splitting stack F_m
     (`_tile_statistics`). Every call overwrites what it writes, so one
     workspace serves every tile and iteration.
     """
 
-    a: np.ndarray
-    x: np.ndarray
-    k: np.ndarray
-    z_conj: np.ndarray
+    f: np.ndarray
+    stack: np.ndarray
 
 
 def _tile_workspace(fold_shape: tuple[int, ...], p: int) -> _TileWorkspace:
     """A `_TileWorkspace` for the tile fold shape (N_s, N_u, L, K*P) of T
     (`channel.fold_tiles`) and P elements per tile."""
     n_s, n_u, l_ant, _ = fold_shape
-    stack = (n_s * (n_u * l_ant) ** 2, p)
     return _TileWorkspace(
-        a=np.empty(fold_shape, dtype=complex),
-        x=np.empty(fold_shape, dtype=complex),
-        k=np.empty(stack, dtype=complex),
-        z_conj=np.empty(stack, dtype=complex),
+        f=np.empty(fold_shape, dtype=complex),
+        stack=np.empty((n_s * (n_u * l_ant) ** 2, p), dtype=complex),
     )
 
 
-def _tile_factors(
-    g: np.ndarray, w: np.ndarray, t_fold: np.ndarray, alpha: np.ndarray, ws: _TileWorkspace
-) -> None:
-    """The beam-independent factors of every tile at fixed (G, W), into ws:
-    A_i = G_i^H T_i and X_i = alpha_i W_i A_i, with T_i = [T_i1 ... T_iK]
-    the tile fold t_fold (N_s, N_u, L, K*P) (`channel.fold_tiles`)."""
-    np.matmul(np.swapaxes(g.conj(), -1, -2), t_fold, out=ws.a)
-    np.matmul(alpha[:, None, None] * w, ws.a, out=ws.x)
+def _tile_factors(rg: np.ndarray, t_fold: np.ndarray, ws: _TileWorkspace) -> None:
+    """The beam-independent factor of every tile at fixed (G, W), into ws:
+    F_i = Rg_i T_i, with Rg the whitened receivers
+    (`wmmse.whitened_system`) and T_i = [T_i1 ... T_iK] the tile fold
+    t_fold (N_s, N_u, L, K*P) (`channel.fold_tiles`)."""
+    np.matmul(rg, t_fold, out=ws.f)
 
 
 def _tile_statistics(
@@ -296,41 +285,37 @@ def _tile_statistics(
     m: int,
     v_rows: np.ndarray,
     s_m: np.ndarray,
-    ghv: np.ndarray,
+    res: np.ndarray,
     b_m: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
-    from the factors A and X in ws (`_tile_factors`), the precoder rows
-    v_rows (`_precoder_rows`), the tile's BS link s_m (P, M) and
-    ghv = G_i^H H_i V_j at the current beams (see `_coupling`).
+    from the factor F in ws (`_tile_factors`), the precoder rows v_rows
+    (`_precoder_rows`), the tile's BS link s_m (P, M) and the whitened
+    residual res (`_residual`) at the current beams.
 
-    With A_m = [A_1m; ...; A_Num] and X_m (N_s, N_u*L, P) read from ws and
-    C_m^T = [V]^T S_m^T, one sample's M = (A_m^H X_m) had (conj(C_m) C_m^T)
-    is K^H Z for the face-splitting products K[(r, s), p] =
-    A_m[r, p] C_m^T[s, p] and Z[(r, s), p] = X_m[r, p] C_m^T[s, p], and
-    its u = Z^H vec(I - R), where R = ghv - A_m diag(b_m) C_m drops tile
-    m's own term, so vec R = vec ghv - K b_m. Stacked over the samples in
-    sample order into ws.k and ws.z_conj, the sample means are
-    M_m = K^H Z / N_s and u_m = Z^H vec(I - ghv) / N_s + M_m b_m.
+    Tile m adds F_m diag(b_m) C_m to Rg H V, with F_m (N_s, N_u*L, P) read
+    from ws and C_m^T = [V]^T S_m^T. For one sample that term is K b_m over
+    the face-splitting product K[(r, s), p] = F_m[r, p] C_m^T[s, p], so the
+    weighted MSE is ||vec res - K (b - b_m)||^2 + const in the tile's beam
+    b. Stacked over the samples in sample order into ws.stack, the sample
+    means are M_m = K^H K / N_s and u_m = K^H vec res / N_s + M_m b_m.
 
-    Also returns the K stack (N_s*(N_u*L)^2, P), ws.k: at beam b for
-    tile m, vec ghv becomes vec ghv + K (b - b_m).
+    Also returns the K stack (N_s*(N_u*L)^2, P), ws.stack: at beam b for
+    tile m, vec res becomes vec res - K (b - b_m).
     """
-    n_s, rows, _ = ghv.shape
+    n_s, rows, _ = res.shape
     p_elem = s_m.shape[0]
-    cols = slice(m * p_elem, (m + 1) * p_elem)
-    a_m = ws.a[..., cols].reshape(n_s, rows, 1, p_elem)
-    x_m = ws.x[..., cols].reshape(n_s, rows, 1, p_elem)
+    f_m = ws.f[..., m * p_elem : (m + 1) * p_elem].reshape(n_s, rows, 1, p_elem)
     c_t = (v_rows @ s_m.T).reshape(n_s, 1, rows, p_elem)
-    np.multiply(a_m, c_t, out=ws.k.reshape(n_s, rows, rows, p_elem))
-    # conj(Z), so that K^H Z and Z^H y read both stacks through transposed
-    # views: the GEMM gives conj(M) and the GEMV u, and no stack is copied.
-    z_conj = ws.z_conj.reshape(n_s, rows, rows, p_elem)
-    np.multiply(x_m, c_t, out=z_conj)
-    np.conjugate(z_conj, out=z_conj)
-    m_bar = herm((ws.k.T @ ws.z_conj).conj() / n_s)
-    u_bar = ws.z_conj.T @ (np.eye(rows) - ghv).reshape(-1) / n_s + m_bar @ b_m
-    return m_bar, u_bar, ws.k
+    np.multiply(f_m, c_t, out=ws.stack.reshape(n_s, rows, rows, p_elem))
+    # K^H K from one real product over the (re, im) columns of K, whose 2 x 2
+    # blocks hold re.re, re.im, im.re and im.im: no conjugate copy of the
+    # stack, and numpy forms q^T q as a symmetric rank-k update.
+    q = ws.stack.view(float)
+    q = (q.T @ q).reshape(p_elem, 2, p_elem, 2)
+    m_bar = ((q[:, 0, :, 0] + q[:, 1, :, 1]) + 1j * (q[:, 0, :, 1] - q[:, 1, :, 0])) / n_s
+    u_bar = (ws.stack.T @ res.reshape(-1).conj()).conj() / n_s + m_bar @ b_m
+    return m_bar, u_bar, ws.stack
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +378,25 @@ def offline_optimize_channels(
     # The receivers and weights at the starting beams; every iteration ends
     # with those at its new beams, which the next one starts from.
     g = wmmse.update_receivers(hv, sigma2)
-    w, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+    _, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
         # The precoder step of the digital variables at the current beams.
-        v, _ = wmmse.update_precoders(h, g, w_chol, alpha, p_budget)
+        b, y, rg = wmmse.whitened_system(h, g, w_chol, alpha)
+        v, _ = wmmse.update_precoders(b, y, p_budget)
 
-        # Tile updates in order, the cached cross coupling refreshed after
-        # each tile. G, W and V stay fixed through the sweep, so the factors
-        # that no beam enters are formed once, for all tiles.
-        _tile_factors(g, w, t_fold, alpha, ws)
+        # Tile updates in order, the whitened residual refreshed after each
+        # tile. G, W and V stay fixed through the sweep, so the factor that
+        # no beam enters is formed once, for all tiles.
+        _tile_factors(rg, t_fold, ws)
         v_rows = _precoder_rows(v)
-        ghv = _coupling(g, h, v)
+        res = _residual(b, y, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
-            m_bar, u_bar, k_m = _tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            m_bar, u_bar, k_m = _tile_statistics(ws, m, v_rows, s[m], res, beams[m])
             new_beams[m] = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-            ghv += (k_m @ (new_beams[m] - beams[m])).reshape(ghv.shape)
+            res -= (k_m @ (new_beams[m] - beams[m])).reshape(res.shape)
         beams, beams_prev = new_beams, beams
 
         violation = gc_violation(beams, rho_sq)
@@ -419,17 +405,19 @@ def offline_optimize_channels(
             raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
-        # The channels and pair products at the new beams also serve the
-        # next iteration's digital step.
+        # The channels and pair products at the new beams serve the next
+        # iteration's digital step.
         h = channel_mod.composite_channel(hbar, s, t, beams)
         hv = wmmse.pair_products(h, v)
-        obj = float(np.mean(wmmse.weighted_mse_objective(hv, g, w, w_chol, alpha, sigma2)))
+        # sum_i alpha_i tr(W_i E_i) = ||res||^2 + sigma2 ||Rg||^2 at the new beams.
+        tr_we = np.vdot(res, res).real + sigma2 * np.vdot(rg, rg).real
+        obj = float(tr_we / len(res) - np.mean(logdet_chol(w_chol) @ alpha))
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
         g = wmmse.update_receivers(hv, sigma2)
-        w, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        _, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
         rate = frozen_sum_rate(w_chol, alpha)
 
         report.iterations += 1

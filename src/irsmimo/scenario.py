@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import types
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Union, get_args, get_origin, get_type_hints
@@ -305,7 +306,8 @@ def _build_dataclass(cls, data: Any, path: str):
 
 def _coerce(tp, value: Any, path: str):
     """Check value against the annotation tp; lists become tuples. A bool is
-    never a number, and an int stays an int in a float field. A union sends
+    never a number; a number in a float field must lie in the finite float
+    range, and an int stays an int there. A union sends
     None to None, a list to its tuple member and a scalar to the other."""
     args = get_args(tp)
     if get_origin(tp) in (Union, types.UnionType):
@@ -328,6 +330,8 @@ def _coerce(tp, value: Any, path: str):
     accepted, expected = _SCALARS[tp]
     if not isinstance(value, accepted) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
@@ -453,6 +457,9 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ConfigError("weights must be non-negative and not all zero")
     if cfg.solver.n_samples < 1 or cfg.solver.max_offline_iters < 1 or cfg.solver.max_online_iters < 1:
         raise ConfigError("solver sample and iteration counts must be at least 1")
+    for key in ("tol_online", "eps_offline"):
+        if (getattr(cfg.solver, key) or 0.0) < 0:
+            raise ConfigError(f"solver.{key} must be non-negative")
     if cfg.eval.n_realizations < 1:
         raise ConfigError("eval.n_realizations must be at least 1")
     if cfg.seed < 0:

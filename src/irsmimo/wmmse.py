@@ -66,6 +66,7 @@ __all__ = [
     "update_receivers",
     "mse_matrices",
     "update_weights",
+    "whitened_system",
     "update_precoders",
     "weighted_mse_objective",
     "user_rates",
@@ -147,7 +148,7 @@ def mse_matrices(hv: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
 
 def update_weights(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MSE weights W_i = E_i^-1, exactly Hermitian, and their lower Cholesky
-    factors R_i (W_i = R_i R_i^H), which `update_precoders` and
+    factors R_i (W_i = R_i R_i^H), which `whitened_system` and
     `weighted_mse_objective` take. Raises NumericalError if an MSE matrix is
     singular or a weight is not positive definite."""
     try:
@@ -162,24 +163,37 @@ def update_weights(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"update_weights: weight not positive definite ({exc})") from exc
 
 
+def whitened_system(
+    h: np.ndarray, g: np.ndarray, w_chol: np.ndarray, alpha: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The precoder step's least-squares system in the stream coordinates of
+    the weights. With the Cholesky factors w_chol = R (W_i = R_i R_i^H, as
+    `update_weights` returns them) and Rg_i = sqrt(alpha_i) R_i^H G_i^H:
+    the rows B = [Rg_1 H_1; ...; Rg_Nu H_Nu] (..., N_u*L, M), the right-hand
+    sides Y (..., N_u, N_u*L, L), Y_i holding sqrt(alpha_i) R_i^H in row
+    block i, and Rg (..., N_u, L, L). With [Y] = [Y_1 ... Y_Nu] and
+    [V] = [V_1 ... V_Nu], sum_i alpha_i tr(W_i E_i) is
+    ||[Y] - B [V]||_F^2 + sigma2 ||Rg||_F^2, the residual that the precoder
+    step and the tile sweep of `irs_opt` minimize."""
+    *lead, n_u, l_ant, m_ant = h.shape
+    rh = np.sqrt(alpha)[:, None, None] * w_chol.conj().swapaxes(-1, -2)
+    rg = rh @ g.conj().swapaxes(-1, -2)
+    y = np.zeros((*lead, n_u * n_u, l_ant, l_ant), dtype=complex)
+    y[..., :: n_u + 1, :, :] = rh  # the diagonal blocks (i, i)
+    b = (rg @ h).reshape(*lead, n_u * l_ant, m_ant)  # the association (R^H G^H) H
+    return b, y.reshape(*lead, n_u, n_u * l_ant, l_ant), rg
+
+
 def update_precoders(
-    h: np.ndarray,
-    g: np.ndarray,
-    w_chol: np.ndarray,
-    alpha: np.ndarray,
-    p_budget: np.ndarray,
-    mu0: np.ndarray | None = None,
+    b: np.ndarray, y: np.ndarray, p_budget: np.ndarray, mu0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precoders V_i = alpha_i (K + mu_i I)^-1 H_i^H G_i W_i, with
     K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
     multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible).
 
-    Solved in the N_u*L-dimensional stream space: with the Cholesky factors
-    w_chol = R (W_j = R_j R_j^H, as `update_weights` returns them) and the
-    stacked rows B_j = sqrt(alpha_j) R_j^H G_j^H H_j,
-    B (..., N_u*L, M), K = B^H B and user i's right-hand side is B^H Y_i,
-    Y_i (N_u*L, L) holding sqrt(alpha_i) R_i^H in block i and zeros
-    elsewhere. The push-through identity gives
+    Solved in the N_u*L-dimensional stream space, from the stacked rows b
+    and right-hand sides y of `whitened_system`: K = B^H B and user i's
+    right-hand side is B^H Y_i. The push-through identity gives
     V_i = (B^H B + mu_i I)^-1 B^H Y_i = B^H (B B^H + mu_i I)^-1 Y_i, so the
     mu search eigendecomposes the N_u*L x N_u*L Gram B B^H and measures
     the power through B^H (`numerics.power_constrained_solve` with
@@ -194,20 +208,11 @@ def update_precoders(
     iterate's mu, warm-starts that search; the search first brings a start
     above the root down to or below it, so the multipliers are the same
     smallest ones to rounding."""
-    *lead, n_u, l_ant, m_ant = h.shape
-    rh = np.sqrt(alpha)[:, None, None] * w_chol.conj().swapaxes(-1, -2)
-    b = (rh @ g.conj().swapaxes(-1, -2) @ h).reshape(*lead, n_u * l_ant, m_ant)
     bh = b.conj().swapaxes(-1, -2)
-    y = np.zeros((*lead, n_u * n_u, l_ant, l_ant), dtype=complex)
-    y[..., :: n_u + 1, :, :] = rh  # the diagonal blocks (i, i)
     # b @ bh is exactly Hermitian in practice, so the kernel neither forms
     # norms to check it nor symmetrizes it.
     x, mu = power_constrained_solve(
-        (b @ bh)[..., None, :, :],
-        y.reshape(*lead, n_u, n_u * l_ant, l_ant),
-        p_budget,
-        mu0=mu0,
-        gram_cols=m_ant,
+        (b @ bh)[..., None, :, :], y, p_budget, mu0=mu0, gram_cols=b.shape[-1]
     )
     return bh[..., None, :, :] @ x, mu
 
@@ -308,7 +313,7 @@ def online_wmmse(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        v, mu = update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu)
+        v, mu = update_precoders(*whitened_system(h, g, w_chol, alpha)[:2], p_budget, mu0=mu)
         hv = pair_products(h, v)
         obj = float(weighted_mse_objective(hv, g, w, w_chol, alpha, sigma2))
         if not np.isfinite(obj):

@@ -3,10 +3,11 @@ the gradient identity check, and a reference form of the mu search.
 
 The product path (`irs_opt._tile_factors` once per sweep, then
 `irs_opt._tile_statistics` per tile) forms each tile's averaged quadratic
-(M_m, u_m) as one GEMM and one GEMV over face-splitting stacks of all
-samples. The forms here build the same quadratic one sample, one user pair
-and one tile at a time from the shorthand factors A, C, D and F, so the
-tests can check the batched kernels against an independent derivation.
+(M_m, u_m) as one Gram product and one GEMV over a face-splitting stack of
+all samples, in the whitened stream coordinates of the MSE weights. The
+forms here build the same quadratic one sample, one user pair and one tile
+at a time from the unwhitened shorthand factors A, C, D and F, so the tests
+can check the batched kernels against an independent derivation.
 `verify_theorem1` checks the closed-form beam gradient against finite
 differences of the averaged weighted sum-rate.
 `reference_power_constrained_solve` keeps an earlier form of the mu
@@ -24,9 +25,9 @@ import numpy as np
 from irsmimo import channel as channel_mod
 from irsmimo import numerics, wmmse
 from irsmimo.irs_opt import (
-    _coupling,
     _mean_sum_rate,
     _precoder_rows,
+    _residual,
     _tile_factors,
     _tile_statistics,
     _tile_workspace,
@@ -232,14 +233,16 @@ def verify_theorem1(
     if stale_w is not None:
         w = stale_w
 
-    ghv = _coupling(g, channel_mod.composite_channel(hbar, s, t, beams), v)
+    h = channel_mod.composite_channel(hbar, s, t, beams)
+    b, y, rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)
+    res = _residual(b, y, v)
     t_fold = channel_mod.fold_tiles(t)
     ws = _tile_workspace(t_fold.shape, p_elem)
-    _tile_factors(g, w, t_fold, alpha, ws)
+    _tile_factors(rg, t_fold, ws)
     v_rows = _precoder_rows(v)
     grad_closed = np.zeros((k_tiles, p_elem), dtype=complex)
     for m in range(k_tiles):
-        m_bar, u_bar, _ = _tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+        m_bar, u_bar, _ = _tile_statistics(ws, m, v_rows, s[m], res, beams[m])
         grad_closed[m] = 2.0 * (m_bar @ beams[m] - u_bar)
 
     def theta2(b: np.ndarray) -> float:

@@ -98,6 +98,23 @@ class TestOptimizeCommand:
         assert rc == cli.EXIT_VALIDATION
         assert "solver.tol_online" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["solver.tol_online=.nan", "power.noise_dbm=.inf", "solver.tol_online=-1",
+         "solver.eps_offline=-1"],
+    )
+    def test_non_finite_or_negative_tolerance_is_validation_error(
+        self, smoke_config, tmp_path, capsys, override
+    ):
+        out = tmp_path / "ev"
+        rc = cli.main(
+            ["evaluate", "-c", str(smoke_config), "-b", "random", "-n", "2",
+             "--override", override, "-o", str(out)]
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exponent_float_override_validates(self, smoke_config, tmp_path):
         out = tmp_path / "opt"
         rc = cli.main(

@@ -237,13 +237,16 @@ class TestBatchedKernels:
     """The sample-stack kernels of the offline loop against per-sample forms."""
 
     @staticmethod
-    def _sweep_state(g, w, v, t, alpha, p):
+    def _sweep_state(hbar, s, t, beams, v, g, w, alpha):
         """The offline loop's state at the start of a tile sweep: a workspace
-        with the tile factors formed, and the precoder rows."""
+        with the tile factor formed, the precoder rows and the whitened
+        residual at the given beams."""
+        h = channel.composite_channel(hbar, s, t, beams)
+        b, y, rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)
         t_fold = channel.fold_tiles(t)
-        ws = irs_opt._tile_workspace(t_fold.shape, p)
-        irs_opt._tile_factors(g, w, t_fold, alpha, ws)
-        return ws, irs_opt._precoder_rows(v)
+        ws = irs_opt._tile_workspace(t_fold.shape, s.shape[1])
+        irs_opt._tile_factors(rg, t_fold, ws)
+        return ws, irs_opt._precoder_rows(v), irs_opt._residual(b, y, v)
 
     def test_tile_statistics_match_per_sample_reference(self):
         self._check_against_per_sample_reference(
@@ -262,10 +265,9 @@ class TestBatchedKernels:
     def _check_against_per_sample_reference(self, inst):
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
-        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
-        ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], s.shape[1])
+        ws, v_rows, res = self._sweep_state(hbar, s, t, beams, v, g, w, inst["alpha"])
         for m in range(beams.shape[0]):
-            m_bar, u_bar, _ = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            m_bar, u_bar, _ = irs_opt._tile_statistics(ws, m, v_rows, s[m], res, beams[m])
             pairs = [
                 accumulate_quadratic(g[n], w[n], v[n], hbar[n], s, t[n], beams, m, inst["alpha"])
                 for n in range(hbar.shape[0])
@@ -275,44 +277,39 @@ class TestBatchedKernels:
             np.testing.assert_allclose(u_bar, ref.u_bar[0], rtol=1e-12, atol=0)
 
     def test_tile_factor_views_equal_per_tile_products(self):
-        """At the desk tiling, the factors formed once per sweep for all
-        tiles are bit for bit the per-tile products G_i^H T_im and
-        alpha_i W_i G_i^H T_im. (With 5 elements per tile, OpenBLAS rounds
-        the narrow per-tile product differently in the last bit.)"""
+        """At the desk tiling, the factor formed once per sweep for all tiles
+        is bit for bit the per-tile products Rg_i T_im. (With 5 elements per
+        tile, OpenBLAS rounds the narrow per-tile product differently in the
+        last bit.)"""
         inst = synthetic_instance(16, n_s=4, n_u=2, l=2, m=8, k=8, p=16)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         alpha, p = inst["alpha"], s.shape[1]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
-        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
-        ws, v_rows = self._sweep_state(g, w, v, t, alpha, p)
-        g_h = np.swapaxes(g.conj(), -1, -2)
+        ws, v_rows, res = self._sweep_state(hbar, s, t, beams, v, g, w, alpha)
+        h = channel.composite_channel(hbar, s, t, beams)
+        rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)[2]
         for m in range(beams.shape[0]):
-            a_want = g_h @ t[:, :, m]
-            x_want = (alpha[:, None, None] * w) @ a_want
-            _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
-            a_m = ws.a[..., m * p : (m + 1) * p]
-            x_m = ws.x[..., m * p : (m + 1) * p]
-            assert np.shares_memory(k_m, ws.k)
-            assert np.array_equal(a_m, a_want), f"A, tile {m}"
-            assert np.array_equal(x_m, x_want), f"X, tile {m}"
+            f_want = rg @ t[:, :, m]
+            _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], res, beams[m])
+            assert np.shares_memory(k_m, ws.stack)
+            assert np.array_equal(ws.f[..., m * p : (m + 1) * p], f_want), f"F, tile {m}"
 
-    def test_sequential_refresh_matches_recomputed_coupling(self):
+    def test_sequential_refresh_matches_recomputed_residual(self):
         inst = synthetic_instance(13, n_s=3, n_u=3, l=2, m=4, k=3, p=5)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
-        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
-        ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], s.shape[1])
+        ws, v_rows, res = self._sweep_state(hbar, s, t, beams, v, g, w, inst["alpha"])
         for m in range(beams.shape[0]):
-            _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], ghv, beams[m])
+            _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], res, beams[m])
             b_new = crandn(inst["rng"], beams.shape[1])
-            ghv += (k_m @ (b_new - beams[m])).reshape(ghv.shape)
+            res -= (k_m @ (b_new - beams[m])).reshape(res.shape)
             beams[m] = b_new
-            fresh = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
-            np.testing.assert_allclose(ghv, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
+            fresh = self._sweep_state(hbar, s, t, beams, v, g, w, inst["alpha"])[2]
+            np.testing.assert_allclose(res, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
 
     def test_reused_workspace_carries_no_stale_state(self, tiny_config):
         """One workspace reused across the tiles of a sweep, NaN before its
-        factors are formed, gives the bits of a fresh workspace per tile:
+        factor is formed, gives the bits of a fresh workspace per tile:
         every call writes every row it reads."""
         cfg = tiny_config
         geometry = scenario.build_antenna_positions(cfg)
@@ -329,53 +326,50 @@ class TestBatchedKernels:
         g, w = receivers_and_weights(hbar, s, t, beams0, v, cfg.noise_power_w())
         alpha = cfg.alpha()
         rho_sq = cfg.rho_sq()
-        p = s.shape[1]
 
         def sweep(workspace_for_tile):
             # One sequential tile sweep of the offline loop.
             beams = beams0.copy()
-            ghv = irs_opt._coupling(g, h, v)
-            v_rows = irs_opt._precoder_rows(v)
+            _, v_rows, res = self._sweep_state(hbar, s, t, beams, v, g, w, alpha)
             out = []
             for m in range(beams.shape[0]):
                 m_bar, u_bar, k_m = irs_opt._tile_statistics(
-                    workspace_for_tile(), m, v_rows, s[m], ghv, beams[m]
+                    workspace_for_tile(), m, v_rows, s[m], res, beams[m]
                 )
                 b_new = update_b(m_bar, u_bar, rho_sq, b_current=beams[m])
-                ghv += (k_m @ (b_new - beams[m])).reshape(ghv.shape)
+                res -= (k_m @ (b_new - beams[m])).reshape(res.shape)
                 beams[m] = b_new
-                out.append((m_bar, u_bar, ghv.copy()))
+                out.append((m_bar, u_bar, res.copy()))
             return out
 
-        fresh = sweep(lambda: self._sweep_state(g, w, v, t, alpha, p)[0])
+        fresh = sweep(lambda: self._sweep_state(hbar, s, t, beams0, v, g, w, alpha)[0])
         t_fold = channel.fold_tiles(t)
-        stale = irs_opt._tile_workspace(t_fold.shape, p)
-        for stack in (stale.a, stale.x, stale.k, stale.z_conj):
+        stale = irs_opt._tile_workspace(t_fold.shape, s.shape[1])
+        for stack in (stale.f, stale.stack):
             stack.fill(np.nan)
-        # As in the loop: the factors once, before the sweep.
-        irs_opt._tile_factors(g, w, t_fold, alpha, stale)
+        # As in the loop: the factor once, before the sweep.
+        rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)[2]
+        irs_opt._tile_factors(rg, t_fold, stale)
         reused = sweep(lambda: stale)
         assert len(fresh) == cfg.k_total
         for m, (want, got) in enumerate(zip(fresh, reused)):
-            for name, a, b in zip(("m_bar", "u_bar", "ghv"), want, got):
+            for name, a, b in zip(("m_bar", "u_bar", "res"), want, got):
                 assert np.array_equal(a, b), f"tile {m}: {name}"
 
     def test_tile_statistics_allocate_no_per_tile_stack(self):
-        """numpy reports its data buffers to tracemalloc. With the K and
-        conj(Z) stacks in the workspace, one call peaks near 0.89 (N_s, P, P)
-        stacks at desk shapes (1.32 with the Hadamard-product statistics,
-        1.85 while each call formed its own A and X factors, 2.06 while M and
-        u shared packed rows); forming K and conj(Z) per call puts it near
-        2.90, so the bound of 2 stacks fails it."""
+        """numpy reports its data buffers to tracemalloc. With the stack
+        K_m = F_m * C_m^T in the workspace, one call peaks near 0.89
+        (N_s, P, P) stacks at desk shapes, as it did with the two stacks K
+        and conj(Z) of the unwhitened statistics; forming K_m per call puts
+        it near 1.90, so the bound of 1.4 stacks fails it."""
         # Desk shapes: N_s = 100 draws, 2 users with 2 antennas, 8 BS
         # antennas, 8 tiles of 16 elements.
         inst = synthetic_instance(15, n_s=100, n_u=2, l=2, m=8, k=8, p=16)
         hbar, s, t, beams, v = inst["hbar"], inst["s"], inst["t"], inst["beams"], inst["v"]
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
-        ghv = irs_opt._coupling(g, channel.composite_channel(hbar, s, t, beams), v)
         n_s, p = hbar.shape[0], s.shape[1]
-        ws, v_rows = self._sweep_state(g, w, v, t, inst["alpha"], p)
-        args = (ws, 0, v_rows, s[0], ghv, beams[0])
+        ws, v_rows, res = self._sweep_state(hbar, s, t, beams, v, g, w, inst["alpha"])
+        args = (ws, 0, v_rows, s[0], res, beams[0])
         stack_bytes = n_s * p * p * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
@@ -383,7 +377,7 @@ class TestBatchedKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * stack_bytes, f"peak {peak / stack_bytes:.2f} (N_s, P, P) stacks"
+        assert peak < 1.4 * stack_bytes, f"peak {peak / stack_bytes:.2f} (N_s, P, P) stacks"
 
     def test_frozen_sum_rate_is_mean_rate_at_mmse_weights(self):
         """Rate-MMSE duality: at the MMSE receivers and weights of hv,
@@ -422,6 +416,43 @@ class TestOfflineOptimizer:
         obj = np.array(report.objective_history)
         assert np.all(np.diff(obj) <= 1e-8 * np.maximum(np.abs(obj[:-1]), 1.0))
         assert gc_violation(beams, 5.0) <= 1e-9
+
+    def test_objective_history_is_weighted_mse_at_each_iterate(self, monkeypatch):
+        """Each objective entry, read from the whitened residual of the
+        sweep, is mean_n `wmmse.weighted_mse_objective` at the iteration's
+        receivers, weights and precoders and its new beams."""
+        inst = synthetic_instance(19, n_s=4, m=4, k=3, p=5)
+        hbar, s, t, alpha, sigma2 = inst["hbar"], inst["s"], inst["t"], inst["alpha"], inst["sigma2"]
+        seen = {"g": [], "weights": [], "v": [], "b": []}
+
+        def record(key, fn, pick=lambda result: result):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen[key].append(pick(result))
+                return result
+
+            return wrapped
+
+        monkeypatch.setattr(wmmse, "update_receivers", record("g", wmmse.update_receivers))
+        monkeypatch.setattr(wmmse, "update_weights", record("weights", wmmse.update_weights))
+        monkeypatch.setattr(
+            wmmse, "update_precoders", record("v", wmmse.update_precoders, lambda r: r[0])
+        )
+        monkeypatch.setattr(irs_opt, "update_b", record("b", irs_opt.update_b))
+        constraint = BeamConstraint(mode="GC", rho_sq=5.0)
+        _, report = offline_optimize_channels(
+            hbar, s, t, sigma2=sigma2, p_budget=inst["p_budget"], alpha=alpha,
+            constraint=constraint, eps=0.0, max_iters=6,
+            beams0=initial_beams(3, 5, constraint, np.random.default_rng(4)),
+        )
+        assert report.iterations == 6 and len(seen["b"]) == 6 * 3
+        for it, obj in enumerate(report.objective_history):
+            h = channel.composite_channel(hbar, s, t, np.array(seen["b"][3 * it : 3 * it + 3]))
+            w, w_chol = seen["weights"][it]
+            want = wmmse.weighted_mse_objective(
+                wmmse.pair_products(h, seen["v"][it]), seen["g"][it], w, w_chol, alpha, sigma2
+            )
+            assert obj == pytest.approx(float(np.mean(want)), rel=1e-12, abs=0), f"iteration {it}"
 
     def test_delta_stopping_rule(self):
         inst = synthetic_instance(8, n_s=3, m=3, k=2, p=4)

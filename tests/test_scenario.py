@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -107,6 +108,37 @@ class TestConfigValidation:
     def test_float_fields_reject_non_numbers(self, key, overrides):
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_dict(tiny_scenario_dict(**overrides))
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, -(10**400)], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    @pytest.mark.parametrize(
+        "key, path",
+        [
+            ("power.noise_dbm", "power.noise_dbm"),
+            ("power.per_ue_dbm", "power.per_ue_dbm"),
+            ("power.per_ue_dbm", "power.per_ue_dbm[1]"),
+            ("channel.cell_q", "channel.cell_q"),
+            ("constraint.rho_sq", "constraint.rho_sq"),
+            ("ue.height", "ue.height"),
+            ("solver.tol_online", "solver.tol_online"),
+            ("solver.eps_offline", "solver.eps_offline"),
+        ],
+    )
+    def test_float_fields_reject_non_finite_numbers(self, key, path, value):
+        entry = [0.0, value] if path.endswith("]") else value
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a finite number")):
+            config_from_dict(tiny_scenario_dict(**{key: entry}))
+
+    @pytest.mark.parametrize("key", ["solver.tol_online", "solver.eps_offline"])
+    def test_stop_tolerances_must_be_non_negative(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be non-negative")):
+            config_from_dict(tiny_scenario_dict(**{key: -1}))
+
+    @pytest.mark.parametrize("key", ["solver.tol_online", "solver.eps_offline"])
+    def test_zero_stop_tolerance_is_allowed(self, key):
+        cfg = config_from_dict(tiny_scenario_dict(**{key: 0.0}))
+        assert getattr(cfg.solver, key.split(".")[1]) == 0.0
 
     @pytest.mark.parametrize(
         "key, overrides, message",

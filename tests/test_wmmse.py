@@ -65,7 +65,9 @@ def kernel_loop_online_wmmse(h, sigma2, p_budget, alpha, tol, max_iters, warm_mu
     for iterations in range(1, max_iters + 1):
         g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
         w, w_chol = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
-        v, mu = wmmse.update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu if warm_mu else None)
+        v, mu = wmmse.update_precoders(
+            *wmmse.whitened_system(h, g, w_chol, alpha)[:2], p_budget, mu0=mu if warm_mu else None
+        )
         obj = float(
             wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2)
         )
@@ -171,7 +173,9 @@ class TestBlocks:
         e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.2)
         _, w_chol = wmmse.update_weights(e)
         budgets = np.array([1.0, 2.0, 0.5])
-        v_new, mu = wmmse.update_precoders(h, g, w_chol, np.ones(3), budgets)
+        v_new, mu = wmmse.update_precoders(
+            *wmmse.whitened_system(h, g, w_chol, np.ones(3))[:2], budgets
+        )
         for i in range(3):
             power = float(np.real(np.trace(v_new[i] @ v_new[i].conj().T)))
             assert power <= budgets[i] + 1e-8 * budgets[i]
@@ -189,7 +193,9 @@ class TestBlocks:
         before = wmmse.weighted_mse_objective(
             wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2
         )
-        v_new, _ = wmmse.update_precoders(h, g, w_chol, alpha, np.full(3, 2.0))
+        v_new, _ = wmmse.update_precoders(
+            *wmmse.whitened_system(h, g, w_chol, alpha)[:2], np.full(3, 2.0)
+        )
         after = wmmse.weighted_mse_objective(
             wmmse.pair_products(h, v_new), g, w, w_chol, alpha, sigma2
         )
@@ -258,7 +264,7 @@ class TestStreamSpacePrecoders:
         v0 = crandn(rng, n_u, m_ant, l_ant)
         g = wmmse.update_receivers(wmmse.pair_products(h, v0), sigma2)
         w, w_chol = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v0), g, sigma2))
-        v, mu = wmmse.update_precoders(h, g, w_chol, alpha, budgets)
+        v, mu = wmmse.update_precoders(*wmmse.whitened_system(h, g, w_chol, alpha)[:2], budgets)
         expect = m_space_precoders(h, g, w, alpha, mu)
         assert np.linalg.norm(v - expect) <= 1e-9 * np.linalg.norm(expect)
         power = np.sum(np.abs(v) ** 2, axis=(-2, -1))
@@ -395,7 +401,9 @@ class TestBatching:
                 w, w_chol = wmmse.update_weights(
                     wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
                 )
-                v, mu = wmmse.update_precoders(h, g, w_chol, alpha, budgets)
+                v, mu = wmmse.update_precoders(
+                    *wmmse.whitened_system(h, g, w_chol, alpha)[:2], budgets
+                )
                 obj = wmmse.weighted_mse_objective(
                     wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2
                 )
