@@ -321,7 +321,15 @@ def _load_sweep_spec(path: str) -> dict:
             if not isinstance(point.get("overrides") or {}, dict):
                 label = point["label"]
                 raise ConfigError(f"axis {name!r} point {label!r}: overrides must be a mapping")
+    labels = [_point_label(c) for c in itertools.product(*[a["points"] for a in axes])]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"sweep point labels repeat (each names a point-<label>/): {repeated}")
     return spec
+
+
+def _point_label(combo: tuple) -> str:
+    return "-".join(str(point["label"]) for point in combo)
 
 
 def _total_elements(cfg: ScenarioConfig) -> int:
@@ -350,7 +358,7 @@ def cmd_sweep(args) -> int:
         overrides = {}
         for point in combo:
             overrides.update(point.get("overrides") or {})
-        label = "-".join(str(point["label"]) for point in combo)
+        label = _point_label(combo)
         try:
             configs.append((label, combo, scenario_mod.load_config(base_path, overrides), None))
         except ValueError as exc:

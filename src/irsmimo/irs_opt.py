@@ -19,19 +19,21 @@ frozen-sample objective monotonically non-increasing. G, W and V are fixed
 through a sweep (the block structure of WMMSE in Shi, Razaviyayn, Luo & He,
 IEEE TSP 2011), so the sweep works in the whitened stream coordinates of
 the precoder step, where sum_i alpha_i tr(W_i E_i) = ||res||^2 +
-sigma2 ||Rg||^2 for the residual res = [Y] - B [V] (`wmmse.whitened_system`,
-`_residual`). The factor F = Rg T of all K tiles is formed once per sweep,
-as one product over the tile-folded T (`_tile_factors`). `_tile_statistics`
-forms C_m^T with one GEMM and stacks the face-splitting (row-wise
-Khatri-Rao) products K_m = F_m * C_m^T of all samples, with the users
-folded into the rows: the sample mean of M_m is the Gram of that stack over
-N_s, u_m is one GEMV against res, and the refresh after a tile update is
-the GEMV K_m (b_new - b_m). The residual the sweep leaves gives the
-iteration's objective. The factor and face-splitting stacks live in one
-`_tile_workspace`, allocated once per run and overwritten by every sweep
-and tile call. Allocated per call, these megabyte stacks went back to the
-operating system when freed (glibc trims the heap top), so every tile call
-faulted them in again as zeroed pages.
+sigma2 ||Rg||^2 for the residual res = [Y] - B [V] and the whitened
+receivers Rg that `wmmse.update_precoders` returns with V. The factor
+F = Rg T of all K tiles is formed once per sweep, as one product over the
+tile-folded T (`_tile_factors`). `_tile_statistics` forms C_m^T with one
+GEMM and stacks the face-splitting (row-wise Khatri-Rao) products
+K_m = F_m * C_m^T of all samples, with the users folded into the rows: the
+sample mean of M_m is the Gram of that stack over N_s, u_m is one GEMV
+against res, and the refresh after a tile update is the GEMV
+K_m (b_new - b_m). `wmmse.mean_objective` reads the iteration's objective
+from the residual the sweep leaves, as the online solver reads its own from
+the residual of its precoder step. The factor and face-splitting stacks
+live in one `_tile_workspace`, allocated once per run and overwritten by
+every sweep and tile call. Allocated per call, these megabyte stacks went
+back to the operating system when freed (glibc trims the heap top), so
+every tile call faulted them in again as zeroed pages.
 
 Each iteration ends with the next iteration's receivers G and weights W at
 the new beams. By rate-MMSE duality (Christensen et al., IEEE TWC 2008)
@@ -237,16 +239,6 @@ def _precoder_rows(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v, -1, -2).reshape(-1, v.shape[-2])
 
 
-def _residual(b: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The whitened residual [Y] - B [V] (N_s, N_u*L, N_u*L) of the rows b and
-    right-hand sides y of `wmmse.whitened_system`, with the users i folded
-    into the rows and j into the columns: block (i, j) is
-    delta_ij sqrt(alpha_i) R_i^H - Rg_i H_i V_j."""
-    n_s, rows, m_ant = b.shape
-    v_cols = np.swapaxes(v, 1, 2).reshape(n_s, m_ant, rows)  # [V_1 ... V_Nu]
-    return np.swapaxes(y, 1, 2).reshape(n_s, rows, rows) - b @ v_cols
-
-
 @dataclass(frozen=True)
 class _TileWorkspace:
     """The stacks of one tile sweep, allocated once per run.
@@ -275,7 +267,7 @@ def _tile_workspace(fold_shape: tuple[int, ...], p: int) -> _TileWorkspace:
 def _tile_factors(rg: np.ndarray, t_fold: np.ndarray, ws: _TileWorkspace) -> None:
     """The beam-independent factor of every tile at fixed (G, W), into ws:
     F_i = Rg_i T_i, with Rg the whitened receivers
-    (`wmmse.whitened_system`) and T_i = [T_i1 ... T_iK] the tile fold
+    (`wmmse.update_precoders`) and T_i = [T_i1 ... T_iK] the tile fold
     t_fold (N_s, N_u, L, K*P) (`channel.fold_tiles`)."""
     np.matmul(rg, t_fold, out=ws.f)
 
@@ -291,7 +283,7 @@ def _tile_statistics(
     """Sample-averaged quadratic statistics (M_m, u_m) of tile m at beam b_m,
     from the factor F in ws (`_tile_factors`), the precoder rows v_rows
     (`_precoder_rows`), the tile's BS link s_m (P, M) and the whitened
-    residual res (`_residual`) at the current beams.
+    residual res (`wmmse.update_precoders`) at the current beams.
 
     Tile m adds F_m diag(b_m) C_m to Rg H V, with F_m (N_s, N_u*L, P) read
     from ws and C_m^T = [V]^T S_m^T. For one sample that term is K b_m over
@@ -382,16 +374,15 @@ def offline_optimize_channels(
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
-        # The precoder step of the digital variables at the current beams.
-        b, y, rg = wmmse.whitened_system(h, g, w_chol, alpha)
-        v, _ = wmmse.update_precoders(b, y, p_budget)
+        # The precoder step of the digital variables at the current beams,
+        # with its whitened residual and receivers.
+        v, _, res, rg = wmmse.update_precoders(h, g, w_chol, alpha, p_budget)
 
         # Tile updates in order, the whitened residual refreshed after each
         # tile. G, W and V stay fixed through the sweep, so the factor that
         # no beam enters is formed once, for all tiles.
         _tile_factors(rg, t_fold, ws)
         v_rows = _precoder_rows(v)
-        res = _residual(b, y, v)
         new_beams = np.empty_like(beams)
         for m in range(k_tiles):
             m_bar, u_bar, k_m = _tile_statistics(ws, m, v_rows, s[m], res, beams[m])
@@ -409,9 +400,8 @@ def offline_optimize_channels(
         # iteration's digital step.
         h = channel_mod.composite_channel(hbar, s, t, beams)
         hv = wmmse.pair_products(h, v)
-        # sum_i alpha_i tr(W_i E_i) = ||res||^2 + sigma2 ||Rg||^2 at the new beams.
-        tr_we = np.vdot(res, res).real + sigma2 * np.vdot(rg, rg).real
-        obj = float(tr_we / len(res) - np.mean(logdet_chol(w_chol) @ alpha))
+        # The residual the sweep leaves belongs to the new beams.
+        obj = wmmse.mean_objective(res, rg, w_chol, alpha, sigma2)
         if not np.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
@@ -507,10 +497,10 @@ def load_beams(path) -> IrsBeamSet:
     so entries are bit-identical to the canonical grid points. Raises
     IOError for a file that is not a JSON beam-set object, and, naming the
     key, for a missing key, a mode other than GC or LC, an LC n_bits not an
-    integer >= 1, ill-typed or ragged tiles, LC phase_indices off the
-    2^n_bits grid or not shaped like tiles, a rho_sq that is neither a
-    positive number nor null (as in the config's constraint.rho_sq; null
-    means P), GC tiles that break ||b_k||^2 <= rho_sq by more than
+    integer >= 1, ill-typed or ragged tiles, LC phase_indices missing,
+    null, off the 2^n_bits grid or not shaped like tiles, a rho_sq that is
+    neither a positive number nor null (as in the config's
+    constraint.rho_sq; null means P), GC tiles that break ||b_k||^2 <= rho_sq by more than
     GC_SLACK, or a config_hash that is not a string."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -544,7 +534,9 @@ def load_beams(path) -> IrsBeamSet:
     if len(set(lengths)) > 1:
         raise IOError(f"beam-set tiles: expected tiles of one length, got lengths {lengths}")
     beams = np.array([[complex(re, im) for re, im in tile] for tile in tiles], dtype=complex)
-    if mode == "LC" and idx is not None:
+    if mode == "LC":
+        if idx is None:
+            raise IOError("beam-set phase_indices: LC beams need their grid indices, got null")
         if [len(row) for row in idx] != lengths:
             raise IOError(f"beam-set phase_indices: expected the shape {beams.shape} of tiles")
         if not all(0 <= i < 2**n_bits for row in idx for i in row):

@@ -357,6 +357,8 @@ def load_config(path, overrides: dict[str, Any] | None = None) -> ScenarioConfig
         data = load_yaml(fh)
     if data is None:
         raise ConfigError(f"{path}: empty configuration file")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
     if overrides:
         apply_overrides(data, overrides)
     return config_from_dict(data)

@@ -15,12 +15,12 @@ axis the frozen sample stack of the offline optimizer in `irs_opt`. Each
 slice of a stack gets the same floating-point operations as that channel
 set alone, so batching never changes a result.
 
-The receivers, the MSE matrices, the objective and the rates read the
-channels only through the user-pair products H_i V_j, so they take those
-products from `pair_products` instead of (H, V). A caller forms them once
-per precoder iterate and shares them: in the online solver the objective,
-the next iteration's receivers and weights, and the final rates all use
-one set. The precoder update takes the channels themselves.
+The receivers, the MSE matrices and the rates read the channels only
+through the user-pair products H_i V_j, so they take those products from
+`pair_products` instead of (H, V). A caller forms them once per precoder
+iterate and shares them: in the online solver the next iteration's
+receivers and weights and the final rates use one set. The precoder step
+takes the channels themselves.
 
 The weight update factors each W_i = R_i R_i^H (Cholesky) once, where it
 forms W, and returns the factor with it: the precoder step solves with R,
@@ -37,7 +37,9 @@ push-through identity (Henderson & Searle, SIAM Review 1981)
 inverse of Shi, Razaviyayn, Luo & He (IEEE TSP 2011) onto the
 N_u*L x N_u*L Gram B B^H, whose eigensystem the mu search reads: 4 x 4
 instead of 8 x 8 at desk shapes. With N_u*L >= M the result is the same,
-but that Gram is no smaller than K.
+but that Gram is no smaller than K. The step returns the residual of its
+least-squares form with V, from which `mean_objective` reads the objective
+for the online solver and the offline loop alike.
 
 `online_wmmse` runs the updates to convergence on one realization; its
 objective trace is non-increasing, and a measured increase beyond 1e-9
@@ -47,6 +49,7 @@ raises. Rates are computed in nats internally and reported in bits.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +69,8 @@ __all__ = [
     "update_receivers",
     "mse_matrices",
     "update_weights",
-    "whitened_system",
     "update_precoders",
-    "weighted_mse_objective",
+    "mean_objective",
     "user_rates",
     "initial_precoders",
     "online_wmmse",
@@ -148,8 +150,8 @@ def mse_matrices(hv: np.ndarray, g: np.ndarray, sigma2: float) -> np.ndarray:
 
 def update_weights(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MSE weights W_i = E_i^-1, exactly Hermitian, and their lower Cholesky
-    factors R_i (W_i = R_i R_i^H), which `whitened_system` and
-    `weighted_mse_objective` take. Raises NumericalError if an MSE matrix is
+    factors R_i (W_i = R_i R_i^H), which `update_precoders` and
+    `mean_objective` take. Raises NumericalError if an MSE matrix is
     singular or a weight is not positive definite."""
     try:
         w = np.linalg.inv(e)
@@ -163,75 +165,64 @@ def update_weights(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"update_weights: weight not positive definite ({exc})") from exc
 
 
-def whitened_system(
-    h: np.ndarray, g: np.ndarray, w_chol: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The precoder step's least-squares system in the stream coordinates of
-    the weights. With the Cholesky factors w_chol = R (W_i = R_i R_i^H, as
-    `update_weights` returns them) and Rg_i = sqrt(alpha_i) R_i^H G_i^H:
-    the rows B = [Rg_1 H_1; ...; Rg_Nu H_Nu] (..., N_u*L, M), the right-hand
-    sides Y (..., N_u, N_u*L, L), Y_i holding sqrt(alpha_i) R_i^H in row
-    block i, and Rg (..., N_u, L, L). With [Y] = [Y_1 ... Y_Nu] and
-    [V] = [V_1 ... V_Nu], sum_i alpha_i tr(W_i E_i) is
-    ||[Y] - B [V]||_F^2 + sigma2 ||Rg||_F^2, the residual that the precoder
-    step and the tile sweep of `irs_opt` minimize."""
+def update_precoders(
+    h: np.ndarray, g: np.ndarray, w_chol: np.ndarray, alpha: np.ndarray, p_budget: np.ndarray,
+    mu0: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Precoders V_i = alpha_i (K + mu_i I)^-1 H_i^H G_i W_i, with
+    K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
+    multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible),
+    from the receivers g and the Cholesky factors w_chol of the weights, as
+    `update_weights` returns them.
+
+    Solved in the stream space (see the module docstring): with
+    Rg_i = sqrt(alpha_i) R_i^H G_i^H, the rows B = [Rg_1 H_1; ...] and Y_i
+    holding sqrt(alpha_i) R_i^H in row block i,
+    V_i = B^H (B B^H + mu_i I)^-1 Y_i, and the mu search eigendecomposes
+    B B^H (`numerics.power_constrained_solve` with gram_cols=M). A user
+    whose rows B_i vanish (a zero channel or receiver) gets V_i = 0 and
+    mu_i = 0, as in the M-dimensional solve. One batched search covers the
+    whole stack, with one eigendecomposition per channel set shared by its
+    users. mu0 (..., N_u), typically the previous iterate's mu,
+    warm-starts it; the search first brings a start above the root down to
+    or below it, so the multipliers are the same smallest ones to rounding.
+
+    Returns V (..., N_u, M, L), mu (..., N_u), the whitened residual
+    res = [Y_1 ... Y_Nu] - B [V_1 ... V_Nu] (..., N_u*L, N_u*L), whose
+    block (i, j) is delta_ij sqrt(alpha_i) R_i^H - Rg_i H_i V_j, and
+    Rg (..., N_u, L, L): `mean_objective` reads the objective from the
+    last two, and the tile sweep of `irs_opt` refreshes res as the beams
+    move."""
     *lead, n_u, l_ant, m_ant = h.shape
+    rows = n_u * l_ant
     rh = np.sqrt(alpha)[:, None, None] * w_chol.conj().swapaxes(-1, -2)
     rg = rh @ g.conj().swapaxes(-1, -2)
     y = np.zeros((*lead, n_u * n_u, l_ant, l_ant), dtype=complex)
     y[..., :: n_u + 1, :, :] = rh  # the diagonal blocks (i, i)
-    b = (rg @ h).reshape(*lead, n_u * l_ant, m_ant)  # the association (R^H G^H) H
-    return b, y.reshape(*lead, n_u, n_u * l_ant, l_ant), rg
-
-
-def update_precoders(
-    b: np.ndarray, y: np.ndarray, p_budget: np.ndarray, mu0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Precoders V_i = alpha_i (K + mu_i I)^-1 H_i^H G_i W_i, with
-    K = sum_j alpha_j H_j^H G_j W_j G_j^H H_j and mu_i >= 0 the smallest
-    multiplier meeting tr(V_i V_i^H) <= P_i (mu = 0 when already feasible).
-
-    Solved in the N_u*L-dimensional stream space, from the stacked rows b
-    and right-hand sides y of `whitened_system`: K = B^H B and user i's
-    right-hand side is B^H Y_i. The push-through identity gives
-    V_i = (B^H B + mu_i I)^-1 B^H Y_i = B^H (B B^H + mu_i I)^-1 Y_i, so the
-    mu search eigendecomposes the N_u*L x N_u*L Gram B B^H and measures
-    the power through B^H (`numerics.power_constrained_solve` with
-    gram_cols=M). With N_u*L < M that Gram is smaller than K; with
-    N_u*L >= M it is not, and the result is the same V. A user whose rows
-    B_i vanish (a zero channel or receiver) has B^H Y_i = 0 and gets
-    V_i = 0 and mu_i = 0, as in the M-dimensional solve.
-
-    Returns V (..., N_u, M, L) and mu (..., N_u). One batched mu search
-    covers the whole stack, with one eigendecomposition of B B^H per
-    channel set shared by its users. mu0 (..., N_u), typically the previous
-    iterate's mu, warm-starts that search; the search first brings a start
-    above the root down to or below it, so the multipliers are the same
-    smallest ones to rounding."""
+    y = y.reshape(*lead, n_u, rows, l_ant)
+    b = (rg @ h).reshape(*lead, rows, m_ant)  # the association (R^H G^H) H
     bh = b.conj().swapaxes(-1, -2)
     # b @ bh is exactly Hermitian in practice, so the kernel neither forms
     # norms to check it nor symmetrizes it.
     x, mu = power_constrained_solve(
-        (b @ bh)[..., None, :, :], y, p_budget, mu0=mu0, gram_cols=b.shape[-1]
+        (b @ bh)[..., None, :, :], y, p_budget, mu0=mu0, gram_cols=m_ant
     )
-    return bh[..., None, :, :] @ x, mu
+    v = bh[..., None, :, :] @ x
+    v_cols = np.swapaxes(v, -3, -2).reshape(*lead, m_ant, rows)
+    res = np.swapaxes(y, -3, -2).reshape(*lead, rows, rows) - b @ v_cols
+    return v, mu, res, rg
 
 
-def weighted_mse_objective(
-    hv: np.ndarray,
-    g: np.ndarray,
-    w: np.ndarray,
-    w_chol: np.ndarray,
-    alpha: np.ndarray,
-    sigma2: float,
-) -> np.ndarray:
-    """Objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, one value per
-    channel set (shape (...)), from the pair products hv = `pair_products`(H, V)
-    and the weights with their Cholesky factors, as `update_weights` returns
-    them; log det W_i is read from the factor."""
-    e = mse_matrices(hv, g, sigma2)
-    tr_we = np.einsum("...ilk,...ikl->...i", w, e).real
-    return np.einsum("i,...i->...", alpha, tr_we - logdet_chol(w_chol))
+def mean_objective(
+    res: np.ndarray, rg: np.ndarray, w_chol: np.ndarray, alpha: np.ndarray, sigma2: float
+) -> float:
+    """The objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, averaged
+    over the channel sets of a stack (one set: its value), from the whitened
+    residual res and receivers rg of `update_precoders`, by
+    sum_i alpha_i tr(W_i E_i) = ||res||_F^2 + sigma2 ||Rg||_F^2, and
+    log det W_i read from the Cholesky factors w_chol."""
+    tr_we = np.vdot(res, res).real + sigma2 * np.vdot(rg, rg).real
+    return float(tr_we / math.prod(res.shape[:-2]) - np.mean(logdet_chol(w_chol) @ alpha))
 
 
 def user_rates(hv: np.ndarray, sigma2: float) -> np.ndarray:
@@ -285,10 +276,12 @@ def online_wmmse(
     Newton path only: the search still returns the smallest multiplier
     meeting each budget, so V agrees with a cold-started loop to rounding.
 
-    The pair products H_i V_j are formed once per precoder iterate and shared
-    by the objective, the receivers and weights that end the iteration, and
-    the rates. Each W is factored once, by `update_weights`; the next
-    precoder step and the objective read that factor.
+    The objective of each iterate is read by `mean_objective` from the
+    residual that its precoder step returns, as in the offline loop. The
+    pair products H_i V_j are formed once per precoder iterate and shared
+    by the receivers and weights that end the iteration and the rates. Each
+    W is factored once, by `update_weights`; the next precoder step and the
+    objective read that factor.
 
     Raises NumericalError if the objective increases by more than 1e-9
     between iterations.
@@ -313,9 +306,8 @@ def online_wmmse(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        v, mu = update_precoders(*whitened_system(h, g, w_chol, alpha)[:2], p_budget, mu0=mu)
-        hv = pair_products(h, v)
-        obj = float(weighted_mse_objective(hv, g, w, w_chol, alpha, sigma2))
+        v, mu, res, rg = update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu)
+        obj = mean_objective(res, rg, w_chol, alpha, sigma2)
         if not np.isfinite(obj):
             raise NumericalError("online_wmmse: non-finite objective")
         if obj > prev + MONOTONE_TOL:
@@ -323,6 +315,7 @@ def online_wmmse(
                 f"online_wmmse: objective increased from {prev:.12e} to {obj:.12e}"
             )
         trace.append(obj)
+        hv = pair_products(h, v)
         g = update_receivers(hv, sigma2)
         w, w_chol = update_weights(mse_matrices(hv, g, sigma2))
         if np.isfinite(prev) and prev - obj <= tol * abs(prev):

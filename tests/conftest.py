@@ -85,6 +85,8 @@ MALFORMED_BEAM_EDITS = [
     pytest.param("phase_indices", [[0, 1, 2, 17]], id="index-above-grid"),
     pytest.param("phase_indices", [[0, 1, 2, -1]], id="negative-index"),
     pytest.param("phase_indices", [[0, 1, 2]], id="indices-shorter-than-tiles"),
+    pytest.param("phase_indices", DROP, id="no-lc-phase_indices"),
+    pytest.param("phase_indices", None, id="null-lc-phase_indices"),
     pytest.param("config_hash", 5, id="integer-config_hash"),
     pytest.param("rho_sq", "abc", id="string-rho_sq"),
     pytest.param("rho_sq", 0.0, id="zero-rho_sq"),

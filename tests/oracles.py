@@ -9,7 +9,11 @@ forms here build the same quadratic one sample, one user pair and one tile
 at a time from the unwhitened shorthand factors A, C, D and F, so the tests
 can check the batched kernels against an independent derivation.
 `verify_theorem1` checks the closed-form beam gradient against finite
-differences of the averaged weighted sum-rate.
+differences of the averaged weighted sum-rate. `weighted_mse_objective`
+forms the WMMSE objective from the MSE matrices E, and `whitened_residual`
+builds the whitened residual of `wmmse.update_precoders` block by block at
+any precoders, the references of the residual form that both solvers read
+their objective from.
 `reference_power_constrained_solve` keeps an earlier form of the mu
 search, which the current one must match bit for bit. No optimize,
 evaluate, sweep or array-factor run uses them, so they live beside the
@@ -27,7 +31,6 @@ from irsmimo import numerics, wmmse
 from irsmimo.irs_opt import (
     _mean_sum_rate,
     _precoder_rows,
-    _residual,
     _tile_factors,
     _tile_statistics,
     _tile_workspace,
@@ -181,6 +184,50 @@ def frozen_weighted_mse(
     return float(np.mean(np.einsum("i,ni->n", alpha, tr_we)))
 
 
+def weighted_mse_objective(
+    hv: np.ndarray,
+    g: np.ndarray,
+    w: np.ndarray,
+    w_chol: np.ndarray,
+    alpha: np.ndarray,
+    sigma2: float,
+) -> np.ndarray:
+    """Objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, one value per
+    channel set (shape (...)), from the pair products hv = `pair_products`(H, V)
+    and the weights with their Cholesky factors, as `update_weights` returns
+    them; E from `wmmse.mse_matrices` and log det W_i from the factor."""
+    e = wmmse.mse_matrices(hv, g, sigma2)
+    tr_we = np.einsum("...ilk,...ikl->...i", w, e).real
+    return np.einsum("i,...i->...", alpha, tr_we - numerics.logdet_chol(w_chol))
+
+
+def whitened_residual(
+    h: np.ndarray,
+    g: np.ndarray,
+    w_chol: np.ndarray,
+    alpha: np.ndarray,
+    v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whitened residual res (..., N_u*L, N_u*L) and receivers Rg
+    (..., N_u, L, L) of `wmmse.update_precoders`, at any precoders v
+    (..., N_u, M, L), built one channel set and one block at a time from
+    their definitions: Rg_i = sqrt(alpha_i) R_i^H G_i^H with W_i = R_i R_i^H,
+    and block (i, j) of res is delta_ij sqrt(alpha_i) R_i^H - Rg_i H_i V_j."""
+    *lead, n_u, l_ant, _ = h.shape
+    res = np.empty((*lead, n_u * l_ant, n_u * l_ant), dtype=complex)
+    rg = np.empty((*lead, n_u, l_ant, l_ant), dtype=complex)
+    for n in np.ndindex(*lead):
+        for i in range(n_u):
+            rh = np.sqrt(alpha[i]) * w_chol[n][i].conj().T
+            rg[n][i] = rh @ g[n][i].conj().T
+            for j in range(n_u):
+                block = -(rg[n][i] @ h[n][i]) @ v[n][j]
+                if i == j:
+                    block += rh
+                res[n][i * l_ant : (i + 1) * l_ant, j * l_ant : (j + 1) * l_ant] = block
+    return res, rg
+
+
 def receivers_and_weights(
     hbar: np.ndarray,
     s: np.ndarray,
@@ -234,8 +281,7 @@ def verify_theorem1(
         w = stale_w
 
     h = channel_mod.composite_channel(hbar, s, t, beams)
-    b, y, rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)
-    res = _residual(b, y, v)
+    res, rg = whitened_residual(h, g, np.linalg.cholesky(w), alpha, v)
     t_fold = channel_mod.fold_tiles(t)
     ws = _tile_workspace(t_fold.shape, p_elem)
     _tile_factors(rg, t_fold, ws)

@@ -115,6 +115,17 @@ class TestOptimizeCommand:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["- 1\n- 2\n", "3\n"], ids=["list", "scalar"])
+    @pytest.mark.parametrize("extra", [[], ["--override", "seed=3"]], ids=["plain", "override"])
+    def test_config_not_a_mapping_is_validation_error(self, tmp_path, capsys, text, extra):
+        path = tmp_path / "top.yaml"
+        path.write_text(text)
+        out = tmp_path / "opt"
+        rc = cli.main(["optimize", "-c", str(path), *extra, "-o", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "expected a mapping" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exponent_float_override_validates(self, smoke_config, tmp_path):
         out = tmp_path / "opt"
         rc = cli.main(
@@ -607,6 +618,30 @@ class TestSweepCommand:
     )
     def test_malformed_axis_names_axis_or_point(self, smoke_config, tmp_path, capsys, axis, named):
         spec = self._write_sweep(tmp_path, smoke_config, {"axes": [axis]})
+        assert cli.main(["sweep", "-s", str(spec), "-o", str(tmp_path / "sweep")]) == (
+            cli.EXIT_VALIDATION
+        )
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "axes, named",
+        [
+            (
+                [{"name": "a", "points": [{"label": "x", "overrides": {"seed": 1}},
+                                          {"label": "x", "overrides": {"seed": 2}}]}],
+                "'x'",
+            ),
+            (
+                [{"name": "a", "points": [{"label": "a-b"}, {"label": "a"}]},
+                 {"name": "b", "points": [{"label": "c"}, {"label": "b-c"}]}],
+                "'a-b-c'",
+            ),
+        ],
+        ids=["same-axis", "joined-across-axes"],
+    )
+    def test_repeated_point_label_names_label(self, smoke_config, tmp_path, capsys, axes, named):
+        spec = self._write_sweep(tmp_path, smoke_config, {"axes": axes})
         assert cli.main(["sweep", "-s", str(spec), "-o", str(tmp_path / "sweep")]) == (
             cli.EXIT_VALIDATION
         )

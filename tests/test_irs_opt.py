@@ -22,6 +22,8 @@ from oracles import (
     q_map,
     receivers_and_weights,
     verify_theorem1,
+    weighted_mse_objective,
+    whitened_residual,
 )
 from irsmimo import channel, irs_opt, scenario, wmmse
 from irsmimo.irs_opt import (
@@ -242,11 +244,11 @@ class TestBatchedKernels:
         with the tile factor formed, the precoder rows and the whitened
         residual at the given beams."""
         h = channel.composite_channel(hbar, s, t, beams)
-        b, y, rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)
+        res, rg = whitened_residual(h, g, np.linalg.cholesky(w), alpha, v)
         t_fold = channel.fold_tiles(t)
         ws = irs_opt._tile_workspace(t_fold.shape, s.shape[1])
         irs_opt._tile_factors(rg, t_fold, ws)
-        return ws, irs_opt._precoder_rows(v), irs_opt._residual(b, y, v)
+        return ws, irs_opt._precoder_rows(v), res
 
     def test_tile_statistics_match_per_sample_reference(self):
         self._check_against_per_sample_reference(
@@ -287,7 +289,7 @@ class TestBatchedKernels:
         g, w = receivers_and_weights(hbar, s, t, beams, v, inst["sigma2"])
         ws, v_rows, res = self._sweep_state(hbar, s, t, beams, v, g, w, alpha)
         h = channel.composite_channel(hbar, s, t, beams)
-        rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)[2]
+        rg = whitened_residual(h, g, np.linalg.cholesky(w), alpha, v)[1]
         for m in range(beams.shape[0]):
             f_want = rg @ t[:, :, m]
             _, _, k_m = irs_opt._tile_statistics(ws, m, v_rows, s[m], res, beams[m])
@@ -348,7 +350,7 @@ class TestBatchedKernels:
         for stack in (stale.f, stale.stack):
             stack.fill(np.nan)
         # As in the loop: the factor once, before the sweep.
-        rg = wmmse.whitened_system(h, g, np.linalg.cholesky(w), alpha)[2]
+        rg = whitened_residual(h, g, np.linalg.cholesky(w), alpha, v)[1]
         irs_opt._tile_factors(rg, t_fold, stale)
         reused = sweep(lambda: stale)
         assert len(fresh) == cfg.k_total
@@ -419,7 +421,7 @@ class TestOfflineOptimizer:
 
     def test_objective_history_is_weighted_mse_at_each_iterate(self, monkeypatch):
         """Each objective entry, read from the whitened residual of the
-        sweep, is mean_n `wmmse.weighted_mse_objective` at the iteration's
+        sweep, is mean_n `oracles.weighted_mse_objective` at the iteration's
         receivers, weights and precoders and its new beams."""
         inst = synthetic_instance(19, n_s=4, m=4, k=3, p=5)
         hbar, s, t, alpha, sigma2 = inst["hbar"], inst["s"], inst["t"], inst["alpha"], inst["sigma2"]
@@ -449,7 +451,7 @@ class TestOfflineOptimizer:
         for it, obj in enumerate(report.objective_history):
             h = channel.composite_channel(hbar, s, t, np.array(seen["b"][3 * it : 3 * it + 3]))
             w, w_chol = seen["weights"][it]
-            want = wmmse.weighted_mse_objective(
+            want = weighted_mse_objective(
                 wmmse.pair_products(h, seen["v"][it]), seen["g"][it], w, w_chol, alpha, sigma2
             )
             assert obj == pytest.approx(float(np.mean(want)), rel=1e-12, abs=0), f"iteration {it}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn
+from oracles import weighted_mse_objective, whitened_residual
 from irsmimo.numerics import NumericalError, logdet_hpd, herm
 from irsmimo import channel as ch
 from irsmimo import wmmse
@@ -65,12 +66,10 @@ def kernel_loop_online_wmmse(h, sigma2, p_budget, alpha, tol, max_iters, warm_mu
     for iterations in range(1, max_iters + 1):
         g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
         w, w_chol = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2))
-        v, mu = wmmse.update_precoders(
-            *wmmse.whitened_system(h, g, w_chol, alpha)[:2], p_budget, mu0=mu if warm_mu else None
+        v, mu, res, rg = wmmse.update_precoders(
+            h, g, w_chol, alpha, p_budget, mu0=mu if warm_mu else None
         )
-        obj = float(
-            wmmse.weighted_mse_objective(wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2)
-        )
+        obj = wmmse.mean_objective(res, rg, w_chol, alpha, sigma2)
         trace.append(obj)
         if np.isfinite(prev) and prev - obj <= tol * abs(prev):
             converged = True
@@ -173,9 +172,7 @@ class TestBlocks:
         e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, 0.2)
         _, w_chol = wmmse.update_weights(e)
         budgets = np.array([1.0, 2.0, 0.5])
-        v_new, mu = wmmse.update_precoders(
-            *wmmse.whitened_system(h, g, w_chol, np.ones(3))[:2], budgets
-        )
+        v_new, mu, _, _ = wmmse.update_precoders(h, g, w_chol, np.ones(3), budgets)
         for i in range(3):
             power = float(np.real(np.trace(v_new[i] @ v_new[i].conj().T)))
             assert power <= budgets[i] + 1e-8 * budgets[i]
@@ -190,15 +187,9 @@ class TestBlocks:
         g = wmmse.update_receivers(wmmse.pair_products(h, v), sigma2)
         e = wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
         w, w_chol = wmmse.update_weights(e)
-        before = wmmse.weighted_mse_objective(
-            wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2
-        )
-        v_new, _ = wmmse.update_precoders(
-            *wmmse.whitened_system(h, g, w_chol, alpha)[:2], np.full(3, 2.0)
-        )
-        after = wmmse.weighted_mse_objective(
-            wmmse.pair_products(h, v_new), g, w, w_chol, alpha, sigma2
-        )
+        before = weighted_mse_objective(wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2)
+        v_new = wmmse.update_precoders(h, g, w_chol, alpha, np.full(3, 2.0))[0]
+        after = weighted_mse_objective(wmmse.pair_products(h, v_new), g, w, w_chol, alpha, sigma2)
         assert after <= before + 1e-12
 
     def test_svd_init_uses_full_power(self):
@@ -264,7 +255,7 @@ class TestStreamSpacePrecoders:
         v0 = crandn(rng, n_u, m_ant, l_ant)
         g = wmmse.update_receivers(wmmse.pair_products(h, v0), sigma2)
         w, w_chol = wmmse.update_weights(wmmse.mse_matrices(wmmse.pair_products(h, v0), g, sigma2))
-        v, mu = wmmse.update_precoders(*wmmse.whitened_system(h, g, w_chol, alpha)[:2], budgets)
+        v, mu, _, _ = wmmse.update_precoders(h, g, w_chol, alpha, budgets)
         expect = m_space_precoders(h, g, w, alpha, mu)
         assert np.linalg.norm(v - expect) <= 1e-9 * np.linalg.norm(expect)
         power = np.sum(np.abs(v) ** 2, axis=(-2, -1))
@@ -280,6 +271,60 @@ class TestStreamSpacePrecoders:
                 assert mu[zero_user] == 0.0
                 assert np.linalg.norm(v[zero_user]) <= 1e-12 * np.linalg.norm(v)
             assert np.all(mu[served] > 0.0)
+
+
+class TestMeanObjective:
+    """`mean_objective` reads sum_i alpha_i { tr(W_i E_i) - log det W_i }
+    from the whitened residual; the E-matrix form of
+    `oracles.weighted_mse_objective` is the reference."""
+
+    def test_online_trace_is_weighted_mse_at_each_iterate(self, monkeypatch):
+        h, _ = random_links(24, n_u=3, l_ant=2, m_ant=8)
+        sigma2, alpha = 0.1, np.array([1.0, 2.5, 0.5])
+        weights, steps = [], []
+        update_weights, update_precoders = wmmse.update_weights, wmmse.update_precoders
+
+        def recording_weights(e):
+            weights.append(update_weights(e))
+            return weights[-1]
+
+        def recording_precoders(h, g, w_chol, alpha, p_budget, mu0=None):
+            out = update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu0)
+            steps.append((g, w_chol, out[0]))
+            return out
+
+        monkeypatch.setattr(wmmse, "update_weights", recording_weights)
+        monkeypatch.setattr(wmmse, "update_precoders", recording_precoders)
+        out = wmmse.online_wmmse(h, sigma2, 1.5, alpha=alpha, tol=1e-8, max_iters=40)
+        assert out.iterations == len(out.objective_trace) == len(steps) > 2
+        for it, (obj, (g, w_chol, v)) in enumerate(zip(out.objective_trace, steps)):
+            w, w_chol_made = weights[it]
+            assert w_chol is w_chol_made
+            want = weighted_mse_objective(wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2)
+            assert obj == pytest.approx(float(want), rel=1e-12, abs=0), f"iteration {it}"
+
+    def test_stack_objective_is_mean_weighted_mse(self):
+        rng = np.random.default_rng(25)
+        stack = crandn(rng, 5, 3, 2, 6)
+        sigma2 = 0.3
+        alpha = np.array([1.0, 1.5, 0.5])
+        budgets = np.array([1.0, 2.0, 0.5])
+        hv = wmmse.pair_products(stack, wmmse.initial_precoders(stack, budgets))
+        g = wmmse.update_receivers(hv, sigma2)
+        w, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        v, _, res, rg = wmmse.update_precoders(stack, g, w_chol, alpha, budgets)
+        want_res, want_rg = whitened_residual(stack, g, w_chol, alpha, v)
+        np.testing.assert_allclose(res, want_res, rtol=1e-12, atol=1e-12 * np.abs(want_res).max())
+        np.testing.assert_allclose(rg, want_rg, rtol=1e-12, atol=0)
+        # At the precoder step's V, and at precoders that no step produced.
+        for v_at, res_at in [(v, res), (crandn(rng, *v.shape), None)]:
+            if res_at is None:
+                res_at = whitened_residual(stack, g, w_chol, alpha, v_at)[0]
+            want = weighted_mse_objective(
+                wmmse.pair_products(stack, v_at), g, w, w_chol, alpha, sigma2
+            )
+            got = wmmse.mean_objective(res_at, rg, w_chol, alpha, sigma2)
+            assert got == pytest.approx(float(np.mean(want)), rel=1e-12, abs=0)
 
 
 class TestOnlineWmmse:
@@ -401,13 +446,10 @@ class TestBatching:
                 w, w_chol = wmmse.update_weights(
                     wmmse.mse_matrices(wmmse.pair_products(h, v), g, sigma2)
                 )
-                v, mu = wmmse.update_precoders(
-                    *wmmse.whitened_system(h, g, w_chol, alpha)[:2], budgets
-                )
-                obj = wmmse.weighted_mse_objective(
-                    wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2
-                )
-                out.append((g, w, v, mu, wmmse.user_rates(wmmse.pair_products(h, v), sigma2), obj))
+                v, mu, res, rg = wmmse.update_precoders(h, g, w_chol, alpha, budgets)
+                obj = weighted_mse_objective(wmmse.pair_products(h, v), g, w, w_chol, alpha, sigma2)
+                rates = wmmse.user_rates(wmmse.pair_products(h, v), sigma2)
+                out.append((g, w, v, mu, res, rg, rates, obj))
             return out
 
         batched = run(stack)
