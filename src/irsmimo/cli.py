@@ -322,6 +322,10 @@ def _load_sweep_spec(path: str) -> dict:
                 label = point["label"]
                 raise ConfigError(f"axis {name!r} point {label!r}: overrides must be a mapping")
     labels = [_point_label(c) for c in itertools.product(*[a["points"] for a in axes])]
+    for label in labels:
+        # The label names the point's directory point-<label>/ under -o.
+        if label in ("", ".", "..") or "/" in label or "\\" in label:
+            raise ConfigError(f"sweep point label {label!r} is not a plain file name")
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"sweep point labels repeat (each names a point-<label>/): {repeated}")

@@ -142,6 +142,19 @@ def power_constrained_solve(
     No evaluation masks: a zero-power row is read at eigenvalue 1, where its
     term and slope are exactly +0 for mu >= 0.
 
+    A single problem, A (n, n) and B (n, c) with a scalar budget (the tile
+    beam update's shape), runs the bracket, p(0), the warm start, the rise
+    and the residual check on numpy float64 scalars instead of 0-d arrays,
+    and its final read skips the mask of zero denominators when mu > 0.
+    Every value takes the same IEEE operations in the same order as in the
+    stacked search, and the two sums of a pass are the same `np.add.reduce`
+    over the eigen-rows, so both paths return the same bits. A stacked pass
+    makes about seventeen numpy calls, most of them bookkeeping that only
+    many entries need (which ones still move, where to step); on 0-d arrays
+    each costs about a microsecond, as much as the sums over the n rows. The
+    scalar pass makes six calls on (n,) arrays. Stacks (the precoder step,
+    the online solver) keep the vectorized rise.
+
     An A equal to its conjugate transpose is factorized as given: LAPACK
     reads one triangle and the real part of the diagonal, so `herm` would
     change no value it reads. An A Hermitian only to the tolerance of
@@ -151,8 +164,8 @@ def power_constrained_solve(
     ------
     ValueError
         If A is not square or not Hermitian to the tolerance, if a budget is
-        not positive, or if mu0 is negative, NaN or infinite, or does not
-        broadcast to the leading axes.
+        not positive (zero, negative or NaN), or if mu0 is negative, NaN or
+        infinite, or does not broadcast to the leading axes.
     NumericalError
         If A or B has a non-finite entry, or if a boundary power misses the
         budget by more than 1e-8 * budget.
@@ -164,7 +177,7 @@ def power_constrained_solve(
     if not check_hermitian(a, "power_constrained_solve A"):
         a = herm(a)
     budget = np.asarray(budget, dtype=float)
-    if (budget <= 0).any():
+    if not (budget > 0).all():
         raise ValueError(f"power budget must be positive, got {budget}")
 
     eigvals, eigvecs = np.linalg.eigh(a)
@@ -186,6 +199,13 @@ def power_constrained_solve(
     # and the terms over (lam_k + mu) to -p'(mu) / 2, and takes the Newton
     # iterate mu + p (sqrt(p / P) - 1) / (-p'(mu) / 2) on 1/sqrt(p) - 1/sqrt(P).
     # x/0 and 0/0 arise only where p(0) = inf or B = 0, in steps the search discards.
+    if row_power.ndim == 1 and budget.ndim == 0:
+        mu = _single_search(eigvals, eig_safe, row_power, budget[()], mu0)
+        denom = eigvals + mu
+        if not mu > 0.0:  # for mu > 0 every denominator is positive
+            denom = np.where(denom > 0.0, denom, 1.0)
+        return eigvecs @ (bt / denom[:, None]), np.asarray(mu)
+
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
         hi = np.sqrt(row_power.sum(axis=-1) / budget)
@@ -196,25 +216,8 @@ def power_constrained_solve(
             moving = p0 > budget
             mu = floor
         else:
-            mu0 = np.asarray(mu0, dtype=float)
-            if mu0.shape != floor.shape:
-                try:
-                    mu0 = np.broadcast_to(mu0, floor.shape)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"mu0 shape {mu0.shape} does not broadcast to {floor.shape}"
-                    ) from exc
-            if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
-                raise ValueError("mu0 must be finite and non-negative")
-            mu = np.minimum(np.maximum(mu0, floor), hi)
-            mus = np.zeros((2, *mu.shape))
-            mus[1] = mu
-            denom = eig_safe + mus[..., None]
-            terms = row_power / denom**2
-            p0, p = np.add.reduce(terms, axis=-1)
-            step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(
-                terms[1] / denom[1], axis=-1
-            )
+            mu0 = _check_mu0(mu0, floor.shape)
+            mu, p0, p, step = _warm_start(mu0, floor, hi, eig_safe, row_power, budget)
             moving = p0 > budget
             above = p < budget
             if (above & moving).any():
@@ -243,10 +246,87 @@ def power_constrained_solve(
         # The last pass moved no entry, so p is the power at the returned mu.
         residual = np.where(boundary, np.abs(p - budget), 0.0)
     if (residual > POWER_RTOL * budget).any():
-        raise NumericalError(
-            f"power_constrained_solve: residual {np.max(residual / budget):.3e} exceeds "
-            f"{POWER_RTOL:g} * budget"
-        )
+        raise _missed_budget(np.max(residual / budget))
     denom = eigvals + mu[..., None]
     x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
     return x, mu
+
+
+def _single_search(eigvals, eig_safe, row_power, budget, mu0):
+    """The multiplier of one problem (row_power (n,), budget a float64
+    scalar): the search of `power_constrained_solve` on numpy float64
+    scalars, bit for bit. Python's `max` and the comparisons below give the
+    values `np.maximum`, `np.minimum` and the `moving` mask would: a NaN
+    lo stays the floor, hi is not NaN for an entry that moves, and a NaN
+    step stops the rise in both."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = (np.sqrt(row_power / budget) - eigvals).max()
+        hi = np.sqrt(np.add.reduce(row_power) / budget)
+        floor = max(lo, 0.0)  # NaN stays NaN, as in np.maximum
+        warm = None
+        if mu0 is None:
+            p0 = np.add.reduce(row_power / eig_safe**2)
+            mu = floor
+        else:
+            mu, p0, p, step = _warm_start(
+                _check_mu0(mu0, ()), floor, hi, eig_safe, row_power, budget
+            )
+            if p0 > budget and p < budget:
+                mu = np.maximum(step, floor)
+            else:
+                warm = p, step
+        if not p0 > budget:
+            return 0.0
+        while True:
+            if warm is None:
+                denom = eig_safe + mu
+                terms = row_power / denom**2
+                p = np.add.reduce(terms)
+                step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(terms / denom)
+            else:
+                (p, step), warm = warm, None
+            if step > hi:
+                step = hi
+            if not step > mu:
+                break
+            mu = step
+    # The last pass did not move mu, so p is the power at the returned mu.
+    residual = abs(p - budget)
+    if residual > POWER_RTOL * budget:
+        raise _missed_budget(residual / budget)
+    return mu
+
+
+def _check_mu0(mu0, shape: tuple[int, ...]) -> np.ndarray:
+    """mu0 as a float array broadcast to the search's leading shape; raises
+    ValueError if it does not broadcast or has an entry that is negative,
+    NaN or infinite."""
+    mu0 = np.asarray(mu0, dtype=float)
+    if mu0.shape != shape:
+        try:
+            mu0 = np.broadcast_to(mu0, shape)
+        except ValueError as exc:
+            raise ValueError(f"mu0 shape {mu0.shape} does not broadcast to {shape}") from exc
+    if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
+        raise ValueError("mu0 must be finite and non-negative")
+    return mu0
+
+
+def _warm_start(mu0, floor, hi, eig_safe, row_power, budget):
+    """(mu, p(0), p(mu), Newton step from mu) for mu0 clipped into the
+    bracket [floor, hi], from one evaluation on the two stacked multiplier
+    arrays 0 and mu."""
+    mu = np.minimum(np.maximum(mu0, floor), hi)
+    mus = np.zeros((2, *mu.shape))
+    mus[1] = mu
+    denom = eig_safe + mus[..., None]
+    terms = row_power / denom**2
+    p0, p = np.add.reduce(terms, axis=-1)
+    step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(terms[1] / denom[1], axis=-1)
+    return mu, p0, p, step
+
+
+def _missed_budget(worst) -> NumericalError:
+    return NumericalError(
+        f"power_constrained_solve: residual {worst:.3e} exceeds {POWER_RTOL:g} * budget"
+    )

@@ -614,6 +614,11 @@ class TestSweepCommand:
             ({"name": "a", "points": 3}, "axis 'a': points"),
             ({"name": "a", "points": [{"label": "x", "overrides": [1, 2]}]}, "'x': overrides"),
             ({"name": "a", "points": [{"label": "x", "overrides": "seed=1"}]}, "'x': overrides"),
+            ({"name": "a", "points": [{"label": "x/../../escaped"}]}, "'x/../../escaped'"),
+            ({"name": "a", "points": [{"label": "x\\y"}]}, "'x\\\\y'"),
+            ({"name": "a", "points": [{"label": ".."}]}, "'..'"),
+            ({"name": "a", "points": [{"label": "."}]}, "'.'"),
+            ({"name": "a", "points": [{"label": ""}]}, "label '' is not"),
         ],
     )
     def test_malformed_axis_names_axis_or_point(self, smoke_config, tmp_path, capsys, axis, named):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from irsmimo import numerics
 from irsmimo.numerics import (
     NumericalError,
     check_finite,
@@ -201,6 +202,27 @@ class TestPowerConstrainedSolve:
             assert np.all(np.isfinite(x))
             power = np.sum(np.abs(x) ** 2, axis=(-2, -1))
             assert np.all(np.abs(power - budget) <= 1e-8 * budget)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_rejects_a_budget_that_is_not_positive(self, bad):
+        """A zero, negative or NaN budget raises for a single problem and
+        for one entry of a stack, before any search."""
+        a, b, budget = self.warm_cases()
+        with pytest.raises(ValueError, match="budget must be positive"):
+            power_constrained_solve(a[1], b[1], bad)
+        budget[2] = bad
+        with pytest.raises(ValueError, match="budget must be positive"):
+            power_constrained_solve(a, b, budget)
+
+    def test_a_missed_budget_raises(self, monkeypatch):
+        """The residual check runs for a single problem and for a stack: with
+        a tolerance below every residual, a boundary search raises."""
+        monkeypatch.setattr(numerics, "POWER_RTOL", -1.0)
+        a, b, budget = self.warm_cases()
+        with pytest.raises(NumericalError, match="residual"):
+            power_constrained_solve(a[1], b[1], budget[1])
+        with pytest.raises(NumericalError, match="residual"):
+            power_constrained_solve(a, b, budget)
 
     @staticmethod
     def warm_cases():
@@ -419,8 +441,37 @@ class TestMatchesReferenceSearch:
     @staticmethod
     def beam(rng):
         """The tile beam update's shape: one 16 x 16 matrix, one column, a
-        scalar budget, so mu is 0-d."""
+        scalar budget, so mu is 0-d; on the boundary."""
         return random_psd(rng, 16, jitter=0.01), crandn(rng, 16, 1), 0.5, None
+
+    @staticmethod
+    def beam_interior(rng):
+        """One problem whose unconstrained solution meets the budget: mu = 0."""
+        return random_psd(rng, 16, jitter=1.0), 1e-3 * crandn(rng, 16, 1), 10.0, None
+
+    @staticmethod
+    def beam_zero_rhs(rng):
+        """One problem with B = 0: every row power is 0, so mu = 0 and x = 0."""
+        return random_psd(rng, 16), np.zeros((16, 1), dtype=complex), 0.5, None
+
+    @staticmethod
+    def beam_singular(rng):
+        """One singular M on the boundary whose zero eigenvalues carry no
+        power: the search reads those rows at eigenvalue 1."""
+        lam = np.abs(rng.standard_normal(16))
+        lam[[2, 7, 11]] = 0.0
+        b = crandn(rng, 16, 1)
+        b[[2, 7, 11]] = 0.0
+        limit = np.sum(np.abs(b[lam > 0.0, 0]) ** 2 / lam[lam > 0.0] ** 2)  # the power at mu = 0
+        return np.diag(lam).astype(complex), b, 0.1 * limit, None
+
+    # The single problems (no leading axes) and whether each is on the boundary.
+    SINGLE_BOUNDARY = {
+        "beam": True,
+        "beam_interior": False,
+        "beam_zero_rhs": False,
+        "beam_singular": True,
+    }
 
     @staticmethod
     def rounded(rng):
@@ -450,17 +501,23 @@ class TestMatchesReferenceSearch:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
-        "case", ["plain", "gram_wide", "gram_tall", "precoder", "beam", "rounded"]
+        "case",
+        ["plain", "gram_wide", "gram_tall", "precoder", "rounded", *SINGLE_BOUNDARY],
     )
     def test_equals_reference_bit_for_bit(self, case, seed):
+        """Stacks search every entry in one vectorized rise; a single problem
+        (no leading axes) takes the scalar rise, which must give the same
+        bits and still return mu as a 0-d array."""
         rng = np.random.default_rng([41, seed])
         a, b, budget, gram_cols = getattr(self, case)(rng)
         x_ref, mu_cold = reference_power_constrained_solve(a, b, budget, gram_cols=gram_cols)
         x, mu = power_constrained_solve(a, b, budget, gram_cols=gram_cols)
         assert np.array_equal(x, x_ref) and np.array_equal(mu, mu_cold)
-        assert np.any(mu_cold > 0.0)
-        if case != "beam":
-            assert np.any(mu_cold == 0.0)
+        if case in self.SINGLE_BOUNDARY:
+            assert type(mu) is np.ndarray and mu.shape == ()
+            assert bool(mu_cold > 0.0) == self.SINGLE_BOUNDARY[case]
+        else:
+            assert np.any(mu_cold > 0.0) and np.any(mu_cold == 0.0)
         for name, mu0 in self.starts(mu_cold).items():
             x_ref, mu_ref = reference_power_constrained_solve(
                 a, b, budget, mu0=mu0, gram_cols=gram_cols
@@ -468,3 +525,4 @@ class TestMatchesReferenceSearch:
             x, mu = power_constrained_solve(a, b, budget, mu0=mu0, gram_cols=gram_cols)
             assert np.array_equal(x, x_ref), name
             assert np.array_equal(mu, mu_ref), name
+            assert type(mu) is np.ndarray and mu.shape == mu_ref.shape, name
