@@ -8,6 +8,8 @@ order upstream breaks exact symmetry at the last ulp).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -142,18 +144,23 @@ def power_constrained_solve(
     No evaluation masks: a zero-power row is read at eigenvalue 1, where its
     term and slope are exactly +0 for mu >= 0.
 
-    A single problem, A (n, n) and B (n, c) with a scalar budget (the tile
-    beam update's shape), runs the bracket, p(0), the warm start, the rise
-    and the residual check on numpy float64 scalars instead of 0-d arrays,
-    and its final read skips the mask of zero denominators when mu > 0.
-    Every value takes the same IEEE operations in the same order as in the
-    stacked search, and the two sums of a pass are the same `np.add.reduce`
-    over the eigen-rows, so both paths return the same bits. A stacked pass
-    makes about seventeen numpy calls, most of them bookkeeping that only
-    many entries need (which ones still move, where to step); on 0-d arrays
-    each costs about a microsecond, as much as the sums over the n rows. The
-    scalar pass makes six calls on (n,) arrays. Stacks (the precoder step,
-    the online solver) keep the vectorized rise.
+    One eigensystem, A with every leading axis of size 1, runs each
+    right-hand-side block's search (bracket, p(0), warm start, Newton rise
+    and residual check) on Python floats read by one `.tolist()` of the
+    eigen-rows. Two callers pass that shape: the tile beam update (A (n, n),
+    one column, a scalar budget) and the online precoder step (A (1, n, n)
+    shared by N_u blocks and budgets). There a pass of the stacked rise is
+    about seventeen numpy calls on a few rows, each costing about a
+    microsecond of dispatch, more than its arithmetic; the float pass is one
+    loop that builds the terms and slopes. Stacks of eigensystems (the
+    offline precoder step, one per sample) keep the vectorized rise. Both
+    paths return the same bits: each value takes the same IEEE operations
+    in the same order (d * d for the square, math.sqrt, comparisons in
+    place of np.maximum and np.minimum where no NaN can reach them), and
+    `_add_reduce` sums in the order of np.add.reduce, which Python's `sum`
+    does not. A pass whose smallest denominator squared or slope sum is 0
+    runs in numpy, so x/0 gives inf or NaN as in the stacked rise instead
+    of raising ZeroDivisionError.
 
     An A equal to its conjugate transpose is factorized as given: LAPACK
     reads one triangle and the real part of the diagonal, so `herm` would
@@ -199,13 +206,18 @@ def power_constrained_solve(
     # and the terms over (lam_k + mu) to -p'(mu) / 2, and takes the Newton
     # iterate mu + p (sqrt(p / P) - 1) / (-p'(mu) / 2) on 1/sqrt(p) - 1/sqrt(P).
     # x/0 and 0/0 arise only where p(0) = inf or B = 0, in steps the search discards.
-    if row_power.ndim == 1 and budget.ndim == 0:
-        mu = _single_search(eigvals, eig_safe, row_power, budget[()], mu0)
-        denom = eigvals + mu
-        if not mu > 0.0:  # for mu > 0 every denominator is positive
-            denom = np.where(denom > 0.0, denom, 1.0)
-        return eigvecs @ (bt / denom[:, None]), np.asarray(mu)
+    if math.prod(a.shape[:-2]) == 1:
+        mu = _float_search(eigvals.ravel(), eig_safe, row_power, budget, mu0)
+    else:
+        mu = _stacked_search(eigvals, eig_safe, row_power, budget, mu0)
+    denom = eigvals + mu[..., None]
+    x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
+    return x, mu
 
+
+def _stacked_search(eigvals, eig_safe, row_power, budget, mu0):
+    """The multipliers of `power_constrained_solve` for a stack of
+    eigensystems: every entry in one vectorized rise."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
         hi = np.sqrt(row_power.sum(axis=-1) / budget)
@@ -247,54 +259,146 @@ def power_constrained_solve(
         residual = np.where(boundary, np.abs(p - budget), 0.0)
     if (residual > POWER_RTOL * budget).any():
         raise _missed_budget(np.max(residual / budget))
-    denom = eigvals + mu[..., None]
-    x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
-    return x, mu
-
-
-def _single_search(eigvals, eig_safe, row_power, budget, mu0):
-    """The multiplier of one problem (row_power (n,), budget a float64
-    scalar): the search of `power_constrained_solve` on numpy float64
-    scalars, bit for bit. Python's `max` and the comparisons below give the
-    values `np.maximum`, `np.minimum` and the `moving` mask would: a NaN
-    lo stays the floor, hi is not NaN for an entry that moves, and a NaN
-    step stops the rise in both."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = (np.sqrt(row_power / budget) - eigvals).max()
-        hi = np.sqrt(np.add.reduce(row_power) / budget)
-        floor = max(lo, 0.0)  # NaN stays NaN, as in np.maximum
-        warm = None
-        if mu0 is None:
-            p0 = np.add.reduce(row_power / eig_safe**2)
-            mu = floor
-        else:
-            mu, p0, p, step = _warm_start(
-                _check_mu0(mu0, ()), floor, hi, eig_safe, row_power, budget
-            )
-            if p0 > budget and p < budget:
-                mu = np.maximum(step, floor)
-            else:
-                warm = p, step
-        if not p0 > budget:
-            return 0.0
-        while True:
-            if warm is None:
-                denom = eig_safe + mu
-                terms = row_power / denom**2
-                p = np.add.reduce(terms)
-                step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(terms / denom)
-            else:
-                (p, step), warm = warm, None
-            if step > hi:
-                step = hi
-            if not step > mu:
-                break
-            mu = step
-    # The last pass did not move mu, so p is the power at the returned mu.
-    residual = abs(p - budget)
-    if residual > POWER_RTOL * budget:
-        raise _missed_budget(residual / budget)
     return mu
+
+
+def _float_search(eigvals, eig_safe, row_power, budget, mu0):
+    """The multipliers of `power_constrained_solve` for one eigensystem
+    (eigvals (n,)) shared by every right-hand-side block of row_power
+    (..., n): each block's search on Python floats, bit for bit."""
+    lead = row_power.shape[:-1]
+    if budget.shape != lead:
+        lead = np.broadcast_shapes(lead, budget.shape)
+        row_power = np.broadcast_to(row_power, (*lead, eigvals.size))
+        eig_safe = np.broadcast_to(eig_safe, row_power.shape)
+        budget = np.broadcast_to(budget, lead)
+    blocks = zip(
+        row_power.reshape(-1, eigvals.size).tolist(),
+        eig_safe.reshape(-1, eigvals.size).tolist(),
+        budget.ravel().tolist(),
+        [None] * budget.size if mu0 is None else _check_mu0(mu0, lead).ravel().tolist(),
+    )
+    lam = eigvals.tolist()
+    mus = []
+    missed = []
+    for rows, eig, p_max, start in blocks:
+        mu, residual = _block_search(lam, eig, rows, p_max, start)
+        mus.append(mu)
+        if residual > POWER_RTOL * p_max:
+            missed.append(residual / p_max)
+    if missed:
+        raise _missed_budget(max(missed))
+    return np.array(mus).reshape(lead)
+
+
+def _block_search(lam, eig, rows, budget, mu0):
+    """(mu, budget residual) of one block: eigenvalues lam, safe eigenvalues
+    eig and row powers rows as lists of floats, budget and mu0 (or None) as
+    floats. Each value takes the operations of `_stacked_search` in the same
+    order, and a comparison stands in for each np.maximum and np.minimum: a
+    block with a NaN row power has p(0) NaN and a block with an infinite
+    budget has p(0) <= budget, so neither moves, and a moving block has no
+    NaN bracket end."""
+    emin = min(eig)
+    if emin * emin > 0.0:
+        p0 = _add_reduce([r / (e * e) for e, r in zip(eig, rows)])
+    else:  # power on a zero eigenvalue: r / 0 = inf there, as in numpy
+        p0 = _add_reduce([r / dd if (dd := e * e) else math.inf for e, r in zip(eig, rows)])
+    if not p0 > budget:
+        return 0.0, 0.0
+    lo = max([math.sqrt(r / budget) - x for r, x in zip(rows, lam)])
+    hi = math.sqrt(_add_reduce(rows) / budget)
+    floor = lo if lo > 0.0 else 0.0
+    warm = None  # (p, step) at mu, when the warm start evaluated them there
+    if mu0 is None:
+        mu = floor
+    else:
+        mu = mu0 if mu0 >= floor else floor
+        if mu > hi:
+            mu = hi
+        p, step = _newton_pass(eig, emin, rows, mu, budget)
+        if p < budget:
+            mu = step if not step < floor else floor  # a NaN step stays, as in np.maximum
+        else:
+            warm = p, step
+    while True:
+        if warm is None:
+            p, step = _newton_pass(eig, emin, rows, mu, budget)
+        else:
+            (p, step), warm = warm, None
+        if step > hi:
+            step = hi
+        if not step > mu:
+            break
+        mu = step
+    # The last pass did not move mu, so p is the power at the returned mu.
+    return mu, abs(p - budget)
+
+
+def _newton_pass(eig, emin, rows, mu, budget):
+    """p(mu) and the Newton step from mu on Python floats. The smallest
+    denominator is emin + mu, since rounding is monotone; when its square
+    is 0 (a zero eigenvalue at mu = 0, or a denominator that underflows)
+    or the slope sum is 0, `_numpy_pass` evaluates the pass instead, so
+    x/0 gives numpy's inf or NaN and never raises ZeroDivisionError."""
+    d = emin + mu
+    if d * d > 0.0:
+        terms = []
+        slopes = []
+        for e, r in zip(eig, rows):
+            d = e + mu
+            t = r / (d * d)
+            terms.append(t)
+            slopes.append(t / d)
+        p = _add_reduce(terms)
+        slope = _add_reduce(slopes)
+        if slope != 0.0:
+            return p, mu + p * (math.sqrt(p / budget) - 1.0) / slope
+    return _numpy_pass(eig, rows, mu, budget)
+
+
+def _numpy_pass(eig, rows, mu, budget):
+    """The pass of `_newton_pass` on numpy arrays, for one whose
+    denominator or slope sum is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = np.array(eig) + mu
+        terms = np.array(rows) / denom**2
+        p = np.add.reduce(terms)
+        step = mu + p * (np.sqrt(p / budget) - 1.0) / np.add.reduce(terms / denom)
+    return float(p), float(step)
+
+
+def _add_reduce(xs: list[float]) -> float:
+    """np.add.reduce of a list of floats, bit for bit: numpy's pairwise
+    summation adds fewer than 8 terms left to right, up to 128 terms in
+    eight interleaved accumulators, and more by halving at a multiple of 8,
+    then adds the sum to its identity +0.0. Python's `sum` and `math.fsum`
+    round differently."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return 0.0 + (_add_reduce(xs[:half]) + _add_reduce(xs[half:]))
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        x0, x1, x2, x3, x4, x5, x6, x7 = xs[i : i + 8]
+        r0 += x0
+        r1 += x1
+        r2 += x2
+        r3 += x3
+        r4 += x4
+        r5 += x5
+        r6 += x6
+        r7 += x7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in xs[end:]:
+        total += x
+    return 0.0 + total
 
 
 def _check_mu0(mu0, shape: tuple[int, ...]) -> np.ndarray:

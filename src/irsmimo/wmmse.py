@@ -229,10 +229,11 @@ def user_rates(hv: np.ndarray, sigma2: float) -> np.ndarray:
     """Achievable per-user rates in nats, shape (..., N_u):
     log det(I_L + V_i^H H_i^H Jbar_i^-1 H_i V_i), with Jbar_i the
     interference-plus-noise covariance sum_{j != i} H_i V_j V_j^H H_i^H + sigma2 I,
-    from the pair products hv = `pair_products`(H, V).
+    from the pair products hv = `pair_products`(H, V). Raises ValueError
+    unless 0 < sigma2 < inf.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     total = np.einsum("...ijlc,...ijkc->...ilk", hv, hv.conj())
     own = _diag_pairs(hv)
     jbar = sigma2 * _eye(hv.shape[-2]) + total - np.einsum(
@@ -283,15 +284,15 @@ def online_wmmse(
     W is factored once, by `update_weights`; the next precoder step and the
     objective read that factor.
 
-    Raises NumericalError if the objective increases by more than 1e-9
-    between iterations.
+    Raises ValueError unless 0 < sigma2 < inf, and NumericalError if the
+    objective increases by more than 1e-9 between iterations.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 3:
         raise ValueError(f"expected channels stacked as (N_u, L, M), got shape {h.shape}")
     check_finite(h, "channels")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     n_u = h.shape[0]
     p_budget = np.broadcast_to(np.asarray(p_budget, dtype=float), (n_u,)).copy()
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()

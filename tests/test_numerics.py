@@ -439,6 +439,15 @@ class TestMatchesReferenceSearch:
         return f @ f.conj().swapaxes(-1, -2), y, budget, 8
 
     @staticmethod
+    def online_precoder(rng):
+        """The online precoder step's shape: one stream-space Gram B B^H
+        (1, 4, 4) shared by two users' right-hand sides, budgets (2,),
+        gram_cols = M = 8; user 0 on the boundary, user 1 interior."""
+        f = crandn(rng, 1, 4, 8)
+        y = crandn(rng, 2, 4, 2)
+        return f @ f.conj().swapaxes(-1, -2), y, np.array([0.05, 1e3]), 8
+
+    @staticmethod
     def beam(rng):
         """The tile beam update's shape: one 16 x 16 matrix, one column, a
         scalar budget, so mu is 0-d; on the boundary."""
@@ -465,12 +474,32 @@ class TestMatchesReferenceSearch:
         limit = np.sum(np.abs(b[lam > 0.0, 0]) ** 2 / lam[lam > 0.0] ** 2)  # the power at mu = 0
         return np.diag(lam).astype(complex), b, 0.1 * limit, None
 
+    @staticmethod
+    def beam_zero_eigenvalue(rng):
+        """One singular M with power on a zero eigenvalue: p(0) = inf, read
+        as inf for that row's r / 0, which raises on Python floats."""
+        lam = np.abs(rng.standard_normal(16))
+        lam[5] = 0.0
+        return np.diag(lam).astype(complex), crandn(rng, 16, 1), 0.5, None
+
+    @staticmethod
+    def beam_subnormal_budget(rng):
+        """A subnormal budget: near the root every slope term t_k / d_k
+        underflows to 0, and the numpy pass divides by the zero slope sum
+        where Python floats would raise. (Fixed data: at a subnormal budget
+        the 1e-8 residual check leaves no rounding room, and these entries
+        meet it.)"""
+        b = np.array([[1e-150], [1e-151], [0.0]], dtype=complex)
+        return np.diag([1.0, 2.0, 3.0]).astype(complex), b, 1e-320, None
+
     # The single problems (no leading axes) and whether each is on the boundary.
     SINGLE_BOUNDARY = {
         "beam": True,
         "beam_interior": False,
         "beam_zero_rhs": False,
         "beam_singular": True,
+        "beam_zero_eigenvalue": True,
+        "beam_subnormal_budget": True,
     }
 
     @staticmethod
@@ -502,19 +531,31 @@ class TestMatchesReferenceSearch:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
         "case",
-        ["plain", "gram_wide", "gram_tall", "precoder", "rounded", *SINGLE_BOUNDARY],
+        [
+            "plain",
+            "gram_wide",
+            "gram_tall",
+            "precoder",
+            "online_precoder",
+            "rounded",
+            *SINGLE_BOUNDARY,
+        ],
     )
     def test_equals_reference_bit_for_bit(self, case, seed):
-        """Stacks search every entry in one vectorized rise; a single problem
-        (no leading axes) takes the scalar rise, which must give the same
-        bits and still return mu as a 0-d array."""
+        """Stacks of eigensystems search every entry in one vectorized rise;
+        one eigensystem (the online precoder step, a single problem) takes
+        the search on Python floats, which must give the same bits and
+        return mu shaped like the leading axes: 0-d for a single problem."""
         rng = np.random.default_rng([41, seed])
         a, b, budget, gram_cols = getattr(self, case)(rng)
         x_ref, mu_cold = reference_power_constrained_solve(a, b, budget, gram_cols=gram_cols)
         x, mu = power_constrained_solve(a, b, budget, gram_cols=gram_cols)
         assert np.array_equal(x, x_ref) and np.array_equal(mu, mu_cold)
+        assert type(mu) is np.ndarray and mu.shape == mu_cold.shape
+        if case == "online_precoder":
+            assert mu.shape == (2,)
         if case in self.SINGLE_BOUNDARY:
-            assert type(mu) is np.ndarray and mu.shape == ()
+            assert mu.shape == ()
             assert bool(mu_cold > 0.0) == self.SINGLE_BOUNDARY[case]
         else:
             assert np.any(mu_cold > 0.0) and np.any(mu_cold == 0.0)
@@ -526,3 +567,33 @@ class TestMatchesReferenceSearch:
             assert np.array_equal(x, x_ref), name
             assert np.array_equal(mu, mu_ref), name
             assert type(mu) is np.ndarray and mu.shape == mu_ref.shape, name
+
+    @pytest.mark.parametrize("mu0", [None, 5e-324], ids=["cold", "subnormal"])
+    def test_underflowed_denominator_misses_the_budget_as_the_reference(self, mu0):
+        """A row with power on a zero eigenvalue whose floor sqrt(r / P)
+        underflows to 0: the rise starts at mu = 0, or at the subnormal
+        warm start, where the denominator squared is 0. That pass gives
+        p = inf and a NaN step in numpy, not ZeroDivisionError, so both
+        searches stop there and report the same infinite residual."""
+        a = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        b = np.array([[3e-162], [0.1], [0.1], [0.1]], dtype=complex)
+        messages = []
+        for solve in (reference_power_constrained_solve, power_constrained_solve):
+            with pytest.raises(NumericalError, match="residual inf") as err:
+                solve(a, b, 10.0, mu0=mu0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_add_reduce_is_numpy_summation():
+    """The Python-float search sums in numpy's pairwise order: left to right
+    below 8 terms, eight accumulators up to 128, halving above. Terms of
+    mixed sign and magnitude make any other order round differently, at
+    every length from 1 to 300."""
+    rng = np.random.default_rng(43)
+    for n in range(1, 301):
+        terms = rng.standard_normal(n) * np.exp2(rng.integers(-40, 40, n))
+        for xs in (terms, -0.0 * np.abs(terms)):  # the second: negative zeros
+            got = numerics._add_reduce(xs.tolist())
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.add.reduce(xs).tobytes(), n

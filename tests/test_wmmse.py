@@ -116,6 +116,17 @@ class TestUserRate:
         with pytest.raises(ValueError):
             wmmse.user_rates(wmmse.pair_products(h, v), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_noise_that_is_not_finite(self, bad):
+        """A NaN or infinite noise power is refused by name, by the rates and
+        by the online solver, instead of reaching the weights as NaN."""
+        h, rng = random_links(3, n_u=2)
+        hv = wmmse.pair_products(h, crandn(rng, 2, 6, 2))
+        with pytest.raises(ValueError, match="sigma2"):
+            wmmse.user_rates(hv, bad)
+        with pytest.raises(ValueError, match="sigma2"):
+            wmmse.online_wmmse(h, bad, 1.0, alpha=1.0, tol=1e-6, max_iters=5)
+
 
 class TestBlocks:
     def test_mmse_receiver_matches_direct_inverse(self):
