@@ -36,7 +36,8 @@ back to the operating system when freed (glibc trims the heap top), so
 every tile call faulted them in again as zeroed pages.
 
 Each iteration ends with the next iteration's receivers G and weights W at
-the new beams. By rate-MMSE duality (Christensen et al., IEEE TWC 2008)
+the new beams, from `wmmse.refresh`, as the loop starts with those at the
+starting beams. By rate-MMSE duality (Christensen et al., IEEE TWC 2008)
 log det W_i is user i's rate there, so `frozen_sum_rate` reads the
 training rate from the Cholesky factors of W, which `wmmse.update_weights`
 returns with W, without forming the rates again. The next iteration's
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -363,14 +365,12 @@ def offline_optimize_channels(
 
     h = channel_mod.composite_channel(hbar, s, t, beams)
     v = wmmse.initial_precoders(h, p_budget)
-    hv = wmmse.pair_products(h, v)
 
     report = OptReport(eps=float(eps))
     ws = _tile_workspace(t_fold.shape, p_elem)
     # The receivers and weights at the starting beams; every iteration ends
     # with those at its new beams, which the next one starts from.
-    g = wmmse.update_receivers(hv, sigma2)
-    _, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+    _, g, _, w_chol = wmmse.refresh(h, v, sigma2)
     for _ in range(max_iters):
         t_start = time.perf_counter()
 
@@ -396,18 +396,16 @@ def offline_optimize_channels(
             raise NumericalError("offline beam update violated the GC norm constraint")
 
         delta = float(np.linalg.norm(beams - beams_prev))
-        # The channels and pair products at the new beams serve the next
-        # iteration's digital step.
-        h = channel_mod.composite_channel(hbar, s, t, beams)
-        hv = wmmse.pair_products(h, v)
         # The residual the sweep leaves belongs to the new beams.
         obj = wmmse.mean_objective(res, rg, w_chol, alpha, sigma2)
-        if not np.isfinite(obj):
+        if not math.isfinite(obj):
             raise NumericalError(
                 f"offline objective non-finite at iteration {report.iterations + 1}"
             )
-        g = wmmse.update_receivers(hv, sigma2)
-        _, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        # The receivers and weights at the new beams serve the next
+        # iteration's digital step.
+        h = channel_mod.composite_channel(hbar, s, t, beams)
+        _, g, _, w_chol = wmmse.refresh(h, v, sigma2)
         rate = frozen_sum_rate(w_chol, alpha)
 
         report.iterations += 1

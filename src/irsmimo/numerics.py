@@ -24,6 +24,7 @@ __all__ = [
 
 HERMITIAN_RTOL = 1e-10
 POWER_RTOL = 1e-8
+_MU0_INVALID = "mu0 must be finite and non-negative"
 
 
 class NumericalError(RuntimeError):
@@ -119,10 +120,11 @@ def power_constrained_solve(
     are dropped, because a rounded null eigenvalue of 1e-16 lam_max would
     otherwise read as a power |(U^H B)_k|^2 / lam_k at mu = 0: the zero
     rows of F (zero diagonal entries of A, as for a user whose channel is
-    zero), and with n > m the n - m smallest eigenvalues, which are null
-    by shape and set to 0. A rank deficiency that neither shows is left to
-    rounding, as the m x m search left the rounded null space of F^H F:
-    its eigenvalues read as weak directions.
+    zero; B is masked only when A has one), and with n > m the n - m
+    smallest eigenvalues, which are null by shape and set to 0. A rank
+    deficiency that neither shows is left to rounding, as the m x m search
+    left the rounded null space of F^H F: its eigenvalues read as weak
+    directions.
 
     mu0 (optional, broadcasting to the leading axes) warm-starts the search
     from previous multipliers, for callers whose root moves little between
@@ -144,23 +146,28 @@ def power_constrained_solve(
     No evaluation masks: a zero-power row is read at eigenvalue 1, where its
     term and slope are exactly +0 for mu >= 0.
 
-    One eigensystem, A with every leading axis of size 1, runs each
-    right-hand-side block's search (bracket, p(0), warm start, Newton rise
-    and residual check) on Python floats read by one `.tolist()` of the
-    eigen-rows. Two callers pass that shape: the tile beam update (A (n, n),
-    one column, a scalar budget) and the online precoder step (A (1, n, n)
-    shared by N_u blocks and budgets). There a pass of the stacked rise is
-    about seventeen numpy calls on a few rows, each costing about a
-    microsecond of dispatch, more than its arithmetic; the float pass is one
-    loop that builds the terms and slopes. Stacks of eigensystems (the
-    offline precoder step, one per sample) keep the vectorized rise. Both
-    paths return the same bits: each value takes the same IEEE operations
-    in the same order (d * d for the square, math.sqrt, comparisons in
-    place of np.maximum and np.minimum where no NaN can reach them), and
-    `_add_reduce` sums in the order of np.add.reduce, which Python's `sum`
-    does not. A pass whose smallest denominator squared or slope sum is 0
-    runs in numpy, so x/0 gives inf or NaN as in the stacked rise instead
-    of raising ZeroDivisionError.
+    One eigensystem, A with every leading axis of size 1, runs on Python
+    floats read by one `.tolist()` each of the eigenvalues, the row powers,
+    the budgets and mu0: the mu0 check, and for each right-hand-side block
+    its safe eigenvalues, search (bracket, p(0), warm start, Newton rise and
+    residual check) and the denominators lam_k + mu of the final read. Two
+    callers pass that shape: the tile beam update (A (n, n), one column, a
+    scalar budget) and the online precoder step (A (1, n, n) shared by N_u
+    blocks and budgets). There a pass of the stacked rise is about
+    seventeen numpy calls on a few rows, each costing about a microsecond
+    of dispatch, more than its arithmetic; the float pass is one loop that
+    builds the terms and slopes. Counting each array method and index, a
+    warm online call makes 41 numpy calls, 25 of them before the search
+    (input checks, eigh, the zero-row test, eigenbasis transform and row
+    powers), and a tile beam call 35. Stacks of eigensystems (the offline
+    precoder step, one per sample) keep the vectorized rise. Both paths
+    return the same bits: each value takes the same IEEE operations in the
+    same order (d * d for the square, math.sqrt, comparisons in place of
+    np.where, np.maximum and np.minimum that give their values wherever a
+    NaN can reach them), and `_add_reduce` sums in the order of
+    np.add.reduce, which Python's `sum` does not. A pass whose smallest
+    denominator squared or slope sum is 0 runs in numpy, so x/0 gives inf
+    or NaN as in the stacked rise instead of raising ZeroDivisionError.
 
     An A equal to its conjugate transpose is factorized as given: LAPACK
     reads one triangle and the real part of the diagonal, so `herm` would
@@ -191,7 +198,9 @@ def power_constrained_solve(
     # PSD contract allows eigenvalues down to about -1e-9 * scale from rounding.
     eigvals = np.maximum(eigvals, 0.0)
     if gram_cols is not None:
-        b = np.where(a.diagonal(axis1=-2, axis2=-1)[..., None] != 0.0, b, 0.0)
+        diag = a.diagonal(axis1=-2, axis2=-1)
+        if not diag.all():  # a zero row of F: drop B's part on it
+            b = np.where(diag[..., None] != 0.0, b, 0.0)
     bt = eigvecs.conj().swapaxes(-1, -2) @ b
     row_power = (np.abs(bt) ** 2).sum(axis=-1)
     if gram_cols is not None:
@@ -200,24 +209,24 @@ def power_constrained_solve(
             eigvals[..., :n_null] = 0.0
             bt[..., :n_null, :] = 0.0
         row_power = eigvals * row_power
-    eig_safe = np.where(row_power > 0.0, eigvals, 1.0)  # zero-power rows read 1
 
     # Each evaluation forms the terms r_k / (lam_k + mu)^2, sums them to p(mu)
     # and the terms over (lam_k + mu) to -p'(mu) / 2, and takes the Newton
     # iterate mu + p (sqrt(p / P) - 1) / (-p'(mu) / 2) on 1/sqrt(p) - 1/sqrt(P).
     # x/0 and 0/0 arise only where p(0) = inf or B = 0, in steps the search discards.
     if math.prod(a.shape[:-2]) == 1:
-        mu = _float_search(eigvals.ravel(), eig_safe, row_power, budget, mu0)
+        mu, denom = _float_search(eigvals.ravel(), row_power, budget, mu0)
     else:
-        mu = _stacked_search(eigvals, eig_safe, row_power, budget, mu0)
-    denom = eigvals + mu[..., None]
-    x = eigvecs @ (bt / np.where(denom > 0.0, denom, 1.0)[..., None])
-    return x, mu
+        mu = _stacked_search(eigvals, row_power, budget, mu0)
+        denom = eigvals + mu[..., None]
+        denom = np.where(denom > 0.0, denom, 1.0)
+    return eigvecs @ (bt / denom[..., None]), mu
 
 
-def _stacked_search(eigvals, eig_safe, row_power, budget, mu0):
+def _stacked_search(eigvals, row_power, budget, mu0):
     """The multipliers of `power_constrained_solve` for a stack of
     eigensystems: every entry in one vectorized rise."""
+    eig_safe = np.where(row_power > 0.0, eigvals, 1.0)  # zero-power rows read 1
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = (np.sqrt(row_power / budget[..., None]) - eigvals).max(axis=-1)
         hi = np.sqrt(row_power.sum(axis=-1) / budget)
@@ -228,7 +237,9 @@ def _stacked_search(eigvals, eig_safe, row_power, budget, mu0):
             moving = p0 > budget
             mu = floor
         else:
-            mu0 = _check_mu0(mu0, floor.shape)
+            mu0 = _mu0_array(mu0, floor.shape)
+            if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
+                raise ValueError(_MU0_INVALID)
             mu, p0, p, step = _warm_start(mu0, floor, hi, eig_safe, row_power, budget)
             moving = p0 > budget
             above = p < budget
@@ -262,43 +273,44 @@ def _stacked_search(eigvals, eig_safe, row_power, budget, mu0):
     return mu
 
 
-def _float_search(eigvals, eig_safe, row_power, budget, mu0):
+def _float_search(eigvals, row_power, budget, mu0):
     """The multipliers of `power_constrained_solve` for one eigensystem
     (eigvals (n,)) shared by every right-hand-side block of row_power
-    (..., n): each block's search on Python floats, bit for bit."""
+    (..., n), and the denominators lam_k + mu of its final read (1 where
+    that sum is not positive): each block's search on Python floats, bit
+    for bit, from one `.tolist()` of the rows."""
+    n = eigvals.size
     lead = row_power.shape[:-1]
     if budget.shape != lead:
         lead = np.broadcast_shapes(lead, budget.shape)
-        row_power = np.broadcast_to(row_power, (*lead, eigvals.size))
-        eig_safe = np.broadcast_to(eig_safe, row_power.shape)
+        row_power = np.broadcast_to(row_power, (*lead, n))
         budget = np.broadcast_to(budget, lead)
-    blocks = zip(
-        row_power.reshape(-1, eigvals.size).tolist(),
-        eig_safe.reshape(-1, eigvals.size).tolist(),
-        budget.ravel().tolist(),
-        [None] * budget.size if mu0 is None else _check_mu0(mu0, lead).ravel().tolist(),
-    )
+    budgets = budget.ravel().tolist()
+    starts = [None] * len(budgets) if mu0 is None else _float_mu0(mu0, lead)
     lam = eigvals.tolist()
     mus = []
+    denoms = []
     missed = []
-    for rows, eig, p_max, start in blocks:
-        mu, residual = _block_search(lam, eig, rows, p_max, start)
+    for rows, p_max, start in zip(row_power.reshape(-1, n).tolist(), budgets, starts):
+        mu, residual = _block_search(lam, rows, p_max, start)
         mus.append(mu)
+        denoms.append([d if (d := x + mu) > 0.0 else 1.0 for x in lam])
         if residual > POWER_RTOL * p_max:
             missed.append(residual / p_max)
     if missed:
         raise _missed_budget(max(missed))
-    return np.array(mus).reshape(lead)
+    return np.array(mus).reshape(lead), np.array(denoms).reshape(*lead, n)
 
 
-def _block_search(lam, eig, rows, budget, mu0):
-    """(mu, budget residual) of one block: eigenvalues lam, safe eigenvalues
-    eig and row powers rows as lists of floats, budget and mu0 (or None) as
-    floats. Each value takes the operations of `_stacked_search` in the same
-    order, and a comparison stands in for each np.maximum and np.minimum: a
+def _block_search(lam, rows, budget, mu0):
+    """(mu, budget residual) of one block: eigenvalues lam and row powers
+    rows as lists of floats, budget and mu0 (or None) as floats. Each value
+    takes the operations of `_stacked_search` in the same order, and a
+    comparison stands in for each np.where, np.maximum and np.minimum: a
     block with a NaN row power has p(0) NaN and a block with an infinite
     budget has p(0) <= budget, so neither moves, and a moving block has no
     NaN bracket end."""
+    eig = [x if r > 0.0 else 1.0 for x, r in zip(lam, rows)]  # zero-power rows read 1
     emin = min(eig)
     if emin * emin > 0.0:
         p0 = _add_reduce([r / (e * e) for e, r in zip(eig, rows)])
@@ -401,19 +413,26 @@ def _add_reduce(xs: list[float]) -> float:
     return 0.0 + total
 
 
-def _check_mu0(mu0, shape: tuple[int, ...]) -> np.ndarray:
+def _mu0_array(mu0, shape: tuple[int, ...]) -> np.ndarray:
     """mu0 as a float array broadcast to the search's leading shape; raises
-    ValueError if it does not broadcast or has an entry that is negative,
-    NaN or infinite."""
+    ValueError if it does not broadcast."""
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != shape:
         try:
             mu0 = np.broadcast_to(mu0, shape)
         except ValueError as exc:
             raise ValueError(f"mu0 shape {mu0.shape} does not broadcast to {shape}") from exc
-    if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
-        raise ValueError("mu0 must be finite and non-negative")
     return mu0
+
+
+def _float_mu0(mu0, shape: tuple[int, ...]) -> list[float]:
+    """The entries of `_mu0_array`(mu0, shape) as Python floats; raises
+    ValueError if one is negative, NaN or infinite, where 0 <= m < inf
+    fails."""
+    starts = _mu0_array(mu0, shape).ravel().tolist()
+    if not all(0.0 <= m < math.inf for m in starts):
+        raise ValueError(_MU0_INVALID)
+    return starts
 
 
 def _warm_start(mu0, floor, hi, eig_safe, row_power, budget):

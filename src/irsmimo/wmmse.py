@@ -17,10 +17,13 @@ set alone, so batching never changes a result.
 
 The receivers, the MSE matrices and the rates read the channels only
 through the user-pair products H_i V_j, so they take those products from
-`pair_products` instead of (H, V). A caller forms them once per precoder
-iterate and shares them: in the online solver the next iteration's
-receivers and weights and the final rates use one set. The precoder step
-takes the channels themselves.
+`pair_products` instead of (H, V). The precoder step takes the channels
+themselves. `refresh` is the (G, W) step, (H, V) -> (H_i V_j, G, W,
+Cholesky factors of W): it forms the pair products once per precoder
+iterate and chains the receivers, MSE matrices and weights on them. Both
+solvers call it before their loops and at the end of each iteration, and
+nothing else in the package chains those three kernels; in the online
+solver the final rates read its pair products too.
 
 The weight update factors each W_i = R_i R_i^H (Cholesky) once, where it
 forms W, and returns the factor with it: the precoder step solves with R,
@@ -69,6 +72,7 @@ __all__ = [
     "update_receivers",
     "mse_matrices",
     "update_weights",
+    "refresh",
     "update_precoders",
     "mean_objective",
     "user_rates",
@@ -165,6 +169,20 @@ def update_weights(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"update_weights: weight not positive definite ({exc})") from exc
 
 
+def refresh(
+    h: np.ndarray, v: np.ndarray, sigma2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (G, W) step at precoders v: the pair products hv (`pair_products`),
+    the MMSE receivers g (`update_receivers`), and the weights w with their
+    Cholesky factors w_chol (`update_weights` of `mse_matrices`). Both
+    solvers take their receivers and weights from here, before their loops
+    and at the end of each iteration."""
+    hv = pair_products(h, v)
+    g = update_receivers(hv, sigma2)
+    w, w_chol = update_weights(mse_matrices(hv, g, sigma2))
+    return hv, g, w, w_chol
+
+
 def update_precoders(
     h: np.ndarray, g: np.ndarray, w_chol: np.ndarray, alpha: np.ndarray, p_budget: np.ndarray,
     mu0: np.ndarray | None = None,
@@ -217,12 +235,17 @@ def mean_objective(
     res: np.ndarray, rg: np.ndarray, w_chol: np.ndarray, alpha: np.ndarray, sigma2: float
 ) -> float:
     """The objective sum_i alpha_i { tr(W_i E_i) - log det(W_i) }, averaged
-    over the channel sets of a stack (one set: its value), from the whitened
-    residual res and receivers rg of `update_precoders`, by
+    over the channel sets of a stack (one set: its value, with no mean
+    taken), from the whitened residual res and receivers rg of
+    `update_precoders`, by
     sum_i alpha_i tr(W_i E_i) = ||res||_F^2 + sigma2 ||Rg||_F^2, and
     log det W_i read from the Cholesky factors w_chol."""
     tr_we = np.vdot(res, res).real + sigma2 * np.vdot(rg, rg).real
-    return float(tr_we / math.prod(res.shape[:-2]) - np.mean(logdet_chol(w_chol) @ alpha))
+    logdet_w = logdet_chol(w_chol) @ alpha
+    if res.ndim > 2:  # a stack: the mean over its channel sets
+        tr_we = tr_we / math.prod(res.shape[:-2])
+        logdet_w = np.mean(logdet_w)
+    return float(tr_we - logdet_w)
 
 
 def user_rates(hv: np.ndarray, sigma2: float) -> np.ndarray:
@@ -278,11 +301,12 @@ def online_wmmse(
     meeting each budget, so V agrees with a cold-started loop to rounding.
 
     The objective of each iterate is read by `mean_objective` from the
-    residual that its precoder step returns, as in the offline loop. The
-    pair products H_i V_j are formed once per precoder iterate and shared
-    by the receivers and weights that end the iteration and the rates. Each
-    W is factored once, by `update_weights`; the next precoder step and the
-    objective read that factor.
+    residual that its precoder step returns, as in the offline loop. One
+    `refresh` per precoder iterate forms the pair products H_i V_j, the
+    receivers and the weights that end the iteration, and the rates read
+    the last one's pair products. Each W is factored once, by
+    `update_weights`; the next precoder step and the objective read that
+    factor. The loop keeps its objectives and stop test on Python floats.
 
     Raises ValueError unless 0 < sigma2 < inf, and NumericalError if the
     objective increases by more than 1e-9 between iterations.
@@ -297,29 +321,25 @@ def online_wmmse(
     p_budget = np.broadcast_to(np.asarray(p_budget, dtype=float), (n_u,)).copy()
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (n_u,)).copy()
     v = initial_precoders(h, p_budget)
-    hv = pair_products(h, v)
-    g = update_receivers(hv, sigma2)
-    w, w_chol = update_weights(mse_matrices(hv, g, sigma2))
+    hv, g, w, w_chol = refresh(h, v, sigma2)
 
     trace: list[float] = []
-    prev = np.inf
+    prev = math.inf
     mu = np.zeros(n_u)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         v, mu, res, rg = update_precoders(h, g, w_chol, alpha, p_budget, mu0=mu)
         obj = mean_objective(res, rg, w_chol, alpha, sigma2)
-        if not np.isfinite(obj):
+        if not math.isfinite(obj):
             raise NumericalError("online_wmmse: non-finite objective")
         if obj > prev + MONOTONE_TOL:
             raise NumericalError(
                 f"online_wmmse: objective increased from {prev:.12e} to {obj:.12e}"
             )
         trace.append(obj)
-        hv = pair_products(h, v)
-        g = update_receivers(hv, sigma2)
-        w, w_chol = update_weights(mse_matrices(hv, g, sigma2))
-        if np.isfinite(prev) and prev - obj <= tol * abs(prev):
+        hv, g, w, w_chol = refresh(h, v, sigma2)
+        if math.isfinite(prev) and prev - obj <= tol * abs(prev):
             converged = True
             break
         prev = obj

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -375,19 +376,44 @@ class TestPowerConstrainedSolve:
                 self.check_gram_solution(f[s], b[s], budget[s], x_s, mu_s)
         assert mu[3] == 0.0 and np.all(f[3].conj().T @ x[3] == 0.0)
 
+    @staticmethod
+    def mu0_cases(shape):
+        """(A, B, budget, gram_cols, mu0's leading shape) for the stacked
+        rise (the five-slice stack) and for the two one-eigensystem shapes
+        that search on Python floats: the online precoder step's Gram
+        (1, 4, 4) shared by two users with budgets (2,), and the tile beam
+        update's one 16 x 16 matrix with a scalar budget, whose mu0 is 0-d.
+        The last entry of mu0 belongs to an interior problem in the first
+        two."""
+        if shape == "stack":
+            a, b, budget = TestPowerConstrainedSolve.warm_cases()
+            return a, b, budget, None, (5,)
+        rng = np.random.default_rng(12)
+        if shape == "online_precoder":
+            f = crandn(rng, 1, 4, 8)
+            b = crandn(rng, 2, 4, 2)
+            return f @ f.conj().swapaxes(-1, -2), b, np.array([0.05, 1e3]), 8, (2,)
+        return random_psd(rng, 16, jitter=0.01), crandn(rng, 16, 1), 0.5, None, ()
+
+    @pytest.mark.parametrize("shape", ["stack", "online_precoder", "beam"])
     @pytest.mark.parametrize(
-        "mu0",
-        [
-            np.array([0.0, -1e-3, 0.0, 0.0, 0.0]),  # negative
-            np.array([0.0, np.nan, 0.0, 0.0, 0.0]),  # NaN
-            np.zeros(4),  # mis-shaped
-            np.zeros((2, 5)),  # mis-shaped
-        ],
+        "bad", [-1e-3, np.nan, np.inf, "longer", "stacked"],
+        ids=["negative", "nan", "inf", "longer", "stacked"],
     )
-    def test_warm_start_rejects_bad_mu0(self, mu0):
-        a, b, budget = self.warm_cases()
+    def test_warm_start_rejects_bad_mu0(self, shape, bad):
+        """A negative, NaN or infinite mu0 entry, or a mu0 that does not
+        broadcast to the leading axes, raises on either search path."""
+        a, b, budget, gram_cols, lead = self.mu0_cases(shape)
+        if bad == "longer":
+            mu0 = np.zeros(math.prod(lead) + 1)
+        elif bad == "stacked":
+            mu0 = np.zeros((2, math.prod(lead)))
+        else:
+            mu0 = np.zeros(lead)
+            mu0.flat[-1] = bad
+        power_constrained_solve(a, b, budget, mu0=np.zeros(lead), gram_cols=gram_cols)
         with pytest.raises(ValueError, match="mu0"):
-            power_constrained_solve(a, b, budget, mu0=mu0)
+            power_constrained_solve(a, b, budget, mu0=mu0, gram_cols=gram_cols)
 
 
 class TestMatchesReferenceSearch:
@@ -446,6 +472,21 @@ class TestMatchesReferenceSearch:
         f = crandn(rng, 1, 4, 8)
         y = crandn(rng, 2, 4, 2)
         return f @ f.conj().swapaxes(-1, -2), y, np.array([0.05, 1e3]), 8
+
+    @staticmethod
+    def online_precoder_dead_user(rng):
+        """The online precoder step's shape with user 1's rows of the factor
+        zero, as for a zero channel or receiver: A has zero diagonal
+        entries, the one case where the search drops B's part on the zero
+        rows. As in the precoder step's Y, each user's right-hand side sits
+        in its own row block, so user 1's is dropped whole; user 0 is on
+        the boundary."""
+        f = crandn(rng, 1, 4, 8)
+        f[0, 2:] = 0.0
+        y = np.zeros((2, 4, 2), dtype=complex)
+        y[0, :2] = crandn(rng, 2, 2)
+        y[1, 2:] = crandn(rng, 2, 2)
+        return f @ f.conj().swapaxes(-1, -2), y, np.array([0.01, 0.01]), 8
 
     @staticmethod
     def beam(rng):
@@ -537,6 +578,7 @@ class TestMatchesReferenceSearch:
             "gram_tall",
             "precoder",
             "online_precoder",
+            "online_precoder_dead_user",
             "rounded",
             *SINGLE_BOUNDARY,
         ],
@@ -567,6 +609,19 @@ class TestMatchesReferenceSearch:
             assert np.array_equal(x, x_ref), name
             assert np.array_equal(mu, mu_ref), name
             assert type(mu) is np.ndarray and mu.shape == mu_ref.shape, name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_online_dead_user_gets_no_power(self, seed):
+        """A user whose rows of the factor are zero gets x = 0, so
+        V = F^H x = 0, and mu = 0, cold and from every warm start, while
+        the other user's search runs on the boundary."""
+        rng = np.random.default_rng([41, seed])
+        a, b, budget, gram_cols = self.online_precoder_dead_user(rng)
+        _, mu_cold = power_constrained_solve(a, b, budget, gram_cols=gram_cols)
+        for mu0 in [None, *self.starts(mu_cold).values()]:
+            x, mu = power_constrained_solve(a, b, budget, mu0=mu0, gram_cols=gram_cols)
+            assert mu[0] > 0.0
+            assert mu[1] == 0.0 and not x[1].any()
 
     @pytest.mark.parametrize("mu0", [None, 5e-324], ids=["cold", "subnormal"])
     def test_underflowed_denominator_misses_the_budget_as_the_reference(self, mu0):

@@ -50,3 +50,33 @@ def test_every_exported_name_has_a_user_outside_the_tests():
     unused = [f"{path.stem}.{name}" for path in SOURCES for name in _exported(path)
               if name not in used]
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+G_W_STEPS = {"update_receivers", "mse_matrices", "update_weights"}
+
+
+def test_only_refresh_forms_receivers_and_weights():
+    """Under src/, only `wmmse.refresh` names `update_receivers`,
+    `mse_matrices` or `update_weights` in code (a call, or a reference that
+    could be called): a loop that formed (G, W) by hand would be a second
+    copy of that step. Definitions, `__all__` entries and docstrings are
+    not references."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Name) and child.id in G_W_STEPS:
+                readers.append((scope, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in G_W_STEPS:
+                readers.append((scope, child.attr))
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    outside = sorted({f"{scope} reads {name}" for scope, name in readers
+                      if scope != "wmmse.refresh"})
+    assert not outside, f"(G, W) formed outside wmmse.refresh: {outside}"
+    assert {name for scope, name in readers if scope == "wmmse.refresh"} == G_W_STEPS

@@ -439,6 +439,25 @@ class TestOnlineWmmse:
         assert tilted.rates[0] >= even.rates[0] - 1e-9
 
 
+class TestRefresh:
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["one", "stack"])
+    def test_equals_the_hand_chain_bit_for_bit(self, lead):
+        """`refresh` returns the bits of pair_products, update_receivers,
+        mse_matrices and update_weights chained by hand, on one realization
+        and on an (N_s, N_u, L, M) stack."""
+        rng = np.random.default_rng(26)
+        h = crandn(rng, *lead, 3, 2, 6)
+        v = crandn(rng, *lead, 3, 6, 2)
+        sigma2 = 0.3
+        hv = wmmse.pair_products(h, v)
+        g = wmmse.update_receivers(hv, sigma2)
+        w, w_chol = wmmse.update_weights(wmmse.mse_matrices(hv, g, sigma2))
+        got = wmmse.refresh(h, v, sigma2)
+        assert len(got) == 4
+        for out, want in zip(got, (hv, g, w, w_chol)):
+            assert out.shape == want.shape and np.array_equal(out, want)
+
+
 class TestBatching:
     def test_stack_slices_equal_single_solves(self):
         """A stack of B channel sets gives, slice by slice, exactly the
