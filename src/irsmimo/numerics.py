@@ -24,7 +24,6 @@ __all__ = [
 
 HERMITIAN_RTOL = 1e-10
 POWER_RTOL = 1e-8
-_MU0_INVALID = "mu0 must be finite and non-negative"
 
 
 class NumericalError(RuntimeError):
@@ -237,9 +236,7 @@ def _stacked_search(eigvals, row_power, budget, mu0):
             moving = p0 > budget
             mu = floor
         else:
-            mu0 = _mu0_array(mu0, floor.shape)
-            if not (np.isfinite(mu0) & (mu0 >= 0.0)).all():
-                raise ValueError(_MU0_INVALID)
+            mu0 = np.reshape(_check_mu0(mu0, floor.shape), floor.shape)
             mu, p0, p, step = _warm_start(mu0, floor, hi, eig_safe, row_power, budget)
             moving = p0 > budget
             above = p < budget
@@ -286,7 +283,7 @@ def _float_search(eigvals, row_power, budget, mu0):
         row_power = np.broadcast_to(row_power, (*lead, n))
         budget = np.broadcast_to(budget, lead)
     budgets = budget.ravel().tolist()
-    starts = [None] * len(budgets) if mu0 is None else _float_mu0(mu0, lead)
+    starts = [None] * len(budgets) if mu0 is None else _check_mu0(mu0, lead)
     lam = eigvals.tolist()
     mus = []
     denoms = []
@@ -413,25 +410,19 @@ def _add_reduce(xs: list[float]) -> float:
     return 0.0 + total
 
 
-def _mu0_array(mu0, shape: tuple[int, ...]) -> np.ndarray:
-    """mu0 as a float array broadcast to the search's leading shape; raises
-    ValueError if it does not broadcast."""
+def _check_mu0(mu0, shape: tuple[int, ...]) -> list[float]:
+    """The entries of mu0 broadcast to the search's leading shape, as
+    Python floats; raises ValueError if it does not broadcast or has an
+    entry that is negative, NaN or infinite, where 0 <= m < inf fails."""
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != shape:
         try:
             mu0 = np.broadcast_to(mu0, shape)
         except ValueError as exc:
             raise ValueError(f"mu0 shape {mu0.shape} does not broadcast to {shape}") from exc
-    return mu0
-
-
-def _float_mu0(mu0, shape: tuple[int, ...]) -> list[float]:
-    """The entries of `_mu0_array`(mu0, shape) as Python floats; raises
-    ValueError if one is negative, NaN or infinite, where 0 <= m < inf
-    fails."""
-    starts = _mu0_array(mu0, shape).ravel().tolist()
+    starts = mu0.ravel().tolist()
     if not all(0.0 <= m < math.inf for m in starts):
-        raise ValueError(_MU0_INVALID)
+        raise ValueError("mu0 must be finite and non-negative")
     return starts
 
 
